@@ -18,6 +18,7 @@ from .signed_perm import (
     SignedPermutation,
     boundary_permutation,
     genus_defect,
+    joint_orbits,
 )
 
 
@@ -189,14 +190,20 @@ def _cmd_decode(args) -> int:
         raise ValueError("decode needs a two-circle shape")
     p, q = args.shape
     lines = []
-    for line in _read_lines(args.infile):
+    for number, line in enumerate(_read_lines(args.infile), start=1):
         if not line.strip():
             continue
-        data = json.loads(line)
-        if isinstance(data, dict):
-            chain = [BPartition.from_dict(data)]
-        else:
-            chain = [BPartition.from_dict(d) for d in data]
+        try:
+            data = json.loads(line)
+            if isinstance(data, dict):
+                chain = [BPartition.from_dict(data)]
+            else:
+                chain = [BPartition.from_dict(d) for d in data]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"line {number} is not a partition or a list of them: "
+                f"{line.strip()} ({type(exc).__name__}: {exc})"
+            ) from None
         t = bijection.decode_multichain(chain, p, q)
         lines.append(t.to_text())
     _emit("\n".join(lines), args.out)
@@ -485,16 +492,14 @@ def verify_suite(max_n: int = 6, only: str | None = None) -> list[Check]:
         for sizes in _size_tuples(min(max_n, enumeration.DESK_BOUND_MANY_CIRCLES)):
             shape = AnnulusShape(sizes)
             gamma = boundary_permutation(shape)
-            labels = [x for j in range(shape.k) for x in shape.labels(j)]
-            labels += [-x for x in labels]
             circle = {x: j for j in range(shape.k) for x in shape.labels(j)}
             circle.update({-x: j for x, j in list(circle.items())})
             bad = sum(
                 1
                 for tau in enumeration.interval_perms(gamma)
                 if any(
-                    len(group) > 2
-                    for group in _joint_orbit_circles(tau, gamma, labels, circle)
+                    len({circle[x] for x in orbit}) > 2
+                    for orbit in joint_orbits(tau, gamma)
                 )
             )
             add("multi-split", f"sizes={','.join(map(str, sizes))}", 0, bad)
@@ -517,7 +522,7 @@ def verify_suite(max_n: int = 6, only: str | None = None) -> list[Check]:
                 1
                 for a in perms
                 for b in perms
-                if genus_defect(a, b) < 0 or genus_defect(a, b) % 2
+                if (d := genus_defect(a, b)) < 0 or d % 2
             )
             add("genus-defect", f"n={n}", 0, bad)
     if wanted("chu-vandermonde"):
@@ -572,27 +577,6 @@ def _product(factors) -> int:
     for f in factors:
         out *= f
     return out
-
-
-def _joint_orbit_circles(tau, gamma, labels, circle) -> list[set[int]]:
-    """Circle indices met by each joint orbit of the pair (tau, gamma)."""
-    parent = {x: x for x in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in labels:
-        for y in (tau(x), gamma(x)):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-    groups: dict[int, set[int]] = {}
-    for x in labels:
-        groups.setdefault(find(x), set()).add(circle[x])
-    return list(groups.values())
 
 
 def _cmd_verify(args) -> int:
@@ -667,6 +651,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # closed forms print at any size
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -674,7 +660,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

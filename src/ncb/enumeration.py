@@ -2,9 +2,8 @@
 oracles (Hasse diagram, Moebius function, multichain counts, maximal chains).
 
 Everything here is exact and desk-scale by design: the interval below the
-boundary permutation is produced either by filtering all of B_n (small n)
-or by a breadth-first closure under the n^2 reflections (larger n), and the
-order matrix is materialized on first use.
+boundary permutation is walked down from the boundary permutation one
+cover at a time, and the order matrix is materialized on first use.
 """
 
 from __future__ import annotations
@@ -12,21 +11,19 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .partition import BPartition, ClassicalPartition, adjusted_orbits
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
     _compose,
-    _inverse,
-    _noninvariant_orbits,
+    _orbits,
     boundary_permutation,
 )
 
 DESK_BOUND_TWO_CIRCLES = 8  # max p+q (also max n for one circle)
 DESK_BOUND_MANY_CIRCLES = 6  # max sum of sizes for three or more circles
-_FILTER_MAX_N = 6  # scan all of B_n up to here, BFS beyond
 
 
 class FinitePoset:
@@ -40,17 +37,13 @@ class FinitePoset:
         self,
         elements: Sequence,
         ranks: Sequence[int],
-        le: Callable | None = None,
-        masks: Sequence[int] | None = None,
+        masks: Sequence[int],
     ):
         if len(elements) != len(ranks):
             raise ValueError("one rank per element required")
-        if le is None and masks is None:
-            raise ValueError("an order test (le or masks) is required")
         self.elements = tuple(elements)
         self.ranks = tuple(ranks)
-        self._le = le
-        self._masks = tuple(masks) if masks is not None else None
+        self._masks = tuple(masks)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
@@ -73,26 +66,15 @@ class FinitePoset:
         """Row i is the bitmask of indices j with elements[j] <= elements[i]."""
         if self._down is None:
             n = len(self.elements)
-            if self._masks is not None:
-                masks = self._masks
-                down = []
-                for i in range(n):
-                    mi = masks[i]
-                    row = 0
-                    for j in range(n):
-                        if masks[j] & ~mi == 0:
-                            row |= 1 << j
-                    down.append(row)
-            else:
-                le = self._le
-                els = self.elements
-                down = []
-                for i in range(n):
-                    row = 0
-                    for j in range(n):
-                        if le(els[j], els[i]):
-                            row |= 1 << j
-                    down.append(row)
+            masks = self._masks
+            down = []
+            for i in range(n):
+                mi = masks[i]
+                row = 0
+                for j in range(n):
+                    if masks[j] & ~mi == 0:
+                        row |= 1 << j
+                down.append(row)
             self._down = down
         return self._down
 
@@ -285,41 +267,38 @@ def _reflection_images(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _le_to(image: tuple[int, ...], target: tuple[int, ...], target_nonii: int) -> bool:
-    n = len(image)
-    rest = _compose(_inverse(image), target)
-    return (
-        _noninvariant_orbits(image) + _noninvariant_orbits(rest) - target_nonii
-        == 2 * n
-    )
-
-
 @lru_cache(maxsize=None)
 def _interval_images(gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All image tuples t with t <= gamma in absolute order."""
+    """All image tuples t with t <= gamma in absolute order, sorted.
+
+    Walks down from gamma: x*r is covered by x exactly when the reflection
+    r moves a to b with a and b in one orbit of x, or in two distinct
+    inversion-invariant orbits of x.  Every element of [e, gamma] lies on
+    a chain of covers down from gamma, so the walk reaches all of them.
+    """
     n = len(gamma)
-    gamma_nonii = _noninvariant_orbits(gamma)
-    if n <= _FILTER_MAX_N:
-        found = [
-            img for img in _all_b_images(n) if _le_to(img, gamma, gamma_nonii)
-        ]
-    else:
-        reflections = _reflection_images(n)
-        ident = tuple(range(1, n + 1))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            new: list[tuple[int, ...]] = []
-            for img in frontier:
-                for r in reflections:
-                    cand = _compose(img, r)
-                    if cand not in seen and _le_to(cand, gamma, gamma_nonii):
-                        seen.add(cand)
-                        new.append(cand)
-            frontier = new
-        found = list(seen)
-    found.sort()
-    return tuple(found)
+    moves = []  # (reflection, a, b) with the reflection moving a to b
+    for r in _reflection_images(n):
+        a = next(i for i, v in enumerate(r, start=1) if v != i)
+        moves.append((r, a, r[a - 1]))
+    label = [0] * (2 * n + 1)  # orbit index of label x at x (x < 0 wraps)
+    seen = {gamma}
+    stack = [gamma]
+    while stack:
+        x = stack.pop()
+        invariant = []
+        for k, orbit in enumerate(_orbits(x)):
+            for y in orbit:
+                label[y] = k
+            invariant.append(-orbit[0] in orbit)
+        for r, a, b in moves:
+            la, lb = label[a], label[b]
+            if la == lb or (invariant[la] and invariant[lb]):
+                y = _compose(x, r)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return tuple(sorted(seen))
 
 
 def interval_perms(bound: SignedPermutation) -> list[SignedPermutation]:

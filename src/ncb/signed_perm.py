@@ -142,21 +142,7 @@ class SignedPermutation:
 
     def orbits(self) -> list[list[int]]:
         """Orbits on {-n..-1, 1..n}, each in traversal order."""
-        n = self.n
-        image = self.image
-        seen = [False] * (2 * n)
-        out = []
-        for start in _ALL_STARTS(n):
-            if seen[_idx(start, n)]:
-                continue
-            orbit = []
-            x = start
-            while not seen[_idx(x, n)]:
-                seen[_idx(x, n)] = True
-                orbit.append(x)
-                x = image[x - 1] if x > 0 else -image[-x - 1]
-            out.append(orbit)
-        return out
+        return _orbits(self.image)
 
     def orbit_stats(self) -> OrbitStats:
         total, invariant = _orbit_stats(self.image)
@@ -211,6 +197,25 @@ def _idx(x: int, n: int) -> int:
 def _ALL_STARTS(n: int):
     yield from range(1, n + 1)
     yield from range(-1, -n - 1, -1)
+
+
+def _orbits(image: tuple[int, ...]) -> list[list[int]]:
+    """Orbits of the image tuple on {-n..-1, 1..n}, each in traversal order,
+    started from 1..n and then -1..-n."""
+    n = len(image)
+    seen = [False] * (2 * n)
+    out = []
+    for start in _ALL_STARTS(n):
+        if seen[_idx(start, n)]:
+            continue
+        orbit = []
+        x = start
+        while not seen[_idx(x, n)]:
+            seen[_idx(x, n)] = True
+            orbit.append(x)
+            x = image[x - 1] if x > 0 else -image[-x - 1]
+        out.append(orbit)
+    return out
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -282,28 +287,35 @@ def boundary_permutation(shape: AnnulusShape) -> SignedPermutation:
     return SignedPermutation(image)
 
 
-def joint_orbit_count(a: SignedPermutation, b: SignedPermutation) -> int:
-    """Number of orbits of the group generated by a and b on {-n..-1, 1..n}."""
+def joint_orbits(a: SignedPermutation, b: SignedPermutation) -> list[list[int]]:
+    """Orbits of the group generated by a and b on {-n..-1, 1..n}.
+
+    Each orbit is listed breadth-first from its first label in the order
+    1..n, -1..-n.
+    """
     if a.n != b.n:
         raise ValueError("size mismatch")
     n = a.n
-    parent = list(range(2 * n))
+    seen = [False] * (2 * n)
+    out = []
+    for start in _ALL_STARTS(n):
+        if seen[_idx(start, n)]:
+            continue
+        seen[_idx(start, n)] = True
+        orbit = [start]
+        for x in orbit:  # grows while it is read
+            for image in (a.image, b.image):
+                y = image[x - 1] if x > 0 else -image[-x - 1]
+                if not seen[_idx(y, n)]:
+                    seen[_idx(y, n)] = True
+                    orbit.append(y)
+        out.append(orbit)
+    return out
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for perm in (a, b):
-        for x in _ALL_STARTS(n):
-            union(_idx(x, n), _idx(perm(x), n))
-    return sum(1 for i in range(2 * n) if find(i) == i)
+def joint_orbit_count(a: SignedPermutation, b: SignedPermutation) -> int:
+    """Number of orbits of the group generated by a and b on {-n..-1, 1..n}."""
+    return len(joint_orbits(a, b))
 
 
 def genus_defect(a: SignedPermutation, b: SignedPermutation) -> int:

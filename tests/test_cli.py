@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -181,3 +182,34 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "count", "--shape", "2,1", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text() == "20\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"n":2}', "[1,2]"],
+    ids=["missing-blocks", "list-of-numbers"],
+)
+def test_decode_rejects_malformed_json(capsys, monkeypatch, line):
+    "A line that is JSON but not a partition is a usage error naming the line."
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "decode", "--shape", "1,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and line in err
+
+
+def test_decode_missing_file(tmp_path, capsys):
+    "An unreadable input file is a usage error naming the file."
+    missing = tmp_path / "nonexistent"
+    code, out, err = run(capsys, "decode", "--shape", "1,1", "--in", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(missing) in err
+
+
+def test_count_prints_huge_values(capsys):
+    "Closed forms print in full past the default 4300-digit conversion limit."
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--shape", "5000,4000")
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+    value = out.strip()
+    assert len(value) > 4300 and value.isdigit()

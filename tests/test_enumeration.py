@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from test_acceptance import size_tuples
+from test_signed_perm import all_perms, reflections
 
 from ncb import (
     AnnulusShape,
@@ -12,7 +16,6 @@ from ncb import (
     nc_b_disc,
     nc_b_multi,
 )
-from ncb import enumeration
 from ncb.formulas import annulus_total, binom
 
 
@@ -175,13 +178,40 @@ def test_interval_perms():
     assert {adjusted_orbits(g) for g in perms} == set(nc_b_annulus(2, 1).elements)
 
 
-def test_interval_search_matches_scan(monkeypatch):
-    "Growing the interval by reflections finds the same set as a full scan."
-    gamma = boundary_permutation(AnnulusShape(2, 1))
-    scan = set(enumeration._interval_images(gamma.image))
-    monkeypatch.setattr(enumeration, "_FILTER_MAX_N", 0)
-    grown = set(enumeration._interval_images.__wrapped__(gamma.image))
-    assert grown == scan
+@lru_cache(maxsize=None)
+def b_group(n):
+    "All of B_n, from the test-side generator."
+    return all_perms(n)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    size_tuples(5) + [(3, 3), (6,), (2, 2, 2), (1, 1, 1, 1, 1, 1)],
+    ids=lambda sizes: ",".join(map(str, sizes)),
+)
+def test_interval_walk_matches_definition(sizes):
+    "The walk down from gamma finds exactly the elements of B_n below gamma."
+    gamma = boundary_permutation(AnnulusShape(sizes))
+    below = [g for g in b_group(gamma.n) if g.le(gamma)]
+    below.sort(key=lambda g: g.image)
+    assert interval_perms(gamma) == below
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 1), (3,), (1, 1, 1), (2, 2)], ids=lambda s: ",".join(map(str, s))
+)
+def test_permutation_covers_are_partition_covers(sizes):
+    "Reflection covers in [e, gamma] map onto the Hasse diagram of the poset."
+    gamma = boundary_permutation(AnnulusShape(sizes))
+    refls = reflections(gamma.n)
+    pairs = [
+        (adjusted_orbits(t * r), adjusted_orbits(t))
+        for t in interval_perms(gamma)
+        for r in refls
+        if (t * r).length() == t.length() - 1
+    ]
+    edges = nc_b_multi(sizes).hasse_edges()
+    assert sorted(pairs, key=str) == sorted(edges, key=str)
 
 
 def test_adjusted_orbits_inverse_round_trip():
