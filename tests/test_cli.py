@@ -205,6 +205,34 @@ def test_decode_missing_file(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err
 
 
+def test_encode_error_names_the_line(capsys, monkeypatch):
+    "Bad tuple text is a usage error naming the line and its text."
+    text = "c=1 d=1 LE=1 RE1= LI= RI1=2\n\nc=x d=1\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "encode", "--shape", "1,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3 is not a tuple: c=x d=1 (ValueError: ")
+
+
+def test_count_rank_at_any_size(capsys):
+    "Single rank counts of a large shape come back fast and are symmetric."
+    values = []
+    for rank in ("2400", "2600"):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", "--shape", "3000,2000", "--rank", rank)
+        assert code == 0
+        assert time.perf_counter() - start < 2.0
+        values.append(out)
+    # Kreweras complementation maps rank k to rank p + q - k
+    assert values[0] == values[1] and values[0].strip().isdigit()
+    _, total, _ = run(capsys, "count", "--shape", "60,40")
+    ranks = sum(
+        int(run(capsys, "count", "--shape", "60,40", "--rank", str(k))[1])
+        for k in range(101)
+    )
+    assert ranks == int(total)
+
+
 def test_count_prints_huge_values(capsys):
     "Closed forms print in full past the default 4300-digit conversion limit."
     start = time.perf_counter()

@@ -1,5 +1,7 @@
+from math import comb
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ncb import (
@@ -15,7 +17,9 @@ from ncb import (
     multi3_total,
     narayana,
     nc_b_annulus,
+    rank_coefficient,
     rank_gen,
+    rank_gen_cells,
     rank_gen_compact,
     zeta_poly,
     zeta_poly_q1,
@@ -149,7 +153,7 @@ def test_rank_gen_spot():
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_rank_gen_forms_agree(p, q):
     "The three-index and two-index forms give the same polynomial."
-    assert rank_gen(p, q) == rank_gen_compact(p, q)
+    assert rank_gen_cells(p, q) == rank_gen_compact(p, q)
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
@@ -228,3 +232,88 @@ def test_paired_binomial_sum(p, q, c):
 def test_zeta_poly_at_two_is_total(p, q):
     "Depth two counts single elements."
     assert zeta_poly(p, q, 2) == annulus_total(p, q)
+
+
+# Per-term references: each term of each sum from math.comb alone, the way
+# the closed forms read in the paper.
+
+
+def gbinom_reference(a, k):
+    "C(a, k) for any integer a, by upper negation for a < 0."
+    if k < 0:
+        return 0
+    if a >= 0:
+        return comb(a, k)
+    return (-1) ** k * comb(k - a - 1, k)
+
+
+def zeta_reference(p, q, m):
+    "Multichain count summed by connectivity c."
+    return gbinom_reference(m * p, p) * gbinom_reference(m * q, q) + sum(
+        2 * c * gbinom_reference(m * p, p - c) * gbinom_reference(m * q, q + c)
+        for c in range(1, p + 1)
+    )
+
+
+def mobius_reference(p, q):
+    "Moebius value between bottom and top, summed by connectivity c."
+    total = comb(2 * p - 1, p) * comb(2 * q - 1, q) + sum(
+        2 * c * comb(2 * p - c - 1, p - 1) * comb(2 * q + c - 1, q - 1)
+        for c in range(1, p + 1)
+    )
+    return (-1) ** (p + q) * total
+
+
+def max_chains_reference(p, q):
+    "Maximal chain count summed by connectivity c."
+    return comb(p + q, p) * p**p * q**q + sum(
+        2 * c * comb(p + q, p - c) * p ** (p - c) * q ** (q + c)
+        for c in range(1, p + 1)
+    )
+
+
+sizes = st.integers(1, 40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes, sizes)
+def test_rank_coefficient_matches_cell_sum(p, q):
+    "A single rank coefficient equals the one read off the cell-by-cell sum."
+    poly = rank_gen_cells(p, q)
+    for k in range(-1, p + q + 2):
+        assert rank_coefficient(p, q, k) == poly.coefficient(k), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes, sizes)
+def test_rank_gen_compact_matches_cell_sum(p, q):
+    "The integer double sum equals the cell-by-cell sum."
+    assert rank_gen_compact(p, q) == rank_gen_cells(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes, sizes, st.integers(-3, 5))
+def test_zeta_poly_matches_reference(p, q, m):
+    "The ratio walk equals the per-term sum, for negative and zero m too."
+    assert zeta_poly(p, q, m) == zeta_reference(p, q, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes, sizes)
+def test_mobius_annulus_matches_reference(p, q):
+    "The ratio walk equals the per-term sum and the zeta polynomial at -1."
+    assert mobius_annulus(p, q) == mobius_reference(p, q) == zeta_poly(p, q, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes, sizes)
+def test_max_chains_matches_reference(p, q):
+    "The Horner form equals the per-term sum."
+    assert max_chains(p, q) == max_chains_reference(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-40, 40), st.integers(-2, 40))
+def test_gbinom_matches_reference(a, k):
+    "The ratio walk equals math.comb with upper negation."
+    assert gbinom(a, k) == gbinom_reference(a, k)
