@@ -464,8 +464,8 @@ def decode_annulus(partition: BPartition, p: int, q: int) -> AnnulusTuple:
     final = legal_right_shifts(v)[-1] - 1
     while _paren_type(v.tokens[final]) is not None:
         final -= 1
-    first_outer = opener_of[v.tokens[final]]
-    opener_pos = u.tokens.index(first_outer) - 1
+    first_outer = opener_of.get(v.tokens[final])
+    opener_pos = -1 if first_outer is None else u.tokens.index(first_outer) - 1
     if opener_pos < 0 or u.tokens[opener_pos] != "(":
         raise ValueError("partition is not in the image of the encoding")
     shift = opener_pos if opener_pos > 0 else len(u)

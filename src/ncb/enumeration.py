@@ -3,7 +3,9 @@ oracles (Hasse diagram, Moebius function, multichain counts, maximal chains).
 
 Everything here is exact and desk-scale by design: the interval below the
 boundary permutation is walked down from the boundary permutation one
-cover at a time, and the order matrix is materialized on first use.
+cover at a time, and a poset builds its down-set rows once, on first use;
+covers, Moebius values and chain counts are read off those rows and the
+ranks.
 """
 
 from __future__ import annotations
@@ -26,11 +28,24 @@ DESK_BOUND_TWO_CIRCLES = 8  # max p+q (also max n for one circle)
 DESK_BOUND_MANY_CIRCLES = 6  # max sum of sizes for three or more circles
 
 
+def _bits(row: int) -> list[int]:
+    """Indices of the set bits of row, ascending."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
 class FinitePoset:
     """Explicit finite poset with a rank function.
 
-    The order matrix is built lazily: size queries and rank vectors never
-    touch it, while Hasse/Moebius/chain oracles materialize it once.
+    ``masks[i]`` is the pair bitmask of element i, and element j lies below
+    element i exactly when ``masks[j]`` has no bit that ``masks[i]`` lacks.
+    ``ranks`` must grade the order: every cover raises the rank by one.
+    The down-set rows are the one cached structure, built on first use;
+    size queries and rank vectors never touch them.
     """
 
     def __init__(
@@ -48,7 +63,6 @@ class FinitePoset:
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
         self._down: list[int] | None = None
-        self._covers: list[tuple[int, int]] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -63,18 +77,24 @@ class FinitePoset:
         return self._index[x]
 
     def _down_rows(self) -> list[int]:
-        """Row i is the bitmask of indices j with elements[j] <= elements[i]."""
+        """Row i is the bitmask of indices j with elements[j] <= elements[i].
+
+        Column b holds the indices whose mask carries pair bit b; row i is
+        every index minus the columns of the bits that masks[i] lacks.
+        """
         if self._down is None:
-            n = len(self.elements)
-            masks = self._masks
+            columns: dict[int, int] = {}
+            for i, mask in enumerate(self._masks):
+                for b in _bits(mask):
+                    columns[b] = columns.get(b, 0) | 1 << i
+            everyone = (1 << len(self._masks)) - 1
             down = []
-            for i in range(n):
-                mi = masks[i]
-                row = 0
-                for j in range(n):
-                    if masks[j] & ~mi == 0:
-                        row |= 1 << j
-                down.append(row)
+            for mask in self._masks:
+                above = 0
+                for b, column in columns.items():
+                    if not mask >> b & 1:
+                        above |= column
+                down.append(everyone & ~above)
             self._down = down
         return self._down
 
@@ -105,29 +125,16 @@ class FinitePoset:
         return tuple(counts)
 
     def _cover_pairs(self) -> list[tuple[int, int]]:
-        if self._covers is None:
-            down = self._down_rows()
-            n = len(self.elements)
-            up = [0] * n
-            for i in range(n):
-                row = down[i]
-                while row:
-                    low = row & -row
-                    up[low.bit_length() - 1] |= 1 << i
-                    row ^= low
-            covers = []
-            for j in range(n):
-                strict_down = down[j] & ~(1 << j)
-                row = strict_down
-                while row:
-                    low = row & -row
-                    i = low.bit_length() - 1
-                    row ^= low
-                    between = up[i] & strict_down & ~(1 << i)
-                    if between == 0:
-                        covers.append((i, j))
-            self._covers = covers
-        return self._covers
+        """(i, j) with j covering i: i below j and one rank lower."""
+        down = self._down_rows()
+        level: dict[int, int] = {}
+        for i, r in enumerate(self.ranks):
+            level[r] = level.get(r, 0) | 1 << i
+        return [
+            (i, j)
+            for j, r in enumerate(self.ranks)
+            for i in _bits(down[j] & level.get(r - 1, 0))
+        ]
 
     def hasse_edges(self) -> list[tuple]:
         """Cover relations as (lower, upper) element pairs."""
@@ -136,49 +143,26 @@ class FinitePoset:
         ]
 
     def mobius(self, x, y) -> int:
-        """Moebius function by the interval recursion."""
+        """Moebius function by the interval recursion, swept in rank order."""
         down = self._down_rows()
         ix, iy = self._index[x], self._index[y]
         if (down[iy] >> ix) & 1 == 0:
             raise ValueError("mobius needs x <= y")
-        up_x = 1 << ix
-        n = len(self.elements)
-        for j in range(n):
-            if (down[j] >> ix) & 1:
-                up_x |= 1 << j
-        interval = [j for j in range(n) if (down[iy] >> j) & 1 and (up_x >> j) & 1]
-        # downset size is a linear extension even if ranks were not
-        interval.sort(key=lambda j: down[j].bit_count())
-        mu = {ix: 1}
-        for j in interval:
-            if j == ix:
-                continue
-            below = down[j]
-            total = 0
-            for w in interval:
-                if w != j and (below >> w) & 1 and w in mu:
-                    total += mu[w]
-            mu[j] = -total
+        mu = [0] * len(self.elements)  # zero outside [x, y]
+        mu[ix] = 1
+        for j in sorted(_bits(down[iy]), key=self.ranks.__getitem__):
+            if j != ix and (down[j] >> ix) & 1:
+                mu[j] = -sum(mu[w] for w in _bits(down[j] ^ (1 << j)))
         return mu[iy]
 
     def zeta(self, m: int) -> int:
         """Number of weakly increasing (m-1)-tuples; zeta(2) == len(self)."""
         if m < 2:
             raise ValueError("multichain counts start at m = 2")
-        down = self._down_rows()
-        n = len(self.elements)
-        down_lists = []
-        for i in range(n):
-            row = down[i]
-            lst = []
-            while row:
-                low = row & -row
-                lst.append(low.bit_length() - 1)
-                row ^= low
-            down_lists.append(lst)
-        counts = [1] * n
+        down_lists = [_bits(row) for row in self._down_rows()]
+        counts = [1] * len(self.elements)
         for _ in range(m - 2):
-            counts = [sum(counts[j] for j in down_lists[i]) for i in range(n)]
+            counts = [sum(counts[j] for j in below) for below in down_lists]
         return sum(counts)
 
     def zeta_interpolated(self, m: int) -> int:
@@ -202,20 +186,11 @@ class FinitePoset:
 
     def maximal_chains(self) -> int:
         """Number of maximal chains from the unique bottom to the unique top."""
-        bottom = self._index[self.bottom()]
-        top = self._index[self.top()]
-        down = self._down_rows()
         ways = [0] * len(self.elements)
-        ways[bottom] = 1
-        order = sorted(range(len(self.elements)), key=lambda i: down[i].bit_count())
-        covers_from: dict[int, list[int]] = {}
-        for i, j in self._cover_pairs():
-            covers_from.setdefault(i, []).append(j)
-        for i in order:
-            if ways[i]:
-                for j in covers_from.get(i, ()):
-                    ways[j] += ways[i]
-        return ways[top]
+        ways[self._index[self.bottom()]] = 1
+        for i, j in sorted(self._cover_pairs(), key=lambda c: self.ranks[c[0]]):
+            ways[j] += ways[i]
+        return ways[self._index[self.top()]]
 
     def to_dot(self, name: str = "poset") -> str:
         """Graphviz source: one node per element, one edge per cover,

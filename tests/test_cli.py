@@ -185,14 +185,18 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line",
-    ['{"n":2}', "[1,2]"],
-    ids=["missing-blocks", "list-of-numbers"],
+    "shape,line",
+    [
+        ("1,1", '{"n":2}'),
+        ("1,1", "[1,2]"),
+        ("2,2", '{"n":4,"blocks":[[1,-1,4,-4],[2,3],[-2,-3]]}'),
+    ],
+    ids=["missing-blocks", "list-of-numbers", "outside-the-image"],
 )
-def test_decode_rejects_malformed_json(capsys, monkeypatch, line):
-    "A line that is JSON but not a partition is a usage error naming the line."
+def test_decode_rejects_malformed_json(capsys, monkeypatch, shape, line):
+    "A line that does not decode to a tuple is a usage error naming the line."
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
-    code, out, err = run(capsys, "decode", "--shape", "1,1")
+    code, out, err = run(capsys, "decode", "--shape", shape)
     assert code == 2 and out == ""
     assert err.startswith("error:") and line in err
 

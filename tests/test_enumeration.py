@@ -63,17 +63,35 @@ def test_annulus_and_disc_diverge_at_three():
 
 
 def slow_covers(poset):
-    "Cover pairs found directly from the order relation."
-    out = []
-    for x in poset.elements:
-        for y in poset.elements:
-            if x != y and poset.le(x, y):
-                if not any(
-                    z != x and z != y and poset.le(x, z) and poset.le(z, y)
-                    for z in poset.elements
-                ):
-                    out.append((x, y))
-    return out
+    "Cover pairs found from element le: x < y with no element in between."
+    elements = poset.elements
+    above = {x: {z for z in elements if z != x and x.le(z)} for x in elements}
+    return [
+        (x, y)
+        for x in elements
+        for y in above[x]
+        if not any(y in above[z] for z in above[x])
+    ]
+
+
+def slow_mobius(poset, x, y):
+    "Moebius by the recursion over element le: mu(x, x) = 1, sums vanish."
+
+    @lru_cache(maxsize=None)
+    def mu(z):
+        if z == x:
+            return 1
+        return -sum(mu(w) for w in poset.elements if x.le(w) and w.le(z) and w != z)
+
+    return mu(y)
+
+
+def definition_posets():
+    "Every circle order of total size at most 5, and the classical n <= 6."
+    return [
+        pytest.param(nc_b_multi(sizes), id="B" + ",".join(map(str, sizes)))
+        for sizes in size_tuples(5)
+    ] + [pytest.param(nc_a(n), id=f"A{n}") for n in range(1, 7)]
 
 
 @pytest.mark.parametrize(
@@ -85,6 +103,26 @@ def test_hasse_edge_counts(poset, count):
     edges = poset.hasse_edges()
     assert len(edges) == count
     assert sorted(slow_covers(poset), key=str) == sorted(edges, key=str)
+
+
+@pytest.mark.parametrize("poset", definition_posets())
+def test_order_matches_element_le(poset):
+    "The down-set rows and the Hasse diagram follow the pair-mask order."
+    elements = poset.elements
+    assert all(poset.le(x, y) == x.le(y) for x in elements for y in elements)
+    assert sorted(poset.hasse_edges(), key=str) == sorted(slow_covers(poset), key=str)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 1), (3,), (1, 1, 1)], ids=lambda s: ",".join(map(str, s))
+)
+def test_mobius_matches_definition(sizes):
+    "Every Mobius value of the sweep equals the recursion over element le."
+    poset = nc_b_multi(sizes)
+    for x in poset.elements:
+        for y in poset.elements:
+            if x.le(y):
+                assert poset.mobius(x, y) == slow_mobius(poset, x, y)
 
 
 @pytest.mark.parametrize("poset", [nc_b_annulus(2, 1), nc_b_disc(3)])
@@ -241,7 +279,7 @@ def test_classical_poset():
 
 
 def test_three_circles():
-    "A third circle is handled by the same order scan."
+    "A third circle goes through the same interval walk and order."
     poset = nc_b_multi([1, 1, 1])
     assert len(poset.elements) == 20
     assert poset.rank_vector() == (1, 9, 9, 1)
