@@ -2,20 +2,22 @@
 
 A boundary string carries the labels of one circle in running order with
 left parens "(" inserted before chosen labels and typed right parens ")k"
-after chosen labels.  A cyclic-shift count (the classical cycle lemma,
-applied to the paren subsequence only) selects the shifts that are legal
-from the left or from the right; concatenating a legal-left shift of the
-outer string with the last legal-right shift of the inner string gives a
-matchable string whose nesting structure is read off as a partition, one
-partition per paren type for multichains.
-"""
+after chosen labels.  The classical cycle lemma, applied to the paren
+subsequence only, selects the shifts that are legal from the left or from
+the right in one linear pass.  Concatenating a legal-left shift of the
+outer string with a legal-right shift of the inner string (the last among
+those ending with the highest closer type) gives a matchable string whose
+nesting structure is read off as a partition, one partition per paren type
+for multichains.  Decoding reads the subsets back off the first and last
+elements of the blocks, level by level, and the shift off the block whose
+closer ends the inner string; one re-encode confirms the result."""
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Sequence
 
-from .partition import BPartition, pair_stats
+from .partition import BPartition
 from .signed_perm import AnnulusShape
 
 Token = "int | str"
@@ -128,63 +130,51 @@ def _paren_flags(tokens: Sequence) -> list[tuple[int, bool]]:
     return out
 
 
+def _legal_starts(steps: Sequence[int], side: str) -> list[int]:
+    """Indices i at which the cyclic +-1 word `steps` keeps every partial
+    sum positive when read from i on.
+
+    By the cycle lemma these are the i whose prefix sum P_i lies below
+    every later one; since a full turn adds the surplus s > 0, "later"
+    needs only the next turn, so one backward pass over two turns keeps
+    the running minimum.  There are exactly s of them.
+    """
+    surplus = sum(steps)
+    if surplus <= 0:
+        raise ValueError(f"{side} surplus must be positive, got {surplus}")
+    length = len(steps)
+    level = 2 * surplus  # P_{2L}
+    low = level
+    out = []
+    for i in range(2 * length - 1, -1, -1):
+        level -= steps[i % length]  # now P_i
+        if i < length and level < low:
+            out.append(i)
+        low = min(low, level)
+    return out
+
+
 def legal_left_shifts(s: ParenString) -> list[int]:
     """Shifts starting with "(" whose paren word keeps a strict left surplus.
 
     With surplus m = #"(" - #")" > 0 there are exactly m such shifts; they
     are returned as ascending 1-based indices (shift len(s) is s itself).
     """
-    tokens = s.tokens
-    n = len(tokens)
-    parens = _paren_flags(tokens)
-    surplus = sum(1 if left else -1 for _, left in parens)
-    if surplus <= 0:
-        raise ValueError(f"left surplus must be positive, got {surplus}")
-    out = []
-    for shift in range(1, n + 1):
-        start = shift % n
-        if tokens[start] != "(":
-            continue
-        first = next(i for i, (pos, _) in enumerate(parens) if pos == start)
-        running = 0
-        ok = True
-        for i in range(len(parens)):
-            _, left = parens[(first + i) % len(parens)]
-            running += 1 if left else -1
-            if running <= 0:
-                ok = False
-                break
-        if ok:
-            out.append(shift)
-    return out
+    parens = _paren_flags(s.tokens)
+    starts = _legal_starts([1 if left else -1 for _, left in parens], "left")
+    return sorted(parens[i][0] or len(s) for i in starts)
 
 
 def legal_right_shifts(s: ParenString) -> list[int]:
     """Mirror of legal_left_shifts: shifts ending with a right paren whose
-    paren word keeps a strict right surplus; exactly #")" - #"(" of them."""
-    tokens = s.tokens
-    n = len(tokens)
-    parens = _paren_flags(tokens)
-    surplus = sum(-1 if left else 1 for _, left in parens)
-    if surplus <= 0:
-        raise ValueError(f"right surplus must be positive, got {surplus}")
-    out = []
-    for shift in range(1, n + 1):
-        last = shift - 1
-        if _paren_type(tokens[last]) is None:
-            continue
-        anchor = next(i for i, (pos, _) in enumerate(parens) if pos == last)
-        running = 0
-        ok = True
-        for i in range(len(parens)):
-            _, left = parens[(anchor - i) % len(parens)]
-            running += -1 if left else 1
-            if running <= 0:
-                ok = False
-                break
-        if ok:
-            out.append(shift)
-    return out
+    paren word keeps a strict right surplus; exactly #")" - #"(" of them.
+
+    They are the legal-left starts of the reversed word with the paren
+    kinds swapped."""
+    parens = _paren_flags(s.tokens)
+    steps = [-1 if left else 1 for _, left in reversed(parens)]
+    last = len(parens) - 1
+    return sorted(parens[last - i][0] + 1 for i in _legal_starts(steps, "right"))
 
 
 def _read_blocks(tokens: Sequence) -> list[list[int]]:
@@ -347,33 +337,44 @@ def _validate_tuple_range(t: AnnulusTuple, p: int, q: int) -> None:
         raise ValueError(f"inner subsets must lie in {p + 1}..{p + q}")
 
 
+def _circle_strings(
+    p: int, q: int, left_outer, rights_outer, left_inner, rights_inner
+) -> tuple[ParenString, ParenString]:
+    """The outer and inner boundary strings of a tuple's subsets."""
+    u = ParenString(_boundary_tokens(range(1, p + 1), left_outer, rights_outer))
+    v = ParenString(_boundary_tokens(range(p + 1, p + q + 1), left_inner, rights_inner))
+    return u, v
+
+
+def _inner_anchor(v: ParenString) -> int:
+    """The last legal-right shift of v among those ending with the highest
+    closer type.
+
+    Ending on a low closer type can nest a high-type pair inside a
+    low-type pair, which breaks the level reads.  The anchor always ends a
+    closer run, because a legal shift is still legal one closer later."""
+    end_type = lambda r: _paren_type(v.tokens[r - 1])
+    return max(legal_right_shifts(v), key=lambda r: (end_type(r), r))
+
+
 def encode_multichain(
     t: AnnulusTuple, p: int, q: int, m: int | None = None
 ) -> tuple[BPartition, ...]:
     """Chain (pi_1 <= ... <= pi_{m-1}) encoded by the tuple t.
 
     The outer string is rotated to its d-th legal-left shift, the inner
-    string to the last legal-right shift among those ending with the
-    highest closer type; pi_j is read from the concatenation after
-    erasing the pairs closed by types below j.
+    string to its anchor (`_inner_anchor`); pi_j is read from the
+    concatenation after erasing the pairs closed by types below j.
     """
     if m is not None and m != t.m:
         raise ValueError(f"tuple carries {t.m - 1} right-sets per circle, not {m - 1}")
     _validate_tuple_range(t, p, q)
-    u = ParenString(_boundary_tokens(range(1, p + 1), t.left_outer, t.rights_outer))
-    v = ParenString(
-        _boundary_tokens(range(p + 1, p + q + 1), t.left_inner, t.rights_inner)
+    u, v = _circle_strings(
+        p, q, t.left_outer, t.rights_outer, t.left_inner, t.rights_inner
     )
     left_shifts = legal_left_shifts(u)
     assert len(left_shifts) == 2 * t.c
-    right_shifts = legal_right_shifts(v)
-    assert len(right_shifts) == 2 * t.c
-    t1 = u.rotation(left_shifts[t.d - 1])
-    # ending on a low closer type can nest a high-type pair inside a
-    # low-type pair, which breaks the level reads; anchor on the highest
-    end_type = lambda r: _paren_type(v.tokens[r - 1])
-    t2 = v.rotation(max(right_shifts, key=lambda r: (end_type(r), r)))
-    tokens = t1.tokens + t2.tokens
+    tokens = u.rotation(left_shifts[t.d - 1]).tokens + v.rotation(_inner_anchor(v)).tokens
     pairs = _match_pairs(tokens)
     chain = []
     for level in range(1, t.m):
@@ -394,6 +395,25 @@ def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
     return encode_multichain(t, p, q)[0]
 
 
+def _circle_positions(p: int, q: int) -> dict[int, int]:
+    """Index of each signed label in its circle's running order: 1..p then
+    -1..-p outside, p+1..p+q then their negatives inside."""
+    position = {}
+    for labels in (range(1, p + 1), range(p + 1, p + q + 1)):
+        for i, x in enumerate(labels):
+            position[x] = i
+            position[-x] = i + len(labels)
+    return position
+
+
+def _running_key(piece: Sequence[int], position: dict[int, int], p: int, q: int):
+    """Sort key putting a one-circle piece of a block in circle running
+    order, starting just after the earliest element of the mirrored piece."""
+    length = 2 * p if abs(piece[0]) <= p else 2 * q
+    anchor = min(position[-x] for x in piece)
+    return lambda x: (position[x] - anchor - 1) % length
+
+
 def canonical_block_order(
     part: Iterable[int], partition: BPartition, shape: AnnulusShape
 ) -> tuple[int, ...]:
@@ -406,79 +426,98 @@ def canonical_block_order(
     if not set(part) <= block:
         raise ValueError("not a piece of a single block")
     p, q = shape.p, shape.q
-    if all(abs(x) <= p for x in part):
-        circle = list(range(1, p + 1)) + [-x for x in range(1, p + 1)]
-    elif all(abs(x) > p for x in part):
-        circle = list(range(p + 1, p + q + 1)) + [-x for x in range(p + 1, p + q + 1)]
-    else:
+    if len({abs(x) <= p for x in part}) > 1:
         raise ValueError("piece spans both circles")
-    position = {x: i for i, x in enumerate(circle)}
-    members = set(part)
-    anchor = min(position[-x] for x in part)
-    out = []
-    for step in range(1, len(circle) + 1):
-        x = circle[(anchor + step) % len(circle)]
-        if x in members:
-            out.append(x)
-    return tuple(out)
+    key = _running_key(part, _circle_positions(p, q), p, q)
+    return tuple(sorted(part, key=key))
+
+
+def _block_ends(
+    partition: BPartition, p: int, q: int, position: dict[int, int]
+) -> dict[int, int]:
+    """Signed last element keyed by signed first element, for every block
+    but the zero block.
+
+    A block read off a pair holds the label after its "(" first and the
+    label before its closer last.  For a connecting block the pair opens
+    on the outer circle and closes on the inner one, so its first is the
+    first of its outer piece and its last the last of its inner piece.
+    """
+    ends = {}
+    for block in partition.blocks:
+        if -block[0] in block:
+            continue
+        outer = [x for x in block if abs(x) <= p]
+        inner = [x for x in block if abs(x) > p]
+        head, tail = outer or inner, inner or outer
+        first = min(head, key=_running_key(head, position, p, q))
+        ends[first] = max(tail, key=_running_key(tail, position, p, q))
+    return ends
 
 
 def decode_annulus(partition: BPartition, p: int, q: int) -> AnnulusTuple:
-    """Inverse of encode_annulus on partitions with a connecting pair.
+    """Inverse of encode_annulus: the one-partition case of
+    decode_multichain."""
+    return decode_multichain([partition], p, q)
 
-    The subsets are recovered from first/last elements of the ordered
-    blocks; d is recovered by locating the connecting block whose closing
-    paren ends the canonical (last legal-right) inner shift, since that
-    closer is the mate of the opening paren the d-th shift starts with.
+
+def decode_multichain(
+    chain: Sequence[BPartition], p: int, q: int
+) -> AnnulusTuple:
+    """Inverse of encode_multichain, read level by level off the chain.
+
+    - The "(" sit before the block firsts of pi_1, so the left sets are
+      their absolute values.
+    - Closers after one label come in ascending type, so once the pairs of
+      lower types are erased a type-j pair closes right after its last
+      direct label, and it is gone at level j + 1: the type-j right set
+      holds the lasts of the blocks of pi_j whose first is no block first
+      of pi_{j+1} (every block at the top level).
+    - c is |LE| - sum |RE_k|.  The inner anchor's closer, of some type k,
+      is the mate of the "(" the d-th outer shift starts with, so d is
+      the rank of the shift starting at that "(": the first of the block
+      of pi_k whose last is the label before the anchor.
+
+    One re-encode confirms the result; a chain outside the image raises
+    ValueError.
     """
-    shape = AnnulusShape(p, q)
-    c = pair_stats(partition, shape).connecting
-    if c == 0:
-        raise ValueError("decoding needs at least one connecting pair")
-    left_outer: set[int] = set()
-    right_outer: set[int] = set()
-    left_inner: set[int] = set()
-    right_inner: set[int] = set()
-    opener_of: dict[int, int] = {}  # first outer element, keyed by last inner element
-    for block in partition.blocks:
-        outer_part = [x for x in block if abs(x) <= p]
-        inner_part = [x for x in block if abs(x) > p]
-        if outer_part and inner_part:
-            first = canonical_block_order(outer_part, partition, shape)[0]
-            last = canonical_block_order(inner_part, partition, shape)[-1]
-            left_outer.add(abs(first))
-            right_inner.add(abs(last))
-            opener_of[last] = first
-        elif outer_part:
-            order = canonical_block_order(outer_part, partition, shape)
-            left_outer.add(abs(order[0]))
-            right_outer.add(abs(order[-1]))
-        else:
-            order = canonical_block_order(inner_part, partition, shape)
-            left_inner.add(abs(order[0]))
-            right_inner.add(abs(order[-1]))
-    u = ParenString(_boundary_tokens(range(1, p + 1), left_outer, [right_outer]))
-    v = ParenString(
-        _boundary_tokens(range(p + 1, p + q + 1), left_inner, [right_inner])
-    )
-    final = legal_right_shifts(v)[-1] - 1
-    while _paren_type(v.tokens[final]) is not None:
-        final -= 1
-    first_outer = opener_of.get(v.tokens[final])
-    opener_pos = -1 if first_outer is None else u.tokens.index(first_outer) - 1
-    if opener_pos < 0 or u.tokens[opener_pos] != "(":
-        raise ValueError("partition is not in the image of the encoding")
-    shift = opener_pos if opener_pos > 0 else len(u)
-    left_shifts = legal_left_shifts(u)
+    chain = tuple(chain)
+    if not chain:
+        raise ValueError("empty chain")
+    if any(pi.n != p + q for pi in chain):
+        raise ValueError(f"chain members must partition a {p + q}-circle set")
+    position = _circle_positions(p, q)
+    ends = [_block_ends(pi, p, q, position) for pi in chain]
+    lefts = {abs(first) for first in ends[0]}
+    rights = [
+        {abs(last) for first, last in level.items() if first not in above}
+        for level, above in zip(ends, ends[1:] + [{}])
+    ]
+    left_outer = {x for x in lefts if x <= p}
+    rights_outer = [{x for x in r if x <= p} for r in rights]
+    left_inner = lefts - left_outer
+    rights_inner = [r - outer for r, outer in zip(rights, rights_outer)]
+    c = len(left_outer) - sum(map(len, rights_outer))
+    what = "partition" if len(chain) == 1 else "chain"
+    not_image = ValueError(f"{what} is not in the image of the encoding")
+    if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
+        raise not_image
+    u, v = _circle_strings(p, q, left_outer, rights_outer, left_inner, rights_inner)
+    end = _inner_anchor(v) - 1
+    level = ends[_paren_type(v.tokens[end]) - 1]
+    while not isinstance(v.tokens[end], int):
+        end -= 1
+    first = next((f for f, last in level.items() if last == v.tokens[end]), None)
+    if first is None or abs(first) > p:
+        raise not_image
+    opener = u.tokens.index(first) - 1
     try:
-        d = left_shifts.index(shift) + 1
+        d = legal_left_shifts(u).index(opener or len(u)) + 1
     except ValueError:
-        raise ValueError("partition is not in the image of the encoding") from None
-    result = AnnulusTuple(
-        c, d, left_outer, [right_outer], left_inner, [right_inner]
-    )
-    if encode_annulus(result, p, q) != partition:
-        raise ValueError("partition is not in the image of the encoding")
+        raise not_image from None
+    result = AnnulusTuple(c, d, left_outer, rights_outer, left_inner, rights_inner)
+    if encode_multichain(result, p, q) != chain:
+        raise not_image
     return result
 
 
@@ -510,75 +549,3 @@ def annulus_tuples(p: int, q: int, m: int = 2):
                         yield AnnulusTuple(
                             c, d, left_outer, rights_outer, left_inner, rights_inner
                         )
-
-
-def _level_splits(totals: Sequence[int], outer_sum: int, p: int, q: int):
-    """Ways to write each level total as outer + inner closer counts with
-    the outer counts summing to outer_sum."""
-    if not totals:
-        if outer_sum == 0:
-            yield ()
-        return
-    first, rest = totals[0], totals[1:]
-    for e in range(max(0, first - q), min(first, p, outer_sum) + 1):
-        for tail in _level_splits(rest, outer_sum - e, p, q):
-            yield (e,) + tail
-
-
-def decode_multichain(
-    chain: Sequence[BPartition], p: int, q: int
-) -> AnnulusTuple:
-    """Inverse of encode_multichain; chains of length one decode directly.
-
-    Longer chains are inverted by exhausting the tuple candidates that
-    agree with the chain on the recoverable data (the opening parens sit
-    before the leading block elements of the first partition, and the
-    partition ranks fix how many closing parens each type contributes)
-    and confirming the unique match by re-encoding.
-    """
-    chain = tuple(chain)
-    if not chain:
-        raise ValueError("empty chain")
-    if len(chain) == 1:
-        return decode_annulus(chain[0], p, q)
-    if any(pi.n != p + q for pi in chain):
-        raise ValueError(f"chain members must partition a {p + q}-circle set")
-    shape = AnnulusShape(p, q)
-    suffix = [p + q - pi.rank() for pi in chain]
-    totals = [
-        suffix[k] - (suffix[k + 1] if k + 1 < len(suffix) else 0)
-        for k in range(len(suffix))
-    ]
-    if any(t < 0 for t in totals):
-        raise ValueError("chain is not in the image of the encoding")
-    left_outer: set[int] = set()
-    left_inner: set[int] = set()
-    for block in chain[0].blocks:
-        outer_part = [x for x in block if abs(x) <= p]
-        if outer_part:
-            left_outer.add(abs(canonical_block_order(outer_part, chain[0], shape)[0]))
-        else:
-            left_inner.add(abs(canonical_block_order(block, chain[0], shape)[0]))
-    outer_labels = range(1, p + 1)
-    inner_labels = range(p + 1, p + q + 1)
-    for c in range(1, len(left_outer) + 1):
-        outer_sum = len(left_outer) - c
-        if outer_sum < 0 or outer_sum + len(left_inner) + c != sum(totals):
-            continue
-        for split in _level_splits(totals, outer_sum, p, q):
-            outer_choices = [
-                list(itertools.combinations(outer_labels, e)) for e in split
-            ]
-            inner_choices = [
-                list(itertools.combinations(inner_labels, t - e))
-                for t, e in zip(totals, split)
-            ]
-            for rights_outer in itertools.product(*outer_choices):
-                for rights_inner in itertools.product(*inner_choices):
-                    for d in range(1, 2 * c + 1):
-                        t = AnnulusTuple(
-                            c, d, left_outer, rights_outer, left_inner, rights_inner
-                        )
-                        if encode_multichain(t, p, q) == chain:
-                            return t
-    raise ValueError("chain is not in the image of the encoding")

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, assume
+from hypothesis import given, assume, settings
 import hypothesis.strategies as st
 
 from ncb import (
@@ -138,6 +140,49 @@ def test_cycle_lemma_right(bits):
         assert left_legal(mirrored) == (k in shifts)
 
 
+def paren_steps(tokens):
+    "+1 for each opener and -1 for each closer, in token order."
+    return [1 if t == "(" else -1 for t in tokens if t == "(" or str(t).startswith(")")]
+
+
+def brute_left_shifts(s):
+    "Shifts whose rotation starts with an opener and stays left-legal."
+    out = []
+    for k in range(1, len(s) + 1):
+        tokens = s.rotation(k).tokens
+        depths = itertools.accumulate(paren_steps(tokens))
+        if tokens[0] == "(" and all(d > 0 for d in depths):
+            out.append(k)
+    return out
+
+
+def brute_right_shifts(s):
+    "Shifts whose rotation ends with a closer and stays right-legal backwards."
+    out = []
+    for k in range(1, len(s) + 1):
+        tokens = s.rotation(k).tokens
+        depths = itertools.accumulate(-x for x in reversed(paren_steps(tokens)))
+        if str(tokens[-1]).startswith(")") and all(d > 0 for d in depths):
+            out.append(k)
+    return out
+
+
+@given(st.lists(st.sampled_from(["(", ")1", ")2", "x"]), min_size=1, max_size=24))
+def test_legal_shifts_match_definition(kinds):
+    "Both shift sets equal their definition on words with labels and typed closers."
+    labels = itertools.count(1)
+    tokens = [next(labels) if k == "x" else k for k in kinds]
+    s = ParenString(tokens)
+    surplus = sum(paren_steps(tokens))
+    assume(surplus != 0)
+    if surplus > 0:
+        assert legal_left_shifts(s) == brute_left_shifts(s)
+        assert len(legal_left_shifts(s)) == surplus
+    else:
+        assert legal_right_shifts(s) == brute_right_shifts(s)
+        assert len(legal_right_shifts(s)) == -surplus
+
+
 def test_read_partition():
     "Matched pairs become blocks and loose numbers pool into one block."
     got = read_partition(ParenString.parse("( 2 ) 1 -1 ( -2 )", cyclic=False))
@@ -195,6 +240,9 @@ def test_canonical_block_order():
     assert canonical_block_order((-1, 5), WORKED_PARTITION, shape) == (5, -1)
     assert canonical_block_order((3, -4), WORKED_PARTITION, shape) == (-4, 3)
     assert canonical_block_order((-6, 8), WORKED_PARTITION, shape) == (8, -6)
+    zero = BPartition(3, [[1, -1, 2, -2], [3], [-3]])
+    # a zero-block piece holds its own mirror: the anchor element comes last
+    assert canonical_block_order((1, -1, 2, -2), zero, AnnulusShape(2, 1)) == (2, -1, -2, 1)
 
 
 def test_smallest_annulus_images():
@@ -337,3 +385,138 @@ def test_decode_multichain_rejects_disconnected():
     bot = BPartition.singletons(2)
     with pytest.raises(ValueError):
         decode_multichain([bot, bot], 1, 1)
+
+
+def level_splits(totals, outer_sum, p, q):
+    """Ways to write each level total as outer + inner closer counts with
+    the outer counts summing to outer_sum."""
+    if not totals:
+        if outer_sum == 0:
+            yield ()
+        return
+    first, rest = totals[0], totals[1:]
+    for e in range(max(0, first - q), min(first, p, outer_sum) + 1):
+        for tail in level_splits(rest, outer_sum - e, p, q):
+            yield (e,) + tail
+
+
+def search_decode(chain, p, q):
+    """Oracle for decode_multichain: every tuple that agrees with the chain on
+    its left sets (the block firsts of pi_1) and on each level's closer count
+    (the rank differences), re-encoded until one reproduces the chain."""
+    chain = tuple(chain)
+    shape = AnnulusShape(p, q)
+    suffix = [p + q - pi.rank() for pi in chain]
+    totals = [a - b for a, b in zip(suffix, suffix[1:] + [0])]
+    if any(t < 0 for t in totals):
+        raise ValueError("chain is not in the image of the encoding")
+    left_outer, left_inner = set(), set()
+    for block in chain[0].blocks:
+        outer_part = [x for x in block if abs(x) <= p]
+        if outer_part:
+            left_outer.add(abs(canonical_block_order(outer_part, chain[0], shape)[0]))
+        else:
+            left_inner.add(abs(canonical_block_order(block, chain[0], shape)[0]))
+    outer_labels = range(1, p + 1)
+    inner_labels = range(p + 1, p + q + 1)
+    for c in range(1, len(left_outer) + 1):
+        outer_sum = len(left_outer) - c
+        if outer_sum + len(left_inner) + c != sum(totals):
+            continue
+        for split in level_splits(totals, outer_sum, p, q):
+            outer_choices = [list(itertools.combinations(outer_labels, e)) for e in split]
+            inner_choices = [
+                list(itertools.combinations(inner_labels, t - e))
+                for t, e in zip(totals, split)
+            ]
+            for rights_outer in itertools.product(*outer_choices):
+                for rights_inner in itertools.product(*inner_choices):
+                    for d in range(1, 2 * c + 1):
+                        t = AnnulusTuple(
+                            c, d, left_outer, rights_outer, left_inner, rights_inner
+                        )
+                        if encode_multichain(t, p, q) == chain:
+                            return t
+    raise ValueError("chain is not in the image of the encoding")
+
+
+def decoded(decode, chain, p, q):
+    "The tuple decode finds, or None when it raises ValueError."
+    try:
+        return decode(chain, p, q)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "p,q,m",
+    [(p, n - p, 3) for n in (2, 3, 4) for p in range(1, n)]
+    + [(p, n - p, 4) for n in (2, 3) for p in range(1, n)],
+)
+def test_decode_matches_search_on_image(p, q, m):
+    "The level-by-level decode equals the search on every encoded chain."
+    for t in annulus_tuples(p, q, m):
+        chain = encode_multichain(t, p, q)
+        assert decode_multichain(chain, p, q) == search_decode(chain, p, q) == t
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 3, 4) for p in range(1, n)])
+def test_decode_matches_search_on_all_pairs(p, q):
+    """On every one- and two-member chain of poset elements, image or not,
+    both decodes give the same tuple or both raise ValueError."""
+    elements = nc_b_annulus(p, q).elements
+    for a in elements:
+        assert decoded(decode_multichain, [a], p, q) == decoded(search_decode, [a], p, q)
+        for b in elements:
+            chain = [a, b]
+            assert decoded(decode_multichain, chain, p, q) == decoded(
+                search_decode, chain, p, q
+            )
+
+
+@pytest.mark.parametrize("p,q,m", [(3, 2, 3), (2, 3, 3), (2, 2, 5)])
+def test_decode_round_trip_exhaustive(p, q, m):
+    "Every tuple of the domain decodes back from its chain."
+    for t in annulus_tuples(p, q, m):
+        assert decode_multichain(encode_multichain(t, p, q), p, q) == t
+
+
+@st.composite
+def chain_tuples(draw):
+    """(p, q, tuple) with p + q <= 12 and m <= 6: c first, then right-set
+    sizes within what |LE| = sum|RE| + c <= p and 0 <= |LI| = sum|RI| - c <= q allow."""
+    p = draw(st.integers(1, 11))
+    q = draw(st.integers(1, 12 - p))
+    levels = draw(st.integers(1, 5))
+    outer = range(1, p + 1)
+    inner = range(p + 1, p + q + 1)
+
+    def subset(labels, size):
+        return draw(st.sets(st.sampled_from(labels), min_size=size, max_size=size))
+
+    c = draw(st.integers(1, min(p, q * levels)))
+    budget = p - c
+    rights_outer = []
+    for _ in range(levels):
+        size = draw(st.integers(0, budget))
+        rights_outer.append(subset(outer, size))
+        budget -= size
+    total = draw(st.integers(c, min(q + c, q * levels)))
+    rights_inner = []
+    for left in range(levels, 0, -1):
+        size = draw(st.integers(max(0, total - q * (left - 1)), min(q, total)))
+        rights_inner.append(subset(inner, size))
+        total -= size
+    low = sum(map(len, rights_outer)) + c
+    left_outer = subset(outer, low)
+    left_inner = subset(inner, sum(map(len, rights_inner)) - c)
+    d = draw(st.integers(1, 2 * c))
+    return p, q, AnnulusTuple(c, d, left_outer, rights_outer, left_inner, rights_inner)
+
+
+@settings(deadline=None)
+@given(chain_tuples())
+def test_decode_round_trip_random(case):
+    "Random tuples up to p + q = 12 and m = 6 decode back from their chains."
+    p, q, t = case
+    assert decode_multichain(encode_multichain(t, p, q), p, q) == t

@@ -184,21 +184,43 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "20\n"
 
 
+BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
+
+
 @pytest.mark.parametrize(
-    "shape,line",
+    "shape,line,reason",
     [
-        ("1,1", '{"n":2}'),
-        ("1,1", "[1,2]"),
-        ("2,2", '{"n":4,"blocks":[[1,-1,4,-4],[2,3],[-2,-3]]}'),
+        ("1,1", '{"n":2}', "is not a partition or a list of them"),
+        ("1,1", "[1,2]", "is not a partition or a list of them"),
+        ("2,2", '{"n":4,"blocks":[[1,-1,4,-4],[2,3],[-2,-3]]}', "does not decode"),
+        ("1,1", f"[{BOT_1_1},{BOT_1_1}]", "does not decode"),
     ],
-    ids=["missing-blocks", "list-of-numbers", "outside-the-image"],
+    ids=[
+        "missing-blocks",
+        "list-of-numbers",
+        "outside-the-image",
+        "chain-outside-the-image",
+    ],
 )
-def test_decode_rejects_malformed_json(capsys, monkeypatch, shape, line):
+def test_decode_rejects_malformed_json(capsys, monkeypatch, shape, line, reason):
     "A line that does not decode to a tuple is a usage error naming the line."
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
     code, out, err = run(capsys, "decode", "--shape", shape)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and line in err
+    assert err.startswith(f"error: line 1 {reason}: ") and line in err
+
+
+def test_decode_chain_is_fast(capsys, monkeypatch):
+    "A chain of two partitions decodes without searching tuple candidates."
+    text = "c=2 d=3 LE=1,2,3,5,6 RE1=1,3 RE2=4 LI=8,10 RI1=7,8,9 RI2=10\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, chain, _ = run(capsys, "encode", "--shape", "6,4")
+    assert code == 0 and len(json.loads(chain)) == 2
+    monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "decode", "--shape", "6,4")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == text
 
 
 def test_decode_missing_file(tmp_path, capsys):
