@@ -1,0 +1,402 @@
+"""The verify suite: closed forms against enumeration, one family at a time.
+
+Each family is a generator ``(max_n) -> Iterable[Check]`` registered in
+``FAMILIES`` under the name its checks carry; one generator may serve
+several names.  ``verify_suite`` runs each generator once, in registration
+order, which is the order of ``ncb verify`` output.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from dataclasses import dataclass
+from math import prod
+from typing import Callable, Iterable
+
+from . import bijection, formulas
+from .enumeration import (
+    DESK_BOUND_MANY_CIRCLES,
+    FinitePoset,
+    interval_perms,
+    nc_b_annulus,
+    nc_b_disc,
+    nc_b_multi,
+)
+from .formulas import binom, disc_counts
+from .partition import connectivity, pair_stats
+from .signed_perm import (
+    AnnulusShape,
+    SignedPermutation,
+    boundary_permutation,
+    genus_defect,
+    joint_orbits,
+)
+
+
+@dataclass
+class Check:
+    name: str
+    params: str
+    expected: object
+    actual: object
+
+    @property
+    def ok(self) -> bool:
+        return self.expected == self.actual
+
+
+Family = Callable[[int], Iterable[Check]]
+FAMILIES: dict[str, Family] = {}
+
+
+def verify_suite(max_n: int = 6, only: str | None = None) -> list[Check]:
+    """Formula-versus-oracle checks, one Check record per line of output."""
+    if only is None:
+        families = dict.fromkeys(FAMILIES.values())
+    elif only in FAMILIES:
+        families = [FAMILIES[only]]
+    else:
+        raise ValueError(
+            f"no check family {only!r}; known families: {', '.join(FAMILIES)}"
+        )
+    return [
+        check
+        for family in families
+        for check in family(max_n)
+        if only in (None, check.name)
+    ]
+
+
+def _family(*names: str) -> Callable[[Family], Family]:
+    def register(family: Family) -> Family:
+        FAMILIES.update(dict.fromkeys(names, family))
+        return family
+
+    return register
+
+
+def _annulus_pairs(max_total: int) -> list[tuple[int, int]]:
+    """(p, q) with p >= q >= 1 and p + q <= max_total."""
+    return [
+        (p, total - p)
+        for total in range(2, max_total + 1)
+        for p in range((total + 1) // 2, total)
+    ]
+
+
+def _size_tuples(max_total: int) -> list[tuple[int, ...]]:
+    """Nonincreasing sizes of three or more circles with total <= max_total."""
+    tuples = [
+        sizes
+        for k in range(3, max_total + 1)
+        for sizes in itertools.combinations_with_replacement(range(max_total, 0, -1), k)
+        if sum(sizes) <= max_total
+    ]
+    return sorted(tuples, key=lambda t: (sum(t), t))
+
+
+def _per_pair(name: str, formula, oracle, cap: int | None = None, note: str = ""):
+    """Register a family with one check per pair of _annulus_pairs(max_n),
+    capped at p + q <= cap, comparing formula(p, q) with oracle(p, q)."""
+
+    def family(max_n: int) -> Iterable[Check]:
+        for p, q in _annulus_pairs(max_n if cap is None else min(max_n, cap)):
+            yield Check(name, f"p={p} q={q}{note}", formula(p, q), oracle(p, q))
+
+    FAMILIES[name] = family
+
+
+def _per_n(name: str, n0: int, formula, oracle, cap: int | None = None, note: str = ""):
+    """Register a family with one check per n from n0 to max_n, capped at
+    cap, comparing formula(n) with oracle(n)."""
+
+    def family(max_n: int) -> Iterable[Check]:
+        for n in range(n0, (max_n if cap is None else min(max_n, cap)) + 1):
+            yield Check(name, f"n={n}{note}", formula(n), oracle(n))
+
+    FAMILIES[name] = family
+
+
+def _mobius(poset: FinitePoset) -> int:
+    return poset.mobius(poset.bottom(), poset.top())
+
+
+def _leading_difference(p: int, q: int) -> int:
+    """(p+q)-th finite difference of zeta_poly(p, q, .) at 0: (p+q)! times
+    its leading coefficient, which counts the maximal chains."""
+    d = p + q
+    return sum(
+        (-1) ** (d - j) * binom(d, j) * formulas.zeta_poly(p, q, j)
+        for j in range(d + 1)
+    )
+
+
+@_family("rank-vector-q1")
+def _rank_vector_q1(max_n: int) -> Iterable[Check]:
+    for n in range(2, max_n + 1):
+        yield Check(
+            "rank-vector-q1",
+            f"p={n - 1} q=1",
+            tuple(binom(n, k) ** 2 for k in range(n + 1)),
+            nc_b_annulus(n - 1, 1).rank_vector(),
+        )
+
+
+_per_n(
+    "rank-vector-disc",
+    1,
+    lambda n: disc_counts(n).rank_counts,
+    lambda n: nc_b_disc(n).rank_vector(),
+    cap=6,
+)
+_per_pair("annulus-total", formulas.annulus_total, lambda p, q: len(nc_b_annulus(p, q)))
+
+
+@_family("connectivity-count", "cell-count")
+def _pair_counts(max_n: int) -> Iterable[Check]:
+    # One tally of pair statistics per annulus serves both families, so
+    # their lines interleave by (p, q).
+    for p, q in _annulus_pairs(max_n):
+        shape = AnnulusShape(p, q)
+        by_c: Counter = Counter()
+        by_cell: Counter = Counter()
+        for pi in nc_b_annulus(p, q):
+            stats = pair_stats(pi, shape)
+            by_c[stats.connecting] += 1
+            if stats.connecting:
+                by_cell[tuple(stats)] += 1
+        expected = {
+            c: formulas.annulus_connectivity_count(p, q, c)
+            for c in range(min(p, q) + 1)
+        }
+        yield Check("connectivity-count", f"p={p} q={q}", expected, dict(by_c))
+        expected = {
+            (c, e, i): formulas.annulus_cell_count(p, q, c, e, i)
+            for c in range(1, min(p, q) + 1)
+            for e in range(p - c + 1)
+            for i in range(q - c + 1)
+        }
+        yield Check("cell-count", f"p={p} q={q}", expected, dict(by_cell))
+
+
+_per_pair(
+    "rank-gen",
+    lambda p, q: tuple(formulas.rank_gen(p, q).coefficients),
+    lambda p, q: nc_b_annulus(p, q).rank_vector(),
+)
+
+
+@_family("rank-gen-compact")
+def _rank_gen_compact(max_n: int) -> Iterable[Check]:
+    bad = 0
+    for p in range(1, 7):
+        for q in range(1, 7):
+            poly = formulas.rank_gen_cells(p, q)
+            bad += (
+                poly != formulas.rank_gen_compact(p, q)
+                or poly(1) != formulas.annulus_total(p, q)
+                or any(
+                    formulas.rank_coefficient(p, q, k) != poly.coefficient(k)
+                    for k in range(p + q + 1)
+                )
+            )
+    yield Check("rank-gen-compact", "p,q<=6", 0, bad)
+
+
+@_family("hasse-edges")
+def _hasse_edges(max_n: int) -> Iterable[Check]:
+    if max_n < 3:
+        return
+    covers = len(nc_b_annulus(2, 1).hasse_edges())
+    yield Check("hasse-edges", "p=2 q=1", 46, covers)
+    # ranks 1, 9, 9, 1 and 3^3 maximal chains: 9 + 27 + 9 covers
+    covers = len(nc_b_disc(3).hasse_edges())
+    yield Check("hasse-edges", "n=3", 2 * binom(3, 1) ** 2 + 3**3, covers)
+
+
+_per_pair(
+    "mobius-annulus", formulas.mobius_annulus, lambda p, q: _mobius(nc_b_annulus(p, q))
+)
+_per_n(
+    "mobius-disc",
+    2,
+    lambda n: disc_counts(n).mobius_b,
+    lambda n: _mobius(nc_b_disc(n)),
+    cap=6,
+)
+_per_n("mobius-q1", 2, lambda n: formulas.mobius_annulus(n - 1, 1), formulas.mobius_q1)
+
+
+@_family("mobius-via-zeta")
+def _mobius_via_zeta(max_n: int) -> Iterable[Check]:
+    for p, q in _annulus_pairs(max_n):
+        mu = formulas.mobius_annulus(p, q)
+        yield Check("mobius-via-zeta", f"p={p} q={q}", mu, formulas.zeta_poly(p, q, -1))
+    for p, q in _annulus_pairs(min(max_n, 5)):
+        poset = nc_b_annulus(p, q)
+        params = f"p={p} q={q} interpolated"
+        yield Check("mobius-via-zeta", params, _mobius(poset), poset.zeta(-1))
+
+
+_per_pair(
+    "zeta",
+    lambda p, q: {m: formulas.zeta_poly(p, q, m) for m in range(2, 5)},
+    lambda p, q: {m: nc_b_annulus(p, q).zeta(m) for m in range(2, 5)},
+    cap=5,
+    note=" m=2..4",
+)
+_per_n(
+    "zeta-disc",
+    1,
+    lambda n: {m: binom(m * n, n) for m in range(2, 5)},
+    lambda n: {m: nc_b_disc(n).zeta(m) for m in range(2, 5)},
+    cap=5,
+    note=" m=2..4",
+)
+_per_n(
+    "zeta-q1",
+    2,
+    lambda n: {m: formulas.zeta_poly(n - 1, 1, m) for m in range(-1, 5)},
+    lambda n: {m: formulas.zeta_poly_q1(n, m) for m in range(-1, 5)},
+    note=" m=-1..4",
+)
+_per_pair(
+    "max-chains",
+    formulas.max_chains,
+    lambda p, q: nc_b_annulus(p, q).maximal_chains(),
+    cap=5,
+)
+_per_pair("zeta-leading", formulas.max_chains, _leading_difference)
+
+
+@_family("roundtrip-annulus")
+def _roundtrip_annulus(max_n: int) -> Iterable[Check]:
+    for p, q in _annulus_pairs(min(max_n, 5)):
+        domain = list(bijection.annulus_tuples(p, q))
+        images = [bijection.encode_annulus(t, p, q) for t in domain]
+        good = sum(
+            bijection.decode_annulus(pi, p, q) == t for t, pi in zip(domain, images)
+        )
+        shape = AnnulusShape(p, q)
+        positives = {pi for pi in nc_b_annulus(p, q) if connectivity(pi, shape) >= 1}
+        yield Check(
+            "roundtrip-annulus",
+            f"p={p} q={q}",
+            (len(domain), True),
+            (good, set(images) == positives),
+        )
+
+
+@_family("roundtrip-multichain")
+def _roundtrip_multichain(max_n: int) -> Iterable[Check]:
+    for p, q in _annulus_pairs(min(max_n, 4)):
+        poset = nc_b_annulus(p, q)
+        shape = AnnulusShape(p, q)
+        for m in (3, 4):
+            formula = sum(
+                2 * c * binom(m * p, p - c) * binom(m * q, q + c)
+                for c in range(1, p + 1)
+            )
+            chains = set()
+            good = 0
+            for t in bijection.annulus_tuples(p, q, m):
+                chain = bijection.encode_multichain(t, p, q)
+                chains.add(chain)
+                good += (
+                    all(pi in poset for pi in chain)
+                    and all(a.le(b) for a, b in zip(chain, chain[1:]))
+                    and any(connectivity(pi, shape) >= 1 for pi in chain)
+                    and bijection.decode_multichain(chain, p, q) == t
+                )
+            params = f"p={p} q={q} m={m}"
+            yield Check(
+                "roundtrip-multichain", params, (formula, formula), (len(chains), good)
+            )
+
+
+@_family("multi-split")
+def _multi_split(max_n: int) -> Iterable[Check]:
+    for sizes in _size_tuples(min(max_n, DESK_BOUND_MANY_CIRCLES)):
+        shape = AnnulusShape(sizes)
+        gamma = boundary_permutation(shape)
+        circle = {x: j for j in range(shape.k) for x in shape.labels(j)}
+        bad = sum(
+            any(
+                len({circle[abs(x)] for x in orbit}) > 2
+                for orbit in joint_orbits(tau, gamma)
+            )
+            for tau in interval_perms(gamma)
+        )
+        yield Check("multi-split", f"sizes={','.join(map(str, sizes))}", 0, bad)
+
+
+@_family("multi-total")
+def _multi_total(max_n: int) -> Iterable[Check]:
+    for sizes in _size_tuples(min(max_n, DESK_BOUND_MANY_CIRCLES)):
+        if len(sizes) == 3:
+            params = f"sizes={','.join(map(str, sizes))}"
+            count = len(nc_b_multi(sizes))
+            yield Check("multi-total", params, formulas.multi3_total(*sizes), count)
+
+
+@_family("genus-defect")
+def _genus_defect(max_n: int) -> Iterable[Check]:
+    for n in (2, 3):
+        perms = [
+            SignedPermutation(p * s for p, s in zip(perm, signs))
+            for perm in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product((1, -1), repeat=n)
+        ]
+        bad = sum(
+            (d := genus_defect(a, b)) < 0 or d % 2 == 1 for a in perms for b in perms
+        )
+        yield Check("genus-defect", f"n={n}", 0, bad)
+
+
+@_family("chu-vandermonde")
+def _chu_vandermonde(max_n: int) -> Iterable[Check]:
+    bad = sum(
+        sum(binom(n, k) * binom(n, k + r) for k in range(n + 1))
+        != binom(2 * n, n - r)
+        for n in range(13)
+        for r in range(n + 1)
+    )
+    yield Check("chu-vandermonde", "n<=12", 0, bad)
+
+
+@_family("hypersum")
+def _hypersum(max_n: int) -> Iterable[Check]:
+    bad = 0
+    count = 0
+    for k in (1, 2, 3):
+        for caps in itertools.product(range(11), repeat=k + 1):
+            if sum(caps) > 10:
+                continue
+            *heads, last = caps
+            for b in range(last + 1):
+                lhs = sum(
+                    binom(last, sum(a) + b)
+                    * prod(binom(A, x) for A, x in zip(heads, a))
+                    for a in itertools.product(*(range(A + 1) for A in heads))
+                )
+                count += 1
+                bad += lhs != binom(sum(caps), last - b)
+    yield Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)
+
+
+@_family("dixon")
+def _dixon(max_n: int) -> Iterable[Check]:
+    # Dixon's sum, multiplied through by 2(p+q) to stay in integers:
+    # lhs = 2 C(2p, p-1) C(2q, q-1) (p+1)(q+1) / (2(p+q)).
+    bad = 0
+    for p in range(1, 9):
+        for q in range(1, 9):
+            lhs = sum(
+                2 * c * binom(2 * p, p - c) * binom(2 * q, q - c)
+                for c in range(1, p + 1)
+            )
+            rhs = 2 * binom(2 * p, p - 1) * binom(2 * q, q - 1) * (p + 1) * (q + 1)
+            total = formulas.annulus_positive_total(p, q)
+            bad += 2 * (p + q) * lhs != rhs or lhs != total
+    yield Check("dixon", "p,q<=8", 0, bad)

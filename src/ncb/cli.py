@@ -5,22 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
-from math import prod
 
 from . import bijection, enumeration, formulas
+from .checks import Check, verify_suite
 from .formulas import binom, gbinom
-from .partition import BPartition, connectivity, pair_stats
-from .signed_perm import (
-    AnnulusShape,
-    SignedPermutation,
-    boundary_permutation,
-    genus_defect,
-    joint_orbits,
-)
+from .partition import BPartition, connectivity
+from .signed_perm import AnnulusShape
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -220,370 +210,10 @@ def _cmd_hasse_dot(args) -> int:
     return 0
 
 
-@dataclass
-class Check:
-    name: str
-    params: str
-    expected: object
-    actual: object
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-def _annulus_pairs(max_total: int) -> list[tuple[int, int]]:
-    """(p, q) with p >= q >= 1 and p + q <= max_total."""
-    return [
-        (p, total - p)
-        for total in range(2, max_total + 1)
-        for p in range((total + 1) // 2, total)
-    ]
-
-
-def _size_tuples(max_total: int, min_circles: int = 3) -> list[tuple[int, ...]]:
-    """Nonincreasing size tuples with at least min_circles entries."""
-    out = []
-
-    def grow(prefix, remaining, cap):
-        if len(prefix) >= min_circles:
-            out.append(tuple(prefix))
-        for s in range(min(cap, remaining), 0, -1):
-            grow(prefix + [s], remaining - s, s)
-
-    grow([], max_total, max_total)
-    return sorted(out, key=lambda t: (sum(t), t))
-
-
-def verify_suite(max_n: int = 6, only: str | None = None) -> list[Check]:
-    """Formula-versus-oracle checks, one Check record per line of output."""
-    checks: list[Check] = []
-
-    def wanted(name: str) -> bool:
-        return only is None or name == only
-
-    def add(name: str, params: str, expected, actual) -> None:
-        checks.append(Check(name, params, expected, actual))
-
-    pairs = _annulus_pairs(max_n)
-    small_pairs = _annulus_pairs(min(max_n, 5))
-
-    if wanted("rank-vector-q1"):
-        for n in range(2, max_n + 1):
-            add(
-                "rank-vector-q1",
-                f"p={n - 1} q=1",
-                tuple(binom(n, k) ** 2 for k in range(n + 1)),
-                enumeration.nc_b_annulus(n - 1, 1).rank_vector(),
-            )
-    if wanted("rank-vector-disc"):
-        for n in range(1, min(max_n, 6) + 1):
-            add(
-                "rank-vector-disc",
-                f"n={n}",
-                formulas.disc_counts(n).rank_counts,
-                enumeration.nc_b_disc(n).rank_vector(),
-            )
-    if wanted("annulus-total"):
-        for p, q in pairs:
-            add(
-                "annulus-total",
-                f"p={p} q={q}",
-                formulas.annulus_total(p, q),
-                len(enumeration.nc_b_annulus(p, q)),
-            )
-    if wanted("connectivity-count") or wanted("cell-count"):
-        for p, q in pairs:
-            shape = AnnulusShape(p, q)
-            by_c: Counter = Counter()
-            by_cell: Counter = Counter()
-            for pi in enumeration.nc_b_annulus(p, q):
-                stats = pair_stats(pi, shape)
-                by_c[stats.connecting] += 1
-                if stats.connecting:
-                    by_cell[tuple(stats)] += 1
-            if wanted("connectivity-count"):
-                add(
-                    "connectivity-count",
-                    f"p={p} q={q}",
-                    {
-                        c: formulas.annulus_connectivity_count(p, q, c)
-                        for c in range(min(p, q) + 1)
-                    },
-                    dict(by_c),
-                )
-            if wanted("cell-count"):
-                expected = {}
-                for c in range(1, min(p, q) + 1):
-                    for e in range(p - c + 1):
-                        for i in range(q - c + 1):
-                            expected[(c, e, i)] = formulas.annulus_cell_count(
-                                p, q, c, e, i
-                            )
-                add("cell-count", f"p={p} q={q}", expected, dict(by_cell))
-    if wanted("rank-gen"):
-        for p, q in pairs:
-            add(
-                "rank-gen",
-                f"p={p} q={q}",
-                tuple(formulas.rank_gen(p, q).coefficients),
-                enumeration.nc_b_annulus(p, q).rank_vector(),
-            )
-    if wanted("rank-gen-compact"):
-        bad = 0
-        for p in range(1, 7):
-            for q in range(1, 7):
-                poly = formulas.rank_gen_cells(p, q)
-                bad += (
-                    poly != formulas.rank_gen_compact(p, q)
-                    or poly(1) != formulas.annulus_total(p, q)
-                    or any(
-                        formulas.rank_coefficient(p, q, k) != poly.coefficient(k)
-                        for k in range(p + q + 1)
-                    )
-                )
-        add("rank-gen-compact", "p,q<=6", 0, bad)
-    if wanted("hasse-edges") and max_n >= 3:
-        add(
-            "hasse-edges",
-            "p=2 q=1",
-            46,
-            len(enumeration.nc_b_annulus(2, 1).hasse_edges()),
-        )
-        # ranks 1, 9, 9, 1 and 3^3 maximal chains: 9 + 27 + 9 covers
-        add(
-            "hasse-edges",
-            "n=3",
-            2 * binom(3, 1) ** 2 + 3 ** 3,
-            len(enumeration.nc_b_disc(3).hasse_edges()),
-        )
-    if wanted("mobius-annulus"):
-        for p, q in pairs:
-            poset = enumeration.nc_b_annulus(p, q)
-            add(
-                "mobius-annulus",
-                f"p={p} q={q}",
-                formulas.mobius_annulus(p, q),
-                poset.mobius(poset.bottom(), poset.top()),
-            )
-    if wanted("mobius-disc"):
-        for n in range(2, min(max_n, 6) + 1):
-            poset = enumeration.nc_b_disc(n)
-            add(
-                "mobius-disc",
-                f"n={n}",
-                formulas.disc_counts(n).mobius_b,
-                poset.mobius(poset.bottom(), poset.top()),
-            )
-    if wanted("mobius-q1"):
-        for n in range(2, max_n + 1):
-            add(
-                "mobius-q1",
-                f"n={n}",
-                formulas.mobius_annulus(n - 1, 1),
-                formulas.mobius_q1(n),
-            )
-    if wanted("mobius-via-zeta"):
-        for p, q in pairs:
-            add(
-                "mobius-via-zeta",
-                f"p={p} q={q}",
-                formulas.mobius_annulus(p, q),
-                formulas.zeta_poly(p, q, -1),
-            )
-        for p, q in small_pairs:
-            poset = enumeration.nc_b_annulus(p, q)
-            add(
-                "mobius-via-zeta",
-                f"p={p} q={q} interpolated",
-                poset.mobius(poset.bottom(), poset.top()),
-                poset.zeta_interpolated(-1),
-            )
-    if wanted("zeta"):
-        for p, q in small_pairs:
-            poset = enumeration.nc_b_annulus(p, q)
-            add(
-                "zeta",
-                f"p={p} q={q} m=2..4",
-                {m: formulas.zeta_poly(p, q, m) for m in range(2, 5)},
-                {m: poset.zeta(m) for m in range(2, 5)},
-            )
-    if wanted("zeta-disc"):
-        for n in range(1, min(max_n, 5) + 1):
-            poset = enumeration.nc_b_disc(n)
-            add(
-                "zeta-disc",
-                f"n={n} m=2..4",
-                {m: binom(m * n, n) for m in range(2, 5)},
-                {m: poset.zeta(m) for m in range(2, 5)},
-            )
-    if wanted("zeta-q1"):
-        for n in range(2, max_n + 1):
-            add(
-                "zeta-q1",
-                f"n={n} m=-1..4",
-                {m: formulas.zeta_poly(n - 1, 1, m) for m in range(-1, 5)},
-                {m: formulas.zeta_poly_q1(n, m) for m in range(-1, 5)},
-            )
-    if wanted("max-chains"):
-        for p, q in small_pairs:
-            add(
-                "max-chains",
-                f"p={p} q={q}",
-                formulas.max_chains(p, q),
-                enumeration.nc_b_annulus(p, q).maximal_chains(),
-            )
-    if wanted("zeta-leading"):
-        for p, q in pairs:
-            d = p + q
-            diff = sum(
-                (-1) ** (d - j) * binom(d, j) * formulas.zeta_poly(p, q, j)
-                for j in range(d + 1)
-            )
-            add("zeta-leading", f"p={p} q={q}", formulas.max_chains(p, q), diff)
-    if wanted("roundtrip-annulus"):
-        for p, q in small_pairs:
-            domain = list(bijection.annulus_tuples(p, q))
-            image = set()
-            good = 0
-            for t in domain:
-                pi = bijection.encode_annulus(t, p, q)
-                image.add(pi)
-                if bijection.decode_annulus(pi, p, q) == t:
-                    good += 1
-            positives = {
-                pi
-                for pi in enumeration.nc_b_annulus(p, q)
-                if connectivity(pi, AnnulusShape(p, q)) >= 1
-            }
-            add(
-                "roundtrip-annulus",
-                f"p={p} q={q}",
-                (len(domain), True),
-                (good, image == positives),
-            )
-    if wanted("roundtrip-multichain"):
-        for p, q in _annulus_pairs(min(max_n, 4)):
-            for m in (3, 4):
-                poset = enumeration.nc_b_annulus(p, q)
-                formula = sum(
-                    2 * c * binom(m * p, p - c) * binom(m * q, q + c)
-                    for c in range(1, p + 1)
-                )
-                chains = set()
-                good = 0
-                for t in bijection.annulus_tuples(p, q, m):
-                    chain = bijection.encode_multichain(t, p, q)
-                    chains.add(chain)
-                    in_poset = all(pi in poset for pi in chain)
-                    ascending = all(
-                        a.le(b) for a, b in zip(chain, chain[1:])
-                    )
-                    positive = any(
-                        connectivity(pi, AnnulusShape(p, q)) >= 1 for pi in chain
-                    )
-                    if (
-                        in_poset
-                        and ascending
-                        and positive
-                        and bijection.decode_multichain(chain, p, q) == t
-                    ):
-                        good += 1
-                add(
-                    "roundtrip-multichain",
-                    f"p={p} q={q} m={m}",
-                    (formula, formula),
-                    (len(chains), good),
-                )
-    if wanted("multi-split"):
-        for sizes in _size_tuples(min(max_n, enumeration.DESK_BOUND_MANY_CIRCLES)):
-            shape = AnnulusShape(sizes)
-            gamma = boundary_permutation(shape)
-            circle = {x: j for j in range(shape.k) for x in shape.labels(j)}
-            circle.update({-x: j for x, j in list(circle.items())})
-            bad = sum(
-                1
-                for tau in enumeration.interval_perms(gamma)
-                if any(
-                    len({circle[x] for x in orbit}) > 2
-                    for orbit in joint_orbits(tau, gamma)
-                )
-            )
-            add("multi-split", f"sizes={','.join(map(str, sizes))}", 0, bad)
-    if wanted("multi-total"):
-        for sizes in _size_tuples(min(max_n, enumeration.DESK_BOUND_MANY_CIRCLES)):
-            if len(sizes) != 3:
-                continue
-            add(
-                "multi-total",
-                f"sizes={','.join(map(str, sizes))}",
-                formulas.multi3_total(*sizes),
-                len(enumeration.nc_b_multi(sizes)),
-            )
-    if wanted("genus-defect"):
-        for n in (2, 3):
-            perms = [
-                SignedPermutation(img) for img in enumeration._all_b_images(n)
-            ]
-            bad = sum(
-                1
-                for a in perms
-                for b in perms
-                if (d := genus_defect(a, b)) < 0 or d % 2
-            )
-            add("genus-defect", f"n={n}", 0, bad)
-    if wanted("chu-vandermonde"):
-        bad = sum(
-            1
-            for n in range(13)
-            for r in range(n + 1)
-            if sum(binom(n, k) * binom(n, k + r) for k in range(n + 1))
-            != binom(2 * n, n - r)
-        )
-        add("chu-vandermonde", "n<=12", 0, bad)
-    if wanted("hypersum"):
-        bad = 0
-        count = 0
-        for k in (1, 2, 3):
-            for caps in product(range(11), repeat=k + 1):
-                if sum(caps) > 10:
-                    continue
-                *heads, last = caps
-                for b in range(last + 1):
-                    lhs = sum(
-                        binom(last, sum(a) + b)
-                        * prod(binom(A, x) for A, x in zip(heads, a))
-                        for a in product(*(range(A + 1) for A in heads))
-                    )
-                    count += 1
-                    if lhs != binom(sum(caps), last - b):
-                        bad += 1
-        add("hypersum", f"sum<=10 ({count} cases)", 0, bad)
-    if wanted("dixon"):
-        bad = 0
-        for p in range(1, 9):
-            for q in range(1, 9):
-                lhs = sum(
-                    2 * c * binom(2 * p, p - c) * binom(2 * q, q - c)
-                    for c in range(1, p + 1)
-                )
-                rhs = (
-                    2
-                    * binom(2 * p, p - 1)
-                    * binom(2 * q, q - 1)
-                    * Fraction((p + 1) * (q + 1), 2 * (p + q))
-                )
-                if lhs != rhs or lhs != formulas.annulus_positive_total(p, q):
-                    bad += 1
-        add("dixon", "p,q<=8", 0, bad)
-    return checks
-
-
 def _cmd_verify(args) -> int:
-    checks = verify_suite(max_n=args.max_n, only=args.only)
+    checks: list[Check] = verify_suite(max_n=args.max_n, only=args.only)
     if not checks:
-        print(f"error: no checks match {args.only!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no checks match {args.only!r}")
     lines = []
     for check in checks:
         status = "PASS" if check.ok else "FAIL"

@@ -11,10 +11,10 @@ ranks.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .formulas import gbinom
 from .partition import BPartition, ClassicalPartition, adjusted_orbits
 from .signed_perm import (
     AnnulusShape,
@@ -156,33 +156,26 @@ class FinitePoset:
         return mu[iy]
 
     def zeta(self, m: int) -> int:
-        """Number of weakly increasing (m-1)-tuples; zeta(2) == len(self)."""
-        if m < 2:
-            raise ValueError("multichain counts start at m = 2")
-        down_lists = [_bits(row) for row in self._down_rows()]
-        counts = [1] * len(self.elements)
-        for _ in range(m - 2):
-            counts = [sum(counts[j] for j in below) for below in down_lists]
-        return sum(counts)
+        """Number of multichains x_1 <= ... <= x_(m-1), as a polynomial in m.
 
-    def zeta_interpolated(self, m: int) -> int:
-        """Evaluate the multichain-count polynomial at any integer m.
-
-        The polynomial has degree max rank, so max rank + 1 sample points
-        pin it down; Lagrange evaluation stays in exact rationals.
+        A multichain with k distinct values is one of the s_k strict chains
+        of k elements with multiplicities summing to m-1, so
+        zeta(m) = sum_k s_k C(m-2, k-1) for every integer m; zeta(2) is
+        len(self), and on a bounded poset zeta(-1) is mobius(bottom, top).
+        Pass k counts the strict chains of k elements ending at each
+        element; for m >= 2 the passes stop at k = m-1, past which the
+        binomials vanish.
         """
-        degree = max(self.ranks)
-        points = [(k, self.zeta(k)) for k in range(2, degree + 3)]
-        total = Fraction(0)
-        for i, (xi, yi) in enumerate(points):
-            term = Fraction(yi)
-            for j, (xj, _) in enumerate(points):
-                if i != j:
-                    term *= Fraction(m - xj, xi - xj)
-            total += term
-        if total.denominator != 1:
-            raise ArithmeticError("interpolation did not land on an integer")
-        return int(total)
+        below = [_bits(row ^ 1 << j) for j, row in enumerate(self._down_rows())]
+        longest = max(self.ranks) + 1
+        if m >= 2:
+            longest = min(longest, m - 1)
+        counts = [1] * len(self.elements)
+        total = sum(counts)
+        for k in range(2, longest + 1):
+            counts = [sum(counts[i] for i in strict) for strict in below]
+            total += sum(counts) * gbinom(m - 2, k - 1)
+        return total
 
     def maximal_chains(self) -> int:
         """Number of maximal chains from the unique bottom to the unique top."""
@@ -212,16 +205,6 @@ class FinitePoset:
 
 def _gamma_image(shape: AnnulusShape) -> tuple[int, ...]:
     return boundary_permutation(shape).image
-
-
-@lru_cache(maxsize=None)
-def _all_b_images(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every element of B_n as an image tuple (2^n n! of them)."""
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append(tuple(p * s for p, s in zip(perm, signs)))
-    return tuple(out)
 
 
 def _reflection_images(n: int) -> list[tuple[int, ...]]:

@@ -145,8 +145,7 @@ class SignedPermutation:
         return _orbits(self.image)
 
     def orbit_stats(self) -> OrbitStats:
-        total, invariant = _orbit_stats(self.image)
-        return OrbitStats(total, invariant)
+        return OrbitStats(*_orbit_stats(self.image))
 
     def length(self) -> int:
         """Reflection length: n minus half the number of non-invariant orbits."""
@@ -235,25 +234,8 @@ def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
 
 def _orbit_stats(image: tuple[int, ...]) -> tuple[int, int]:
     """(orbit count, inversion-invariant orbit count) on {-n..-1, 1..n}."""
-    n = len(image)
-    seen = bytearray(2 * n)
-    total = 0
-    invariant = 0
-    for start in range(1, n + 1):
-        for start in (start, -start):
-            if seen[_idx(start, n)]:
-                continue
-            total += 1
-            x = start
-            inv = False
-            while not seen[_idx(x, n)]:
-                seen[_idx(x, n)] = True
-                if x == -start:
-                    inv = True
-                x = image[x - 1] if x > 0 else -image[-x - 1]
-            if inv:
-                invariant += 1
-    return total, invariant
+    orbits = _orbits(image)
+    return len(orbits), sum(-orbit[0] in orbit for orbit in orbits)
 
 
 def _noninvariant_orbits(image: tuple[int, ...]) -> int:

@@ -1,11 +1,16 @@
+import importlib.util
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from ncb import BPartition
-from ncb.cli import main
+from ncb.checks import FAMILIES
+from ncb.cli import main, verify_suite
+
+TESTS = Path(__file__).parent
 
 
 def run(capsys, *argv):
@@ -149,17 +154,31 @@ def test_verify_single_check(capsys):
 
 
 def test_verify_small_sweep(capsys):
-    "A reduced sweep runs every check family."
+    "A reduced sweep runs every check family and prints the recorded lines."
     code, out, _ = run(capsys, "verify", "--max-n", "3")
     assert code == 0
     assert "0 failed" in out
+    assert out == (TESTS / "verify_max_n_3.txt").read_text()
+
+
+def test_verify_families_match_bench():
+    "The registry holds the bench's family names in order, each yielding checks."
+    path = TESTS.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert list(FAMILIES) == workloads.VERIFY_FAMILIES
+    for name in FAMILIES:
+        checks = verify_suite(max_n=3, only=name)
+        assert checks and all(c.name == name for c in checks), name
 
 
 def test_verify_unknown_check(capsys):
     "Asking for a missing check family is an error."
     code, _, err = run(capsys, "verify", "--only", "no-such-check")
     assert code == 2
-    assert err
+    assert "no-such-check" in err
+    assert "chu-vandermonde" in err
 
 
 def test_usage_errors(capsys):

@@ -176,19 +176,32 @@ def test_zeta_spots(poset, m, value):
     assert poset.zeta(m) == value
 
 
-def test_zeta_rejects_short_chains():
-    "Chain length below two is not defined by the counting recursion."
-    with pytest.raises(ValueError):
-        nc_b_annulus(1, 1).zeta(1)
-
-
 def test_zeta_interpolated():
-    "Polynomial interpolation extends the counts to any integer."
+    "The strict-chain expansion extends the multichain counts to every integer."
     poset = nc_b_annulus(2, 1)
-    for m in (2, 3, 4):
-        assert poset.zeta_interpolated(m) == poset.zeta(m)
-    assert poset.zeta_interpolated(-1) == -11
-    assert poset.zeta_interpolated(1) == 1
+    assert [poset.zeta(m) for m in (2, 3, 4)] == [20, 85, 224]
+    assert poset.zeta(1) == 1
+    assert poset.zeta(0) == 0
+    assert poset.zeta(-1) == -11
+
+
+def slow_zeta(poset, m):
+    "Multichains x_1 <= ... <= x_(m-1), grown one element at a time over element le."
+    elements = poset.elements
+    below = [[i for i, x in enumerate(elements) if x.le(y)] for y in elements]
+    counts = [1] * len(elements)
+    for _ in range(m - 2):
+        counts = [sum(counts[i] for i in down) for down in below]
+    return sum(counts)
+
+
+@pytest.mark.parametrize("poset", definition_posets())
+def test_zeta_matches_multichain_count(poset):
+    "The chain sweep counts multichains, and at m = -1 gives the Mobius value."
+    for m in range(2, 6):
+        assert poset.zeta(m) == slow_zeta(poset, m), m
+    assert poset.zeta(1) == 1
+    assert poset.zeta(-1) == poset.mobius(poset.bottom(), poset.top())
 
 
 @pytest.mark.parametrize(
