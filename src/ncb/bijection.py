@@ -14,6 +14,7 @@ closer ends the inner string; one re-encode confirms the result."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import Iterable, Sequence
 
@@ -97,7 +98,10 @@ class ParenString:
         if not 1 <= shift <= n:
             raise ValueError(f"shift {shift} out of range 1..{n}")
         k = shift % n
-        return ParenString(self.tokens[k:] + self.tokens[:k], cyclic=False)
+        rotated = copy.copy(self)  # same tokens, so no second token check
+        rotated.tokens = self.tokens[k:] + self.tokens[:k]
+        rotated.cyclic = False
+        return rotated
 
     def __len__(self) -> int:
         return len(self.tokens)

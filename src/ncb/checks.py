@@ -334,10 +334,11 @@ def _multi_split(max_n: int) -> Iterable[Check]:
 @_family("multi-total")
 def _multi_total(max_n: int) -> Iterable[Check]:
     for sizes in _size_tuples(min(max_n, DESK_BOUND_MANY_CIRCLES)):
-        if len(sizes) == 3:
-            params = f"sizes={','.join(map(str, sizes))}"
-            count = len(nc_b_multi(sizes))
-            yield Check("multi-total", params, formulas.multi3_total(*sizes), count)
+        params = f"sizes={','.join(map(str, sizes))}"
+        total = formulas.over_matchings(
+            sizes, lambda n: binom(2 * n, n), formulas.annulus_total
+        )
+        yield Check("multi-total", params, total, len(nc_b_multi(sizes)))
 
 
 @_family("genus-defect")

@@ -20,6 +20,8 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}") from None
     if not sizes or any(s < 1 for s in sizes):
         raise argparse.ArgumentTypeError("shape needs positive comma-separated sizes")
+    if len(sizes) > enumeration.MAX_CIRCLES:
+        raise argparse.ArgumentTypeError(f"at most {enumeration.MAX_CIRCLES} circles")
     return sizes
 
 
@@ -43,39 +45,25 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_count(args) -> int:
-    sizes = args.shape
-    filters = [
-        name
-        for name, value in (
-            ("rank", args.rank),
-            ("connectivity", args.connectivity),
-            ("cell", args.cell),
-        )
-        if value is not None
-    ]
+    sizes, rank = args.shape, args.rank
+    filters = [f for f in (rank, args.connectivity, args.cell) if f is not None]
     if len(filters) > 1:
         raise ValueError("at most one of --rank/--connectivity/--cell")
-    if len(sizes) == 1:
-        (n,) = sizes
-        if filters and filters != ["rank"]:
-            raise ValueError("one-circle shapes only support --rank")
-        value = binom(n, args.rank) ** 2 if args.rank is not None else formulas.disc_counts(n).total
+    if filters and rank is None and len(sizes) != 2:
+        raise ValueError("--connectivity and --cell need a two-circle shape")
+    if args.cell is not None:
+        value = formulas.annulus_cell_count(*sizes, *args.cell)
+    elif args.connectivity is not None:
+        value = formulas.annulus_connectivity_count(*sizes, args.connectivity)
+    elif rank is None:
+        central = lambda n: binom(2 * n, n)
+        value = formulas.over_matchings(sizes, central, formulas.annulus_total)
+    elif len(sizes) == 1:
+        value = binom(sizes[0], rank) ** 2
     elif len(sizes) == 2:
-        p, q = sizes
-        if args.cell is not None:
-            value = formulas.annulus_cell_count(p, q, *args.cell)
-        elif args.connectivity is not None:
-            value = formulas.annulus_connectivity_count(p, q, args.connectivity)
-        elif args.rank is not None:
-            value = formulas.rank_coefficient(p, q, args.rank)
-        else:
-            value = formulas.annulus_total(p, q)
-    elif filters:
-        raise ValueError("filters need a one- or two-circle shape")
-    elif len(sizes) == 3:
-        value = formulas.multi3_total(*sizes)
+        value = formulas.rank_coefficient(*sizes, rank)
     else:
-        value = len(enumeration.nc_b_multi(sizes))
+        value = _rank_poly(sizes).coefficient(rank)
     _emit(str(value), args.out)
     return 0
 
@@ -97,47 +85,34 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _rank_poly(sizes: tuple[int, ...]) -> formulas.IntPolynomial:
+    disc = lambda n: formulas.IntPolynomial(formulas.disc_counts(n).rank_counts)
+    return formulas.over_matchings(sizes, disc, formulas.rank_gen)
+
+
 def _cmd_rank_poly(args) -> int:
-    sizes = args.shape
-    if len(sizes) == 1:
-        (n,) = sizes
-        poly = formulas.IntPolynomial(binom(n, k) ** 2 for k in range(n + 1))
-    elif len(sizes) == 2:
-        poly = formulas.rank_gen(*sizes)
-    else:
-        raise ValueError("rank polynomial needs a one- or two-circle shape")
-    _emit(str(poly), args.out)
+    _emit(str(_rank_poly(args.shape)), args.out)
     return 0
 
 
 def _cmd_zeta(args) -> int:
-    sizes = args.shape
-    if len(sizes) == 1:
-        value = gbinom(args.m * sizes[0], sizes[0])
-    elif len(sizes) == 2:
-        value = formulas.zeta_poly(sizes[0], sizes[1], args.m)
-    else:
-        raise ValueError("zeta needs a one- or two-circle shape")
-    _emit(str(value), args.out)
+    disc = lambda n: gbinom(args.m * n, n)
+    annulus = lambda p, q: formulas.zeta_poly(p, q, args.m)
+    _emit(str(formulas.over_matchings(args.shape, disc, annulus)), args.out)
     return 0
 
 
 def _cmd_mobius(args) -> int:
-    sizes = args.shape
-    if len(sizes) == 1:
-        value = formulas.disc_counts(sizes[0]).mobius_b
-    elif len(sizes) == 2:
-        value = formulas.mobius_annulus(*sizes)
-    else:
-        raise ValueError("mobius needs a one- or two-circle shape")
+    disc = lambda n: formulas.disc_counts(n).mobius_b
+    value = formulas.over_matchings(args.shape, disc, formulas.mobius_annulus)
     _emit(str(value), args.out)
     return 0
 
 
 def _cmd_max_chains(args) -> int:
-    if len(args.shape) != 2:
-        raise ValueError("max-chains needs a two-circle shape")
-    _emit(str(formulas.max_chains(*args.shape)), args.out)
+    disc = lambda n: formulas.GradedChains(n, n**n)
+    annulus = lambda p, q: formulas.GradedChains(p + q, formulas.max_chains(p, q))
+    _emit(str(formulas.over_matchings(args.shape, disc, annulus).count), args.out)
     return 0
 
 

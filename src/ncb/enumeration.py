@@ -26,6 +26,7 @@ from .signed_perm import (
 
 DESK_BOUND_TWO_CIRCLES = 8  # max p+q (also max n for one circle)
 DESK_BOUND_MANY_CIRCLES = 6  # max sum of sizes for three or more circles
+MAX_CIRCLES = 12  # closed forms sum over matchings of the circles
 
 
 def _bits(row: int) -> list[int]:
@@ -166,10 +167,11 @@ class FinitePoset:
         element; for m >= 2 the passes stop at k = m-1, past which the
         binomials vanish.
         """
-        below = [_bits(row ^ 1 << j) for j, row in enumerate(self._down_rows())]
         longest = max(self.ranks) + 1
         if m >= 2:
             longest = min(longest, m - 1)
+        if longest >= 2:
+            below = [_bits(row ^ 1 << j) for j, row in enumerate(self._down_rows())]
         counts = [1] * len(self.elements)
         total = sum(counts)
         for k in range(2, longest + 1):

@@ -7,6 +7,7 @@ land on an integer.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -150,6 +151,9 @@ class IntPolynomial:
         return IntPolynomial(
             [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
         )
+
+    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
+        return self + IntPolynomial(-c for c in other.coefficients)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not self.coefficients or not other.coefficients:
@@ -321,6 +325,25 @@ def max_chains(p: int, q: int) -> int:
     return acc * q**q
 
 
+class GradedChains(NamedTuple):
+    """The maximal chains of a graded poset of the given rank.  In a
+    product of posets the chains of the factors shuffle: ranks add and
+    counts multiply with C(r + s, r).  Sums take posets of one rank."""
+
+    rank: int
+    count: int
+
+    def __mul__(self, other: "GradedChains") -> "GradedChains":
+        rank = self.rank + other.rank
+        return GradedChains(rank, comb(rank, self.rank) * self.count * other.count)
+
+    def __add__(self, other: "GradedChains") -> "GradedChains":
+        return GradedChains(self.rank, self.count + other.count)
+
+    def __sub__(self, other: "GradedChains") -> "GradedChains":
+        return GradedChains(self.rank, self.count - other.count)
+
+
 def mobius_annulus(p: int, q: int) -> int:
     """Moebius value between bottom and top of the (p, q) poset."""
     if min(p, q) < 1:
@@ -340,6 +363,33 @@ def mobius_q1(n: int) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")
     return (-1) ** n * _exact_div(binom(2 * n - 1, n) * (5 * n - 4), 4 * n - 2)
+
+
+def over_matchings(sizes, disc, annulus):
+    """The sum, over the matchings M of the circles, of the product of
+    annulus(a, b) - disc(a) * disc(b) over the pairs of M and of disc(a)
+    over the circles M leaves out.  Every joint orbit meets at most two
+    circles, so this lifts a closed form from the disc and the annulus to
+    any shape; one circle gives disc(n), two give annulus(p, q) itself.
+    Partial sums are kept per sorted tuple of the circles left, so the
+    cost grows exponentially only in the number of distinct sizes.
+    """
+
+    @lru_cache(maxsize=None)
+    def total(left: tuple[int, ...]):
+        if len(left) <= 2:
+            return disc(*left) if len(left) == 1 else annulus(*left)
+        first, rest = left[0], left[1:]
+        value = total((first,)) * total(rest)
+        for b in dict.fromkeys(rest):  # the size of first's partner
+            linked = total((first, b)) - total((first,)) * total((b,))
+            i = rest.index(b)
+            term = linked * total(rest[:i] + rest[i + 1 :])
+            value = sum([term] * rest.count(b), value)  # once per circle of size b
+        return value
+
+    sizes = tuple(sizes)
+    return total(sizes if len(sizes) <= 2 else tuple(sorted(sizes)))
 
 
 def multi3_total(n1: int, n2: int, n3: int) -> int:

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ncb import BPartition
+from ncb import BPartition, IntPolynomial, nc_b_multi
 from ncb.checks import FAMILIES
 from ncb.cli import main, verify_suite
+from ncb.enumeration import MAX_CIRCLES
 
 TESTS = Path(__file__).parent
 
@@ -28,6 +29,8 @@ def test_count(capsys):
     assert code == 0 and out == "20\n"
     code, out, _ = run(capsys, "count", "--shape", "1,1,1")
     assert code == 0 and out == "20\n"
+    code, out, _ = run(capsys, "count", "--shape", "1,1,1,1,1,1,1")
+    assert code == 0 and out == "6512\n"  # past the desk bound: nothing enumerated
 
 
 def test_count_filters(capsys):
@@ -69,6 +72,8 @@ def test_rank_poly(capsys):
     "Rank generating polynomial in readable form."
     code, out, _ = run(capsys, "rank-poly", "--shape", "2,1")
     assert code == 0 and out == "1 + 9*x + 9*x^2 + x^3\n"
+    code, out, _ = run(capsys, "rank-poly", "--shape", "2,1,1")
+    assert code == 0 and out == "1 + 16*x + 34*x^2 + 16*x^3 + x^4\n"
 
 
 def test_zeta(capsys):
@@ -88,9 +93,31 @@ def test_mobius(capsys):
 
 
 def test_max_chains(capsys):
-    "Maximal chain count on the annulus."
+    "Maximal chain count on the annulus and the disc."
     code, out, _ = run(capsys, "max-chains", "--shape", "2,1")
     assert code == 0 and out == "28\n"
+    code, out, _ = run(capsys, "max-chains", "--shape", "3")
+    assert code == 0 and out == "27\n"
+
+
+@pytest.mark.parametrize("shape", ["1,2,1", "2,1,1,1"])
+def test_many_circle_verbs_match_enumeration(capsys, shape):
+    "Every closed-form verb answers on three or more circles, as enumeration does."
+    poset = nc_b_multi(int(s) for s in shape.split(","))
+    ranks = poset.rank_vector()
+    answers = {
+        ("count",): len(poset),
+        ("rank-poly",): IntPolynomial(ranks),
+        ("mobius",): poset.mobius(poset.bottom(), poset.top()),
+        ("max-chains",): poset.maximal_chains(),
+    }
+    n = len(ranks) - 1
+    for r in range(-1, n + 2):
+        answers["count", "--rank", str(r)] = ranks[r] if 0 <= r <= n else 0
+    answers.update({("zeta", "-m", str(m)): poset.zeta(m) for m in range(-1, n + 3)})
+    for (verb, *extra), value in answers.items():
+        code, out, _ = run(capsys, verb, "--shape", shape, *extra)
+        assert code == 0 and out == f"{value}\n", (verb, extra)
 
 
 def test_hasse_dot(capsys):
@@ -193,6 +220,21 @@ def test_usage_errors(capsys):
     assert code == 0 and out == "184756\n"
     code, _, err = run(capsys, "enumerate", "--shape", "9,1")
     assert code == 2 and err
+
+
+def test_many_circle_errors(capsys):
+    "Pair filters need two circles; past the circle cap every verb stops at once."
+    code, out, err = run(capsys, "count", "--shape", "2,1,1", "--cell", "1,1,0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    past_cap = ",".join(str(s) for s in range(1, MAX_CIRCLES + 2))
+    for argv in (["count"], ["rank-poly"], ["zeta", "-m", "3"], ["mobius"], ["max-chains"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--shape", past_cap)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"error: argument --shape: at most {MAX_CIRCLES} circles" in err
+        assert "Traceback" not in err
 
 
 def test_out_file(tmp_path, capsys):

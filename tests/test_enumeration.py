@@ -7,6 +7,7 @@ from test_signed_perm import all_perms, reflections
 from ncb import (
     AnnulusShape,
     BPartition,
+    FinitePoset,
     adjusted_orbits,
     adjusted_orbits_inverse,
     boundary_permutation,
@@ -174,6 +175,13 @@ def test_mobius_sum_over_interval():
 def test_zeta_spots(poset, m, value):
     "Multichain counts on small posets."
     assert poset.zeta(m) == value
+
+
+def test_zeta_at_two_builds_no_order(monkeypatch):
+    "zeta(2) counts single elements, so no down-set is built."
+    poset = FinitePoset(["a", "b"], [0, 1], masks=[0, 1])
+    monkeypatch.setattr(poset, "_down_rows", lambda: pytest.fail("down-sets built"))
+    assert poset.zeta(2) == 2
 
 
 def test_zeta_interpolated():

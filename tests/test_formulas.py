@@ -1,4 +1,5 @@
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from ncb import (
     multi3_total,
     narayana,
     nc_b_annulus,
+    nc_b_multi,
     rank_coefficient,
     rank_gen,
     rank_gen_cells,
@@ -24,7 +26,14 @@ from ncb import (
     zeta_poly,
     zeta_poly_q1,
 )
-from ncb.formulas import annulus_positive_total, binom, gbinom
+from ncb.formulas import (
+    GradedChains,
+    annulus_positive_total,
+    binom,
+    gbinom,
+    over_matchings,
+)
+from test_acceptance import size_tuples
 
 
 def test_binom():
@@ -140,6 +149,8 @@ def test_polynomial_basics():
     assert p(3) == 16
     assert IntPolynomial([1, 1]) * IntPolynomial([1, 1]) == p
     assert IntPolynomial([1]) + IntPolynomial([0, 1]) == IntPolynomial([1, 1])
+    assert p - IntPolynomial([1, 1]) == IntPolynomial([0, 1, 1])
+    assert p - p == zero
     assert IntPolynomial.from_dict({2: -3, 0: 2}) == IntPolynomial([2, 0, -3])
     assert hash(IntPolynomial([1, 1])) == hash(IntPolynomial((1, 1)))
 
@@ -219,6 +230,78 @@ def test_multi3_total():
     assert multi3_total(1, 1, 2) == 68
     assert multi3_total(2, 1, 1) == 68
     assert multi3_total(1, 2, 1) == 68
+
+
+def disc_rank_poly(n):
+    "Rank polynomial of the one-circle poset: C(n, k)^2 at x^k."
+    return IntPolynomial(comb(n, k) ** 2 for k in range(n + 1))
+
+
+MANY_CIRCLE_SHAPES = sorted({tuple(sorted(s)) for s in size_tuples(6) if len(s) >= 3})
+
+
+@pytest.mark.parametrize("shape", MANY_CIRCLE_SHAPES)
+def test_over_matchings_agrees_with_enumeration(shape):
+    "Count, ranks, Moebius, maximal chains and zeta at n + 4 points, in two orders."
+    poset = nc_b_multi(shape)
+    n = sum(shape)
+    shuffled = list(shape)
+    Random(n).shuffle(shuffled)
+    for sizes in (shape, tuple(shuffled)):
+        total = over_matchings(sizes, lambda a: comb(2 * a, a), annulus_total)
+        assert total == len(poset)
+        ranks = over_matchings(sizes, disc_rank_poly, rank_gen)
+        assert ranks.coefficients == poset.rank_vector()
+        mu = over_matchings(sizes, lambda a: disc_counts(a).mobius_b, mobius_annulus)
+        assert mu == poset.mobius(poset.bottom(), poset.top())
+        zeta = {
+            m: over_matchings(
+                sizes, lambda a: gbinom(m * a, a), lambda p, q: zeta_poly(p, q, m)
+            )
+            for m in range(-1, n + 3)
+        }
+        assert zeta == {m: poset.zeta(m) for m in zeta}
+        chains = over_matchings(
+            sizes,
+            lambda a: GradedChains(a, a**a),
+            lambda p, q: GradedChains(p + q, max_chains(p, q)),
+        )
+        assert chains == (n, poset.maximal_chains())
+        # n! times the leading coefficient of the zeta polynomial
+        difference = sum((-1) ** (n - m) * comb(n, m) * zeta[m] for m in range(n + 1))
+        assert chains.count == difference
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
+def test_three_circle_count_matches_multi3_total(a, b, c):
+    "The matching sum of central binomials and annulus totals on three circles."
+    total = over_matchings((a, b, c), lambda n: comb(2 * n, n), annulus_total)
+    assert total == multi3_total(a, b, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40))
+def test_over_matchings_on_two_circles_is_one_annulus_call(p, q):
+    "Two circles return the annulus value itself, computed once in the given order."
+    calls = []
+
+    def annulus(a, b):
+        calls.append((a, b))
+        return rank_gen(a, b)
+
+    def disc(n):
+        raise AssertionError("no disc value is needed on two circles")
+
+    assert over_matchings((p, q), disc, annulus) == rank_gen(p, q)
+    assert calls == [(p, q)]
+
+
+def test_graded_chains_shuffle():
+    "Maximal chains of a product shuffle those of its factors."
+    square = GradedChains(1, 1) * GradedChains(1, 1)
+    assert square == (2, 2)
+    assert square * GradedChains(3, 27) - GradedChains(5, 1) == (5, 2 * 10 * 27 - 1)
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 8))
