@@ -24,11 +24,15 @@ from .signed_perm import AnnulusShape
 Token = "int | str"
 
 
+_CLOSER_TYPES: dict[str, int] = {}  # each distinct ")k" parsed once
+
+
 def _paren_type(tok) -> int | None:
     """Type of a right paren token, None for numbers and left parens."""
-    if isinstance(tok, str) and tok.startswith(")"):
-        return int(tok[1:])
-    return None
+    kind = _CLOSER_TYPES.get(tok)
+    if kind is None and isinstance(tok, str) and tok.startswith(")"):
+        kind = _CLOSER_TYPES[tok] = int(tok[1:])
+    return kind
 
 
 def _check_token(tok) -> None:
@@ -306,14 +310,16 @@ class AnnulusTuple:
 def _boundary_tokens(labels: Sequence[int], lefts, rights_levels) -> list:
     """Circle string: labels then mirrored labels, "(" before members of
     `lefts`, ")k" after members of rights_levels[k-1] in ascending k."""
+    closers: dict[int, list[str]] = {}
+    for k, rights in enumerate(rights_levels, start=1):
+        for x in rights:
+            closers.setdefault(x, []).append(f"){k}")
     tokens: list = []
-    for x in list(labels) + [-x for x in labels]:
+    for x in (*labels, *(-x for x in labels)):
         if abs(x) in lefts:
             tokens.append("(")
         tokens.append(x)
-        for k, rights in enumerate(rights_levels, start=1):
-            if abs(x) in rights:
-                tokens.append(f"){k}")
+        tokens.extend(closers.get(abs(x), ()))
     return tokens
 
 
@@ -379,17 +385,12 @@ def encode_multichain(
     left_shifts = legal_left_shifts(u)
     assert len(left_shifts) == 2 * t.c
     tokens = u.rotation(left_shifts[t.d - 1]).tokens + v.rotation(_inner_anchor(v)).tokens
-    pairs = _match_pairs(tokens)
-    chain = []
-    for level in range(1, t.m):
-        erased = set()
-        for open_pos, close_pos in pairs:
-            if _paren_type(tokens[close_pos]) < level:
-                erased.add(open_pos)
-                erased.add(close_pos)
-        remaining = [tok for pos, tok in enumerate(tokens) if pos not in erased]
-        chain.append(BPartition(p + q, _read_blocks(remaining)))
-    return tuple(chain)
+    # A pair closed by type k is erased from level k + 1 on; labels stay.
+    keep = [t.m] * len(tokens)
+    for open_pos, close_pos in _match_pairs(tokens):
+        keep[open_pos] = keep[close_pos] = _paren_type(tokens[close_pos])
+    levels = [[tok for tok, k in zip(tokens, keep) if k >= j] for j in range(1, t.m)]
+    return tuple(BPartition(p + q, _read_blocks(level)) for level in levels)
 
 
 def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
 from typing import Callable, Iterable
 
 from . import bijection, formulas
@@ -375,12 +374,19 @@ def _hypersum(max_n: int) -> Iterable[Check]:
             if sum(caps) > 10:
                 continue
             *heads, last = caps
+            # weight[s] sums prod C(A, a) over the a with sum(a) = s.  It is
+            # convolved, not taken as C(sum(heads), s): that equality is the
+            # Vandermonde identity this family checks.
+            weight = [1]
+            for A in heads:
+                row = [binom(A, x) for x in range(A + 1)]
+                convolved = [0] * (len(weight) + A)
+                for s, w in enumerate(weight):
+                    for x, c in enumerate(row):
+                        convolved[s + x] += w * c
+                weight = convolved
             for b in range(last + 1):
-                lhs = sum(
-                    binom(last, sum(a) + b)
-                    * prod(binom(A, x) for A, x in zip(heads, a))
-                    for a in itertools.product(*(range(A + 1) for A in heads))
-                )
+                lhs = sum(binom(last, s + b) * w for s, w in enumerate(weight))
                 count += 1
                 bad += lhs != binom(sum(caps), last - b)
     yield Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)

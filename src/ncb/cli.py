@@ -103,9 +103,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
-    disc = lambda n: formulas.disc_counts(n).mobius_b
-    value = formulas.over_matchings(args.shape, disc, formulas.mobius_annulus)
-    _emit(str(value), args.out)
+    disc, annulus = formulas.mobius_disc, formulas.mobius_annulus
+    _emit(str(formulas.over_matchings(args.shape, disc, annulus)), args.out)
     return 0
 
 

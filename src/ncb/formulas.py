@@ -74,8 +74,14 @@ def disc_counts(n: int) -> DiscCounts:
     rank_counts = tuple(binom(n, k) ** 2 for k in range(n + 1))
     total = binom(2 * n, n)
     mobius_a = (-1) ** (n + 1) * factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
-    mobius_b = (-1) ** n * binom(2 * n - 1, n)
-    return DiscCounts(rank_counts, total, mobius_a, mobius_b)
+    return DiscCounts(rank_counts, total, mobius_a, mobius_disc(n))
+
+
+def mobius_disc(n: int) -> int:
+    """Moebius value of the one-circle poset on 2n points: (-1)^n C(2n-1, n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return (-1) ** n * binom(2 * n - 1, n)
 
 
 def annulus_cell_count(p: int, q: int, c: int, e: int, i: int) -> int:

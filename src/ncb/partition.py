@@ -15,8 +15,9 @@ from typing import Iterable, NamedTuple
 from .signed_perm import AnnulusShape, SignedPermutation, boundary_permutation
 
 
-def _element_key(x: int) -> tuple[int, bool]:
-    return (abs(x), x < 0)
+def _element_key(x: int) -> int:
+    """Sort key ordering by absolute value, the positive sign first."""
+    return 2 * abs(x) + (x < 0)
 
 
 class BPartition:
@@ -40,18 +41,16 @@ class BPartition:
             canon.append(block)
         if len(seen) != 2 * n:
             raise ValueError(f"blocks do not cover -{n}..-1, 1..{n}")
-        canon.sort(key=lambda b: tuple(_element_key(x) for x in b))
-        block_of = {}
-        for i, block in enumerate(canon):
-            for x in block:
-                block_of[x] = i
+        # Blocks are disjoint, so their first elements already order them.
+        canon.sort(key=lambda b: _element_key(b[0]))
+        block_of = {x: i for i, block in enumerate(canon) for x in block}
         invariant = 0
-        for block in canon:
-            mirror = tuple(sorted((-x for x in block), key=_element_key))
-            if mirror == block:
-                invariant += 1
-            elif block_of.get(mirror[0]) is None or canon[block_of[mirror[0]]] != mirror:
+        for i, block in enumerate(canon):
+            j = block_of.get(-block[0])
+            same_size = j is not None and len(canon[j]) == len(block)
+            if not same_size or any(block_of.get(-x) != j for x in block):
                 raise ValueError(f"negation of block {block} is not a block")
+            invariant += i == j
         if invariant > 1:
             raise ValueError("more than one inversion-invariant block")
         self.n = n

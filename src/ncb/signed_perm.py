@@ -189,30 +189,28 @@ class SignedPermutation:
         return self.cycle_string()
 
 
-def _idx(x: int, n: int) -> int:
-    return x - 1 if x > 0 else n - x - 1
-
-
-def _ALL_STARTS(n: int):
-    yield from range(1, n + 1)
-    yield from range(-1, -n - 1, -1)
+def _steps(image: tuple[int, ...]) -> tuple[int, ...]:
+    """Step table indexed by the signed label: entry x is the image of x,
+    negative labels counting from the end."""
+    return (0, *image, *[-v for v in reversed(image)])
 
 
 def _orbits(image: tuple[int, ...]) -> list[list[int]]:
     """Orbits of the image tuple on {-n..-1, 1..n}, each in traversal order,
     started from 1..n and then -1..-n."""
     n = len(image)
-    seen = [False] * (2 * n)
+    step = _steps(image)
+    seen = [False] * (2 * n + 1)  # indexed by the signed label
     out = []
-    for start in _ALL_STARTS(n):
-        if seen[_idx(start, n)]:
+    for start in (*range(1, n + 1), *range(-1, -n - 1, -1)):
+        if seen[start]:
             continue
         orbit = []
         x = start
-        while not seen[_idx(x, n)]:
-            seen[_idx(x, n)] = True
+        while not seen[x]:
+            seen[x] = True
             orbit.append(x)
-            x = image[x - 1] if x > 0 else -image[-x - 1]
+            x = step[x]
         out.append(orbit)
     return out
 
@@ -278,18 +276,19 @@ def joint_orbits(a: SignedPermutation, b: SignedPermutation) -> list[list[int]]:
     if a.n != b.n:
         raise ValueError("size mismatch")
     n = a.n
-    seen = [False] * (2 * n)
+    steps = (_steps(a.image), _steps(b.image))
+    seen = [False] * (2 * n + 1)  # indexed by the signed label
     out = []
-    for start in _ALL_STARTS(n):
-        if seen[_idx(start, n)]:
+    for start in (*range(1, n + 1), *range(-1, -n - 1, -1)):
+        if seen[start]:
             continue
-        seen[_idx(start, n)] = True
+        seen[start] = True
         orbit = [start]
         for x in orbit:  # grows while it is read
-            for image in (a.image, b.image):
-                y = image[x - 1] if x > 0 else -image[-x - 1]
-                if not seen[_idx(y, n)]:
-                    seen[_idx(y, n)] = True
+            for step in steps:
+                y = step[x]
+                if not seen[y]:
+                    seen[y] = True
                     orbit.append(y)
         out.append(orbit)
     return out
@@ -308,10 +307,8 @@ def genus_defect(a: SignedPermutation, b: SignedPermutation) -> int:
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
-    rest = a.inverse() * b
-    orbit_sum = (
-        a.orbit_stats().count + b.orbit_stats().count + rest.orbit_stats().count
-    )
+    rest = _compose(_inverse(a.image), b.image)
+    orbit_sum = sum(len(_orbits(image)) for image in (a.image, b.image, rest))
     return 2 * a.n + 2 * joint_orbit_count(a, b) - orbit_sum
 
 

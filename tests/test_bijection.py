@@ -21,6 +21,7 @@ from ncb import (
     nc_b_annulus,
     read_partition,
 )
+from ncb.bijection import _paren_type
 from ncb.formulas import annulus_positive_total, binom
 
 OUTER = ParenString.parse("1 ) ( 2 ) 3 ( 4 ( 5 -1 ) ( -2 ) -3 ( -4 ( -5")
@@ -63,6 +64,15 @@ def test_paren_string_parse():
     assert ParenString.from_parens("()(").tokens == ("(", ")1", "(")
     with pytest.raises(ValueError):
         ParenString.from_parens("(x)")
+
+
+def test_paren_type():
+    "Closers carry their full, possibly multi-digit, type; others carry none."
+    assert _paren_type(")12") == 12
+    assert _paren_type(")12") == 12  # the parsed type is reused
+    assert _paren_type(")1") == 1
+    assert _paren_type("(") is None
+    assert _paren_type(3) is None and _paren_type(-12) is None
 
 
 def test_rotation():

@@ -1,15 +1,18 @@
 import importlib.util
 import io
+import itertools
 import json
+import math
 import time
 from pathlib import Path
 
 import pytest
 
 from ncb import BPartition, IntPolynomial, nc_b_multi
-from ncb.checks import FAMILIES
+from ncb.checks import FAMILIES, Check
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
+from ncb.formulas import binom
 
 TESTS = Path(__file__).parent
 
@@ -90,6 +93,16 @@ def test_mobius(capsys):
     assert code == 0 and out == "-11\n"
     code, out, _ = run(capsys, "mobius", "--shape", "3")
     assert code == 0 and out == "-10\n"
+
+
+def test_mobius_large_disc_is_fast(capsys):
+    "The disc Moebius value needs no rank counts: one binomial, quickly."
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "mobius", "--shape", "20000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    code, zeta_out, _ = run(capsys, "zeta", "--shape", "20000", "-m", "-1")
+    assert code == 0 and out == zeta_out
 
 
 def test_max_chains(capsys):
@@ -198,6 +211,33 @@ def test_verify_families_match_bench():
     for name in FAMILIES:
         checks = verify_suite(max_n=3, only=name)
         assert checks and all(c.name == name for c in checks), name
+
+
+def slow_hypersum():
+    "The hypersum check by brute force: one product of binomials per a-tuple."
+    bad = 0
+    count = 0
+    for k in (1, 2, 3):
+        for caps in itertools.product(range(11), repeat=k + 1):
+            if sum(caps) > 10:
+                continue
+            *heads, last = caps
+            for b in range(last + 1):
+                lhs = sum(
+                    binom(last, sum(a) + b)
+                    * math.prod(binom(A, x) for A, x in zip(heads, a))
+                    for a in itertools.product(*(range(A + 1) for A in heads))
+                )
+                count += 1
+                bad += lhs != binom(sum(caps), last - b)
+    return Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)
+
+
+def test_hypersum_matches_brute_force():
+    "The convolved hypersum family yields the brute-force record."
+    expected = slow_hypersum()
+    assert expected.params == "sum<=10 (4290 cases)"
+    assert verify_suite(max_n=3, only="hypersum") == [expected]
 
 
 def test_verify_unknown_check(capsys):

@@ -213,3 +213,50 @@ def test_extremes_bound_everything(n):
     assert bot.le(top)
     assert bot.rank() == 0
     assert top.rank() == n
+
+
+def old_canonical_blocks(blocks):
+    "Canonical form by full keys: elements by (|x|, x < 0), blocks by key tuples."
+    key = lambda x: (abs(x), x < 0)
+    canon = [tuple(sorted(block, key=key)) for block in blocks]
+    return tuple(sorted(canon, key=lambda b: tuple(key(x) for x in b)))
+
+
+@st.composite
+def negation_closed_blocks(draw):
+    "A random negation-closed partition of -n..-1, 1..n, as shuffled blocks."
+    n = draw(st.integers(1, 9))
+    zero = draw(st.sets(st.integers(1, n)))
+    groups: dict[int, list[int]] = {}
+    for a in range(1, n + 1):
+        if a not in zero:
+            sign = draw(st.sampled_from((1, -1)))
+            groups.setdefault(draw(st.integers(0, n)), []).append(sign * a)
+    blocks = [[x for z in zero for x in (z, -z)]] if zero else []
+    for block in groups.values():
+        blocks += [block, [-x for x in block]]
+    blocks = [draw(st.permutations(block)) for block in blocks]
+    return n, draw(st.permutations(blocks))
+
+
+@given(negation_closed_blocks())
+def test_canonical_form_matches_full_key_sort(case):
+    "Sorting blocks by their first element equals sorting by full key tuples."
+    n, blocks = case
+    assert BPartition(n, blocks).blocks == old_canonical_blocks(blocks)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[1, 2], [-1], [-2]],  # a split negation
+        [[1, 2], [-1, -2, 3], [-3]],  # a negation inside a larger block
+        [[1, -1], [2, -2], [3], [-3]],  # two invariant blocks
+        [[1, 2], [-1, -2], [2]],  # a repeated element
+    ],
+)
+def test_negation_check_rejects(blocks):
+    "Each way negation closure can fail raises ValueError."
+    n = max(abs(x) for b in blocks for x in b)
+    with pytest.raises(ValueError):
+        BPartition(n, blocks)

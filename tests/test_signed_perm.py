@@ -13,6 +13,7 @@ from ncb import (
     joint_orbit_count,
     kreweras_perm,
 )
+from ncb.signed_perm import _orbits, joint_orbits
 
 
 def all_perms(n):
@@ -232,3 +233,66 @@ def test_inverse_involution(values, flips):
     g = SignedPermutation(-v if f else v for v, f in zip(values, flips))
     assert g.inverse().inverse() == g
     assert (g * g.inverse()).length() == 0
+
+
+def signed_perms(n):
+    "Random signed permutations of 1..n."
+    return st.tuples(
+        st.permutations(list(range(1, n + 1))),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    ).map(lambda vf: SignedPermutation(-v if f else v for v, f in zip(*vf)))
+
+
+def _starts(n):
+    "Walk starts in the kernels' order: 1..n, then -1..-n."
+    return list(range(1, n + 1)) + list(range(-1, -n - 1, -1))
+
+
+def reference_orbits(g):
+    "Orbits by stepping with g(x) calls, each from its first unseen start."
+    seen = set()
+    out = []
+    for start in _starts(g.n):
+        orbit = []
+        x = start
+        while x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            x = g(x)
+        if orbit:
+            out.append(orbit)
+    return out
+
+
+def reference_joint_orbits(a, b):
+    "Breadth-first orbits of <a, b>, stepping with a(x) then b(x) calls."
+    seen = set()
+    out = []
+    for start in _starts(a.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:
+            for y in (a(x), b(x)):
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        out.append(orbit)
+    return out
+
+
+@given(st.integers(1, 12).flatmap(signed_perms))
+def test_orbits_match_reference_walk(g):
+    "The step-table walk lists the same orbits, in the same order."
+    assert _orbits(g.image) == reference_orbits(g)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(signed_perms(n), signed_perms(n))))
+def test_joint_orbits_and_genus_defect_match_reference(pair):
+    "joint_orbits keeps the reference order; genus_defect keeps its formula."
+    a, b = pair
+    assert joint_orbits(a, b) == reference_joint_orbits(a, b)
+    orbit_sum = sum(g.orbit_stats().count for g in (a, b, a.inverse() * b))
+    joint = len(reference_joint_orbits(a, b))
+    assert genus_defect(a, b) == 2 * a.n + 2 * joint - orbit_sum
