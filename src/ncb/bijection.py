@@ -10,40 +10,45 @@ those ending with the highest closer type) gives a matchable string whose
 nesting structure is read off as a partition, one partition per paren type
 for multichains.  Decoding reads the subsets back off the first and last
 elements of the blocks, level by level, and the shift off the block whose
-closer ends the inner string; one re-encode confirms the result."""
+closer ends the inner string; reading the chain off the strings the decode
+already built, at the shift it found, confirms the result."""
 
 from __future__ import annotations
 
 import copy
 import itertools
+from bisect import bisect, bisect_left
+from operator import neg
 from typing import Iterable, Sequence
 
 from .partition import BPartition
 from .signed_perm import AnnulusShape
 
-Token = "int | str"
-
-
-_CLOSER_TYPES: dict[str, int] = {}  # each distinct ")k" parsed once
+# Type of every closer token a ParenString has accepted: a built string holds
+# ints, "(" and keys of this table, so its other str tokens are the closers.
+_CLOSER_TYPES: dict[str, int] = {}
 
 
 def _paren_type(tok) -> int | None:
     """Type of a right paren token, None for numbers and left parens."""
-    kind = _CLOSER_TYPES.get(tok)
-    if kind is None and isinstance(tok, str) and tok.startswith(")"):
-        kind = _CLOSER_TYPES[tok] = int(tok[1:])
-    return kind
+    if isinstance(tok, str) and tok.startswith(")"):
+        return int(tok[1:])
+    return None
 
 
-def _check_token(tok) -> None:
+def _check_token(tok):
+    """The token as stored, or ValueError.  A str subclass is stored as a
+    plain str, since a built string tells closers by `type(tok) is str`."""
     if isinstance(tok, int):
         if tok == 0:
             raise ValueError("0 is not a label")
-        return
+        return tok
     if tok == "(":
-        return
+        return "("
     if isinstance(tok, str) and tok.startswith(")") and tok[1:].isdigit() and int(tok[1:]) >= 1:
-        return
+        tok = str.__str__(tok)
+        _CLOSER_TYPES[tok] = int(tok[1:])
+        return tok
     raise ValueError(f"bad token {tok!r}")
 
 
@@ -52,11 +57,13 @@ class ParenString:
 
     def __init__(self, tokens: Iterable, cyclic: bool = True):
         tokens = tuple(tokens)
-        labels = []
-        for tok in tokens:
-            _check_token(tok)
-            if isinstance(tok, int):
-                labels.append(tok)
+        if not all(
+            type(tok) is int and tok != 0
+            or type(tok) is str and (tok in _CLOSER_TYPES or tok == "(")
+            for tok in tokens
+        ):
+            tokens = tuple(map(_check_token, tokens))
+        labels = [tok for tok in tokens if type(tok) is not str]
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
         self.tokens = tokens
@@ -133,7 +140,7 @@ def _paren_flags(tokens: Sequence) -> list[tuple[int, bool]]:
     for pos, tok in enumerate(tokens):
         if tok == "(":
             out.append((pos, True))
-        elif _paren_type(tok) is not None:
+        elif type(tok) is str:
             out.append((pos, False))
     return out
 
@@ -156,9 +163,10 @@ def _legal_starts(steps: Sequence[int], side: str) -> list[int]:
     out = []
     for i in range(2 * length - 1, -1, -1):
         level -= steps[i % length]  # now P_i
-        if i < length and level < low:
-            out.append(i)
-        low = min(low, level)
+        if level < low:
+            if i < length:
+                out.append(i)
+            low = level
     return out
 
 
@@ -194,7 +202,7 @@ def _read_blocks(tokens: Sequence) -> list[list[int]]:
     for tok in tokens:
         if tok == "(":
             stack.append([])
-        elif _paren_type(tok) is not None:
+        elif type(tok) is str:
             if not stack:
                 raise ValueError("unmatchable parentheses")
             blocks.append(stack.pop())
@@ -312,14 +320,18 @@ def _boundary_tokens(labels: Sequence[int], lefts, rights_levels) -> list:
     `lefts`, ")k" after members of rights_levels[k-1] in ascending k."""
     closers: dict[int, list[str]] = {}
     for k, rights in enumerate(rights_levels, start=1):
+        closer = f"){k}"  # one shared token per type, known to ParenString
+        _CLOSER_TYPES[closer] = k
         for x in rights:
-            closers.setdefault(x, []).append(f"){k}")
+            closers.setdefault(x, []).append(closer)
     tokens: list = []
-    for x in (*labels, *(-x for x in labels)):
-        if abs(x) in lefts:
-            tokens.append("(")
-        tokens.append(x)
-        tokens.extend(closers.get(abs(x), ()))
+    for sign in (1, -1):
+        for x in labels:
+            if x in lefts:
+                tokens.append("(")
+            tokens.append(sign * x)
+            if x in closers:
+                tokens += closers[x]
     return tokens
 
 
@@ -329,7 +341,7 @@ def _match_pairs(tokens: Sequence) -> list[tuple[int, int]]:
     for pos, tok in enumerate(tokens):
         if tok == "(":
             stack.append(pos)
-        elif _paren_type(tok) is not None:
+        elif type(tok) is str:
             if not stack:
                 raise ValueError("unmatchable parentheses")
             pairs.append((stack.pop(), pos))
@@ -384,13 +396,21 @@ def encode_multichain(
     )
     left_shifts = legal_left_shifts(u)
     assert len(left_shifts) == 2 * t.c
-    tokens = u.rotation(left_shifts[t.d - 1]).tokens + v.rotation(_inner_anchor(v)).tokens
+    return _assemble(u, v, left_shifts[t.d - 1], _inner_anchor(v), t.m, p + q)
+
+
+def _assemble(
+    u: ParenString, v: ParenString, shift: int, anchor: int, m: int, n: int
+) -> tuple[BPartition, ...]:
+    """The chain read off u rotated to `shift` followed by v rotated to
+    `anchor`: pi_j keeps the pairs closed by types j and above."""
+    tokens = u.rotation(shift).tokens + v.rotation(anchor).tokens
     # A pair closed by type k is erased from level k + 1 on; labels stay.
-    keep = [t.m] * len(tokens)
+    keep = [m] * len(tokens)
     for open_pos, close_pos in _match_pairs(tokens):
-        keep[open_pos] = keep[close_pos] = _paren_type(tokens[close_pos])
-    levels = [[tok for tok, k in zip(tokens, keep) if k >= j] for j in range(1, t.m)]
-    return tuple(BPartition(p + q, _read_blocks(level)) for level in levels)
+        keep[open_pos] = keep[close_pos] = _CLOSER_TYPES[tokens[close_pos]]
+    levels = [[tok for tok, k in zip(tokens, keep) if k >= j] for j in range(1, m)]
+    return tuple(BPartition(n, _read_blocks(level)) for level in levels)
 
 
 def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
@@ -401,22 +421,12 @@ def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
 
 
 def _circle_positions(p: int, q: int) -> dict[int, int]:
-    """Index of each signed label in its circle's running order: 1..p then
-    -1..-p outside, p+1..p+q then their negatives inside."""
-    position = {}
-    for labels in (range(1, p + 1), range(p + 1, p + q + 1)):
-        for i, x in enumerate(labels):
-            position[x] = i
-            position[-x] = i + len(labels)
-    return position
-
-
-def _running_key(piece: Sequence[int], position: dict[int, int], p: int, q: int):
-    """Sort key putting a one-circle piece of a block in circle running
-    order, starting just after the earliest element of the mirrored piece."""
-    length = 2 * p if abs(piece[0]) <= p else 2 * q
-    anchor = min(position[-x] for x in piece)
-    return lambda x: (position[x] - anchor - 1) % length
+    """Index of each signed label in running order, circle after circle:
+    1..p then -1..-p outside, then p+1..p+q and their negatives inside.
+    The dict lists the labels in that order."""
+    outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
+    order = [*outer, *map(neg, outer), *inner, *map(neg, inner)]
+    return {x: i for i, x in enumerate(order)}
 
 
 def canonical_block_order(
@@ -433,12 +443,14 @@ def canonical_block_order(
     p, q = shape.p, shape.q
     if len({abs(x) <= p for x in part}) > 1:
         raise ValueError("piece spans both circles")
-    key = _running_key(part, _circle_positions(p, q), p, q)
-    return tuple(sorted(part, key=key))
+    position = _circle_positions(p, q)
+    length = 2 * p if abs(part[0]) <= p else 2 * q
+    anchor = min(position[-x] for x in part)
+    return tuple(sorted(part, key=lambda x: (position[x] - anchor - 1) % length))
 
 
 def _block_ends(
-    partition: BPartition, p: int, q: int, position: dict[int, int]
+    partition: BPartition, p: int, position: dict[int, int]
 ) -> dict[int, int]:
     """Signed last element keyed by signed first element, for every block
     but the zero block.
@@ -448,15 +460,19 @@ def _block_ends(
     on the outer circle and closes on the inner one, so its first is the
     first of its outer piece and its last the last of its inner piece.
     """
+    order = list(position)
     ends = {}
     for block in partition.blocks:
         if -block[0] in block:
             continue
-        outer = [x for x in block if abs(x) <= p]
-        inner = [x for x in block if abs(x) > p]
-        head, tail = outer or inner, inner or outer
-        first = min(head, key=_running_key(head, position, p, q))
-        ends[first] = max(tail, key=_running_key(tail, position, p, q))
+        spots = sorted(map(position.__getitem__, block))
+        mirror = sorted(map(position.__getitem__, map(neg, block)))
+        k = bisect_left(spots, 2 * p)  # spots[:k] lie on the outer circle
+        head, tail = spots[:k] or spots, spots[k:] or spots
+        # Each piece's mirror starts at mirror[0] (outer) or mirror[k] (inner).
+        first = head[bisect(head, mirror[0]) % len(head)]
+        last = tail[bisect(tail, mirror[k % len(mirror)]) - 1]
+        ends[order[first]] = order[last]
     return ends
 
 
@@ -483,8 +499,9 @@ def decode_multichain(
       the rank of the shift starting at that "(": the first of the block
       of pi_k whose last is the label before the anchor.
 
-    One re-encode confirms the result; a chain outside the image raises
-    ValueError.
+    The circle strings built for the anchor, rotated to the shift found,
+    give the exact encoding of the result, which must equal the chain; a
+    chain outside the image raises ValueError.
     """
     chain = tuple(chain)
     if not chain:
@@ -492,7 +509,7 @@ def decode_multichain(
     if any(pi.n != p + q for pi in chain):
         raise ValueError(f"chain members must partition a {p + q}-circle set")
     position = _circle_positions(p, q)
-    ends = [_block_ends(pi, p, q, position) for pi in chain]
+    ends = [_block_ends(pi, p, position) for pi in chain]
     lefts = {abs(first) for first in ends[0]}
     rights = [
         {abs(last) for first, last in level.items() if first not in above}
@@ -508,20 +525,21 @@ def decode_multichain(
     if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
         raise not_image
     u, v = _circle_strings(p, q, left_outer, rights_outer, left_inner, rights_inner)
-    end = _inner_anchor(v) - 1
+    anchor = _inner_anchor(v)
+    end = anchor - 1
     level = ends[_paren_type(v.tokens[end]) - 1]
     while not isinstance(v.tokens[end], int):
         end -= 1
     first = next((f for f, last in level.items() if last == v.tokens[end]), None)
     if first is None or abs(first) > p:
         raise not_image
-    opener = u.tokens.index(first) - 1
+    shift = (u.tokens.index(first) - 1) or len(u)
     try:
-        d = legal_left_shifts(u).index(opener or len(u)) + 1
+        d = legal_left_shifts(u).index(shift) + 1
     except ValueError:
         raise not_image from None
     result = AnnulusTuple(c, d, left_outer, rights_outer, left_inner, rights_inner)
-    if encode_multichain(result, p, q) != chain:
+    if _assemble(u, v, shift, anchor, result.m, p + q) != chain:
         raise not_image
     return result
 

@@ -27,8 +27,10 @@ from .partition import connectivity, pair_stats
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
+    _genus_slack,
+    _inverse,
+    _orbits,
     boundary_permutation,
-    genus_defect,
     joint_orbits,
 )
 
@@ -348,8 +350,11 @@ def _genus_defect(max_n: int) -> Iterable[Check]:
             for perm in itertools.permutations(range(1, n + 1))
             for signs in itertools.product((1, -1), repeat=n)
         ]
+        stats = [(a, _inverse(a.image), len(_orbits(a.image))) for a in perms]
         bad = sum(
-            (d := genus_defect(a, b)) < 0 or d % 2 == 1 for a in perms for b in perms
+            (d := _genus_slack(a, b, a_inverse, a_orbits, b_orbits)) < 0 or d % 2 == 1
+            for a, a_inverse, a_orbits in stats
+            for b, _, b_orbits in stats
         )
         yield Check("genus-defect", f"n={n}", 0, bad)
 

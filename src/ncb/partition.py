@@ -10,52 +10,62 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from operator import neg
 from typing import Iterable, NamedTuple
 
 from .signed_perm import AnnulusShape, SignedPermutation, boundary_permutation
 
 
-def _element_key(x: int) -> int:
-    """Sort key ordering by absolute value, the positive sign first."""
-    return 2 * abs(x) + (x < 0)
+def _bad_block_list(n: int, canon: list[tuple[int, ...]]) -> ValueError:
+    """The error for the first empty block or bad element, else for coverage."""
+    seen: set[int] = set()
+    for block in canon:
+        if not block:
+            return ValueError("empty block")
+        for x in block:
+            if x == 0 or abs(x) > n or x in seen:
+                return ValueError(f"bad or repeated element {x} for n={n}")
+            seen.add(x)
+    return ValueError(f"blocks do not cover -{n}..-1, 1..{n}")
 
 
 class BPartition:
     """Negation-closed partition of {-n..-1, 1..n} in canonical form.
 
     Blocks are stored sorted: elements by (absolute value, sign with the
-    positive one first), blocks by their element keys.
+    positive one first), blocks by their first elements in that order.
     """
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        canon = []
-        seen: set[int] = set()
-        for block in blocks:
-            block = tuple(sorted(set(block), key=_element_key))
-            if not block:
-                raise ValueError("empty block")
-            for x in block:
-                if x == 0 or abs(x) > n or x in seen:
-                    raise ValueError(f"bad or repeated element {x} for n={n}")
-                seen.add(x)
-            canon.append(block)
-        if len(seen) != 2 * n:
-            raise ValueError(f"blocks do not cover -{n}..-1, 1..{n}")
-        # Blocks are disjoint, so their first elements already order them.
-        canon.sort(key=lambda b: _element_key(b[0]))
-        block_of = {x: i for i, block in enumerate(canon) for x in block}
+        # Descending, then stably by absolute value: x before -x.
+        canon = [tuple(sorted(sorted(set(b), reverse=True), key=abs)) for b in blocks]
+        elements = set().union(*canon)
+        if not (
+            all(canon)
+            and len(elements) == sum(map(len, canon)) == 2 * n
+            and 0 not in elements
+            and -n <= min(elements, default=0) <= max(elements, default=0) <= n
+        ):
+            raise _bad_block_list(n, canon)
+        # Blocks are disjoint, so their first elements order them.
+        by_first = {block[0]: block for block in canon}
+        canon = [by_first[x] for x in sorted(sorted(by_first, reverse=True), key=abs)]
         invariant = 0
-        for i, block in enumerate(canon):
-            j = block_of.get(-block[0])
-            same_size = j is not None and len(canon[j]) == len(block)
-            if not same_size or any(block_of.get(-x) != j for x in block):
-                raise ValueError(f"negation of block {block} is not a block")
-            invariant += i == j
+        for block in canon:
+            # A block without x and -x negates to the sorted block -block.
+            mirror = tuple(map(neg, block))
+            if by_first.get(mirror[0]) != mirror:
+                if set(mirror) != set(block):
+                    raise ValueError(f"negation of block {block} is not a block")
+                invariant += 1
         if invariant > 1:
             raise ValueError("more than one inversion-invariant block")
         self.n = n
         self.blocks = tuple(canon)
-        self._block_of = block_of
+
+    @cached_property
+    def _block_of(self) -> dict[int, int]:
+        return {x: i for i, block in enumerate(self.blocks) for x in block}
 
     @classmethod
     def singletons(cls, n: int) -> "BPartition":

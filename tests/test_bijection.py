@@ -1,4 +1,6 @@
 import itertools
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, assume, settings
@@ -21,6 +23,7 @@ from ncb import (
     nc_b_annulus,
     read_partition,
 )
+from ncb import bijection
 from ncb.bijection import _paren_type
 from ncb.formulas import annulus_positive_total, binom
 
@@ -73,6 +76,48 @@ def test_paren_type():
     assert _paren_type(")1") == 1
     assert _paren_type("(") is None
     assert _paren_type(3) is None and _paren_type(-12) is None
+
+
+class Closer(str):
+    "A str subclass, to show closers are stored and read as plain str."
+
+
+@pytest.mark.parametrize(
+    "tokens,error",
+    [
+        ([0], "0 is not a label"),
+        ([True], None),
+        (["("], None),
+        ([")"], "bad token ')'"),
+        ([")0"], "bad token ')0'"),
+        ([")01"], None),
+        ([")1"], None),
+        ([")12"], None),
+        (["x"], "bad token 'x'"),
+        ([1.5], "bad token 1.5"),
+        ([None], "bad token None"),
+        ([[1]], "bad token [1]"),
+        ([1, ")1", 1], "labels must be distinct"),
+        ([True, 1], "labels must be distinct"),
+        ([1, ")1", -1], None),
+    ],
+)
+def test_paren_string_token_table(tokens, error):
+    "Which tokens a ParenString accepts, the first time and once known alike."
+    for _ in range(2):
+        if error is None:
+            assert ParenString(tokens).tokens == tuple(tokens)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                ParenString(tokens)
+
+
+def test_paren_string_reads_its_closers():
+    "Accepted closers are read as closers, whatever their spelling."
+    assert legal_right_shifts(ParenString([1, ")01", 2, Closer(")3")])) == [2, 4]
+    s = ParenString(["(", 1, Closer(")2"), -1])
+    assert s.tokens == ("(", 1, ")2", -1)
+    assert read_partition(s) == BPartition(1, [[1], [-1]])
 
 
 def test_rotation():
@@ -492,12 +537,13 @@ def test_decode_round_trip_exhaustive(p, q, m):
 
 
 @st.composite
-def chain_tuples(draw):
-    """(p, q, tuple) with p + q <= 12 and m <= 6: c first, then right-set
-    sizes within what |LE| = sum|RE| + c <= p and 0 <= |LI| = sum|RI| - c <= q allow."""
-    p = draw(st.integers(1, 11))
-    q = draw(st.integers(1, 12 - p))
-    levels = draw(st.integers(1, 5))
+def chain_tuples(draw, max_size=12, max_levels=5):
+    """(p, q, tuple) with p + q <= max_size and m <= max_levels + 1: c first,
+    then right-set sizes within what |LE| = sum|RE| + c <= p and
+    0 <= |LI| = sum|RI| - c <= q allow."""
+    p = draw(st.integers(1, max_size - 1))
+    q = draw(st.integers(1, max_size - p))
+    levels = draw(st.integers(1, max_levels))
     outer = range(1, p + 1)
     inner = range(p + 1, p + q + 1)
 
@@ -530,3 +576,73 @@ def test_decode_round_trip_random(case):
     "Random tuples up to p + q = 12 and m = 6 decode back from their chains."
     p, q, t = case
     assert decode_multichain(encode_multichain(t, p, q), p, q) == t
+
+
+# The bench codec workload's sizes: p + q up to 40, chains of up to 3 members.
+BENCH_SCALE = chain_tuples(max_size=40, max_levels=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(BENCH_SCALE)
+def test_decode_round_trip_bench_scale(case):
+    "Random tuples up to p + q = 40 and m = 4 decode back from their chains."
+    p, q, t = case
+    assert decode_multichain(encode_multichain(t, p, q), p, q) == t
+
+
+@settings(deadline=None, max_examples=60)
+@given(BENCH_SCALE, st.data())
+def test_decode_rejects_bent_chains_bench_scale(case, data):
+    """Swapping two distinct levels breaks monotonicity, and the bottom as
+    top member leaves no connected member: neither chain is in the image.
+    Swapping two labels that lie in no subset of t throughout the chain
+    gives chains near the image: the decode must raise unless the tuple it
+    reads off them encodes the relabelled chain, which only its confirm
+    checks."""
+    p, q, t = case
+    chain = encode_multichain(t, p, q)
+    bent = [chain[:-1] + (BPartition.singletons(p + q),)]
+    pairs = [
+        (i, j) for i, j in itertools.combinations(range(len(chain)), 2)
+        if chain[i] != chain[j]
+    ]
+    if pairs:
+        i, j = data.draw(st.sampled_from(pairs))
+        swapped = list(chain)
+        swapped[i], swapped[j] = chain[j], chain[i]
+        bent.append(swapped)
+    for members in bent:
+        with pytest.raises(ValueError, match="not in the image"):
+            decode_multichain(members, p, q)
+    used = t.left_outer | t.left_inner | set().union(*t.rights_outer, *t.rights_inner)
+    free = [z for z in range(1, p + q + 1) if z not in used]
+    if len(free) > 1:
+        x, y = data.draw(st.lists(st.sampled_from(free), min_size=2, max_size=2, unique=True))
+        y *= data.draw(st.sampled_from((1, -1)))
+        swap = {x: y, y: x, -x: -y, -y: -x}
+        relabelled = tuple(
+            BPartition(pi.n, ([swap.get(z, z) for z in b] for b in pi.blocks)) for pi in chain
+        )
+        found = decoded(decode_multichain, relabelled, p, q)
+        assert found is None or encode_multichain(found, p, q) == relabelled
+
+
+def test_decode_builds_its_strings_once(monkeypatch):
+    """One decode builds the circle strings once and runs the left cycle
+    lemma once: its confirm reuses them instead of re-encoding."""
+    chain = encode_multichain(CHAIN_TUPLE, 6, 3)
+    calls = Counter()
+
+    def count(name):
+        real = getattr(bijection, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bijection, name, counted)
+
+    count("_circle_strings")
+    count("legal_left_shifts")
+    assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
+    assert calls == {"_circle_strings": 1, "legal_left_shifts": 1}

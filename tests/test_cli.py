@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ncb import BPartition, IntPolynomial, nc_b_multi
+from ncb import BPartition, IntPolynomial, SignedPermutation, genus_defect, nc_b_multi
 from ncb.checks import FAMILIES, Check
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
@@ -238,6 +238,22 @@ def test_hypersum_matches_brute_force():
     expected = slow_hypersum()
     assert expected.params == "sum<=10 (4290 cases)"
     assert verify_suite(max_n=3, only="hypersum") == [expected]
+
+
+def test_genus_defect_family_matches_direct_sum():
+    "The family's bad counts equal a genus_defect sweep over all pairs."
+    expected = []
+    for n in (2, 3):
+        perms = [
+            SignedPermutation(x * s for x, s in zip(perm, signs))
+            for perm in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product((1, -1), repeat=n)
+        ]
+        defects = [genus_defect(a, b) for a in perms for b in perms]
+        assert len(defects) == len(perms) ** 2 and max(defects) > 0
+        bad = sum(d < 0 or d % 2 == 1 for d in defects)
+        expected.append(Check("genus-defect", f"n={n}", 0, bad))
+    assert verify_suite(max_n=3, only="genus-defect") == expected
 
 
 def test_verify_unknown_check(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ncb import (
@@ -260,3 +260,95 @@ def test_negation_check_rejects(blocks):
     n = max(abs(x) for b in blocks for x in b)
     with pytest.raises(ValueError):
         BPartition(n, blocks)
+
+
+def keyed_canonical(n, blocks):
+    """The canonicaliser BPartition used before its C-level sorts: blocks
+    sorted by a per-element key, negation checked through a block index."""
+    key = lambda x: 2 * abs(x) + (x < 0)
+    canon = []
+    seen = set()
+    for block in blocks:
+        block = tuple(sorted(set(block), key=key))
+        if not block:
+            raise ValueError("empty block")
+        for x in block:
+            if x == 0 or abs(x) > n or x in seen:
+                raise ValueError(f"bad or repeated element {x} for n={n}")
+            seen.add(x)
+        canon.append(block)
+    if len(seen) != 2 * n:
+        raise ValueError(f"blocks do not cover -{n}..-1, 1..{n}")
+    canon.sort(key=lambda b: key(b[0]))
+    block_of = {x: i for i, block in enumerate(canon) for x in block}
+    invariant = 0
+    for i, block in enumerate(canon):
+        j = block_of.get(-block[0])
+        same_size = j is not None and len(canon[j]) == len(block)
+        if not same_size or any(block_of.get(-x) != j for x in block):
+            raise ValueError(f"negation of block {block} is not a block")
+        invariant += i == j
+    if invariant > 1:
+        raise ValueError("more than one inversion-invariant block")
+    return tuple(canon)
+
+
+def outcome(canonicalise):
+    "The canonical blocks, or the message of the ValueError raised."
+    try:
+        return canonicalise()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def damaged_blocks(draw):
+    """A negation-closed partition with one or two faults: a zero, an
+    out-of-range or repeated element in place of one element (or in an
+    emptied block), an element moved out of its block
+    (negation not closed), a block merged with its negation (one more
+    invariant block), an empty block."""
+    n, blocks = draw(negation_closed_blocks())
+    blocks = [list(block) for block in blocks]
+    for _ in range(draw(st.integers(1, 2))):
+        fault = draw(st.sampled_from(["zero", "range", "repeat", "move", "merge", "empty"]))
+        i = draw(st.integers(0, len(blocks) - 1))
+        if fault == "empty":
+            blocks.insert(i, [])
+        elif fault == "zero":  # in place of an element, so the count still fits
+            blocks[i][-1:] = [0]
+        elif fault == "range":
+            blocks[i][-1:] = [draw(st.sampled_from((n + 1, -n - 1, n + 2)))]
+        elif fault == "repeat":
+            blocks[i][-1:] = [draw(st.sampled_from([x for b in blocks for x in b]))]
+        elif fault == "move" and len(blocks) > 1 and blocks[i]:
+            x = blocks[i].pop()
+            if not blocks[i]:
+                del blocks[i]
+            j = draw(st.integers(0, len(blocks)))
+            blocks.append([x]) if j == len(blocks) else blocks[j].append(x)
+        elif fault == "merge":
+            mirror = sorted(-x for x in blocks[i])
+            j = next((j for j, b in enumerate(blocks) if sorted(b) == mirror), i)
+            if j != i:
+                blocks[min(i, j)] += blocks.pop(max(i, j))
+    return n, draw(st.permutations(blocks))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        negation_closed_blocks(),
+        damaged_blocks(),
+        st.tuples(
+            st.integers(0, 4),
+            st.lists(st.lists(st.integers(-5, 5), max_size=5), max_size=6),
+        ),
+    )
+)
+def test_canonical_form_matches_keyed_canonicaliser(case):
+    "Same blocks, or ValueError with the same message, as the old canonicaliser."
+    n, blocks = case
+    assert outcome(lambda: BPartition(n, blocks).blocks) == outcome(
+        lambda: keyed_canonical(n, blocks)
+    )
