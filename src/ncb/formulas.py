@@ -1,8 +1,8 @@
 """Closed-form counts for the non-crossing posets, in exact arithmetic.
 
-Every function returns plain ints.  Sums walk their binomials by exact term
-ratios instead of recomputing each term, and every division is checked to
-land on an integer.
+Every function returns plain ints.  Zeta, Moebius and maximal chain counts
+are the paper's products of binomials, not sums over the connectivity, and
+every division is checked to land on an integer.
 """
 
 from __future__ import annotations
@@ -38,10 +38,12 @@ def _binom_row(a: int, k: int) -> list[int]:
 
 
 def gbinom(a: int, k: int) -> int:
-    """C(a, k) for any integer a, as the degree-k polynomial a(a-1)...(a-k+1)/k!."""
+    """C(a, k) = a(a-1)...(a-k+1)/k! for any integer a, by upper negation."""
     if k < 0:
         return 0
-    return _binom_row(a, k)[k]
+    if a >= 0:
+        return comb(a, k)
+    return (-1) ** k * comb(k - a - 1, k)
 
 
 def catalan(n: int) -> int:
@@ -291,44 +293,28 @@ def rank_coefficient(p: int, q: int, k: int) -> int:
 
 
 def zeta_poly(p: int, q: int, m: int) -> int:
-    """Multichain-count polynomial of the (p, q) poset at any integer m."""
+    """Multichain counts of the (p, q) poset, (1 + 2(m-1)pq/(m(p+q))) C(mp, p)
+    C(mq, q), with C(mp, p) = m C(mp-1, p-1) so that any integer m works."""
     if min(p, q) < 1:
         raise ValueError("circle sizes must be positive")
-    outer = _binom_row(m * p, p)  # C(mp, p - c) is outer[p - c]
-    inner = _binom_row(m * q, p + q)  # C(mq, q + c) is inner[q + c]
-    total = outer[p] * inner[q]
-    for c in range(1, p + 1):
-        total += 2 * c * outer[p - c] * inner[q + c]
-    return total
+    factor = m * (p + q) + 2 * (m - 1) * p * q
+    return _exact_div(gbinom(m * p - 1, p - 1) * gbinom(m * q, q) * factor, p + q)
 
 
 def zeta_poly_q1(n: int, m: int) -> int:
-    """Multichain counts for shape (n-1, 1): (2 + mn/((m-1)(n-1))) C(m(n-1), n).
-
-    Written with the factor (m-1)(n-1) cancelled against the falling
-    factorial so that m = 1 is fine too.
-    """
+    """Multichain counts for shape (n-1, 1): (2 + mn/((m-1)(n-1))) C(m(n-1), n),
+    with C(m(n-1), n) = C(m(n-1), n-1) (m-1)(n-1)/n so that m = 1 works too."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    partial = 1
-    for t in range(n - 1):
-        partial *= m * (n - 1) - t
-    # partial == (m(n-1))_(n-1); full falling factorial = partial * (m-1)(n-1)
-    full = partial * ((n - 1) * (m - 1))
-    return _exact_div(2 * full + m * n * partial, factorial(n))
+    return _exact_div(gbinom(m * (n - 1), n - 1) * (2 * (m - 1) * (n - 1) + m * n), n)
 
 
 def max_chains(p: int, q: int) -> int:
-    """Maximal chain count of the (p, q) poset."""
+    """Maximal chain count of the (p, q) poset: (p+q)! times the leading
+    coefficient of `zeta_poly`, C(p+q, p) p^p q^q (p+q+2pq)/(p+q)."""
     if min(p, q) < 1:
         raise ValueError("circle sizes must be positive")
-    # Horner form in p of sum_c w_c C(p+q, p-c) p^(p-c) q^c, w_0 = 1, w_c = 2c
-    row = _binom_row(p + q, p)  # C(p+q, p - c) is row[p - c]
-    acc, q_power = row[p], 1
-    for c in range(1, p + 1):
-        q_power *= q
-        acc = acc * p + 2 * c * row[p - c] * q_power
-    return acc * q**q
+    return _exact_div(comb(p + q, p) * p**p * q**q * (p + q + 2 * p * q), p + q)
 
 
 class GradedChains(NamedTuple):
@@ -351,17 +337,12 @@ class GradedChains(NamedTuple):
 
 
 def mobius_annulus(p: int, q: int) -> int:
-    """Moebius value between bottom and top of the (p, q) poset."""
+    """Moebius value between bottom and top of the (p, q) poset:
+    (-1)^(p+q) C(2p-1, p) C(2q-1, q) (p+q+4pq)/(p+q)."""
     if min(p, q) < 1:
         raise ValueError("circle sizes must be positive")
-    outer = binom(2 * p - 1, p - 1)  # C(2p-c-1, p-1) at c = 0
-    inner = binom(2 * q - 1, q - 1)  # C(2q+c-1, q-1) at c = 0
-    total = outer * inner
-    for c in range(1, p + 1):
-        outer = _exact_div(outer * (p - c + 1), 2 * p - c)
-        inner = _exact_div(inner * (2 * q + c - 1), q + c)
-        total += 2 * c * outer * inner
-    return (-1) ** (p + q) * total
+    total = comb(2 * p - 1, p) * comb(2 * q - 1, q) * (p + q + 4 * p * q)
+    return (-1) ** (p + q) * _exact_div(total, p + q)
 
 
 def mobius_q1(n: int) -> int:

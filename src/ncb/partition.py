@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import chain
 from operator import neg
 from typing import Iterable, NamedTuple
 
@@ -73,7 +74,13 @@ class BPartition:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BPartition":
-        return cls(data["n"], data["blocks"])
+        n, blocks = data["n"], data["blocks"]
+        if type(n) is not int:
+            raise ValueError(f"n must be an int, not {n!r}")
+        if not {int}.issuperset(map(type, chain.from_iterable(blocks))):
+            bad = next(x for x in chain.from_iterable(blocks) if type(x) is not int)
+            raise ValueError(f"block element {bad!r} is not an int")
+        return cls(n, blocks)
 
     @classmethod
     def from_json(cls, text: str) -> "BPartition":

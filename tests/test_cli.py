@@ -105,6 +105,14 @@ def test_mobius_large_disc_is_fast(capsys):
     assert code == 0 and out == zeta_out
 
 
+def test_mobius_large_annulus_matches_zeta(capsys):
+    "Two different product forms agree at a shape where connectivity sums take seconds."
+    code, out, _ = run(capsys, "mobius", "--shape", "20000,15000")
+    assert code == 0
+    code, zeta_out, _ = run(capsys, "zeta", "--shape", "20000,15000", "-m", "-1")
+    assert code == 0 and out == zeta_out
+
+
 def test_max_chains(capsys):
     "Maximal chain count on the annulus and the disc."
     code, out, _ = run(capsys, "max-chains", "--shape", "2,1")
@@ -199,6 +207,23 @@ def test_verify_small_sweep(capsys):
     assert code == 0
     assert "0 failed" in out
     assert out == (TESTS / "verify_max_n_3.txt").read_text()
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_verify_without_sweeps_runs_fixed_size_checks(capsys, max_n):
+    "With no sweep sizes left only the six fixed-size checks run, and pass."
+    code, out, _ = run(capsys, "verify", "--max-n", max_n)
+    assert code == 0
+    names = [line.split()[1] for line in out.splitlines()[:-1]]
+    assert names == [
+        "rank-gen-compact",
+        "genus-defect",
+        "genus-defect",
+        "chu-vandermonde",
+        "hypersum",
+        "dixon",
+    ]
+    assert out.endswith("6 checks, 0 failed\n")
 
 
 def test_verify_families_match_bench():
@@ -311,12 +336,24 @@ BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
         ("1,1", "[1,2]", "is not a partition or a list of them"),
         ("2,2", '{"n":4,"blocks":[[1,-1,4,-4],[2,3],[-2,-3]]}', "does not decode"),
         ("1,1", f"[{BOT_1_1},{BOT_1_1}]", "does not decode"),
+        (
+            "1,1",
+            '{"n":2,"blocks":[[0.5],[-0.5],[1],[-1]]}',
+            "is not a partition or a list of them",
+        ),
+        (
+            "1,1",
+            '{"n":2.0,"blocks":[[1],[-1],[2],[-2]]}',
+            "is not a partition or a list of them",
+        ),
     ],
     ids=[
         "missing-blocks",
         "list-of-numbers",
         "outside-the-image",
         "chain-outside-the-image",
+        "float-elements",
+        "float-n",
     ],
 )
 def test_decode_rejects_malformed_json(capsys, monkeypatch, shape, line, reason):

@@ -1,8 +1,8 @@
-from math import comb
+from math import comb, factorial, prod
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from ncb import (
@@ -317,17 +317,16 @@ def test_zeta_poly_at_two_is_total(p, q):
     assert zeta_poly(p, q, 2) == annulus_total(p, q)
 
 
-# Per-term references: each term of each sum from math.comb alone, the way
-# the closed forms read in the paper.
+# Per-term references: the zeta polynomial, the Moebius value and the
+# maximal chain count summed by connectivity c, each term from its binomials
+# alone.  They are the oracles for the binomial products in ncb.formulas.
 
 
 def gbinom_reference(a, k):
-    "C(a, k) for any integer a, by upper negation for a < 0."
+    "C(a, k) for any integer a, from the definition a(a-1)...(a-k+1) / k!."
     if k < 0:
         return 0
-    if a >= 0:
-        return comb(a, k)
-    return (-1) ** k * comb(k - a - 1, k)
+    return prod(range(a, a - k, -1)) // factorial(k)
 
 
 def zeta_reference(p, q, m):
@@ -377,26 +376,47 @@ def test_rank_gen_compact_matches_cell_sum(p, q):
 @settings(max_examples=60, deadline=None)
 @given(sizes, sizes, st.integers(-3, 5))
 def test_zeta_poly_matches_reference(p, q, m):
-    "The ratio walk equals the per-term sum, for negative and zero m too."
+    "The product equals the per-term sum, for negative and zero m too."
     assert zeta_poly(p, q, m) == zeta_reference(p, q, m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(sizes, sizes)
 def test_mobius_annulus_matches_reference(p, q):
-    "The ratio walk equals the per-term sum and the zeta polynomial at -1."
+    "The product equals the per-term sum and the zeta polynomial at -1."
     assert mobius_annulus(p, q) == mobius_reference(p, q) == zeta_poly(p, q, -1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(sizes, sizes)
 def test_max_chains_matches_reference(p, q):
-    "The Horner form equals the per-term sum."
+    "The product equals the per-term sum."
     assert max_chains(p, q) == max_chains_reference(p, q)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-40, 40), st.integers(-2, 40))
 def test_gbinom_matches_reference(a, k):
-    "The ratio walk equals math.comb with upper negation."
+    "Upper negation onto math.comb equals the falling factorial over k!."
     assert gbinom(a, k) == gbinom_reference(a, k)
+
+
+def test_gbinom_pascal_rule():
+    "C(a, k) = C(a-1, k-1) + C(a-1, k) for negative and positive a alike."
+    for a in range(-40, 41):
+        for k in range(0, 41):
+            assert gbinom(a, k) == gbinom(a - 1, k - 1) + gbinom(a - 1, k), (a, k)
+
+
+large = st.integers(1, 400)
+
+
+@settings(max_examples=10, deadline=None)
+@given(large, large, st.integers(-3, 5))
+@example(400, 399, -3)
+@example(397, 400, 5)
+def test_products_match_references_at_large_sizes(p, q, m):
+    "The three binomial products equal their connectivity sums up to 400 points."
+    assert zeta_poly(p, q, m) == zeta_reference(p, q, m)
+    assert mobius_annulus(p, q) == mobius_reference(p, q)
+    assert max_chains(p, q) == max_chains_reference(p, q)

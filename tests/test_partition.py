@@ -98,6 +98,23 @@ def test_json_round_trip():
     assert BPartition.from_dict(WORKED.to_dict()) == WORKED
 
 
+@pytest.mark.parametrize(
+    "data,named",
+    [
+        ({"n": 2, "blocks": [[0.5], [-0.5], [1], [-1]]}, "0.5"),
+        ({"n": 2, "blocks": [[1.0], [-1], [2], [-2]]}, "1.0"),
+        ({"n": 2, "blocks": [[True], [-1], [2], [-2]]}, "True"),
+        ({"n": 2.0, "blocks": [[1], [-1], [2], [-2]]}, "2.0"),
+        ({"n": True, "blocks": [[1], [-1]]}, "True"),
+    ],
+    ids=["fraction", "integral-float", "bool", "float-n", "bool-n"],
+)
+def test_from_dict_rejects_non_int(data, named):
+    "Only plain ints are elements or sizes; the error names the value."
+    with pytest.raises(ValueError, match=named):
+        BPartition.from_dict(data)
+
+
 def test_le_is_reverse_refinement():
     "Merging blocks moves up, and incomparable pairs exist."
     bot = BPartition.singletons(2)
