@@ -15,7 +15,6 @@ already built, at the shift it found, confirms the result."""
 
 from __future__ import annotations
 
-import copy
 import itertools
 from bisect import bisect, bisect_left
 from operator import neg
@@ -23,11 +22,6 @@ from typing import Iterable, Sequence
 
 from .partition import BPartition
 from .signed_perm import AnnulusShape
-
-# Type of every closer token a ParenString has accepted: a built string holds
-# ints, "(" and keys of this table, so its other str tokens are the closers.
-_CLOSER_TYPES: dict[str, int] = {}
-
 
 def _paren_type(tok) -> int | None:
     """Type of a right paren token, None for numbers and left parens."""
@@ -46,9 +40,7 @@ def _check_token(tok):
     if tok == "(":
         return "("
     if isinstance(tok, str) and tok.startswith(")") and tok[1:].isdigit() and int(tok[1:]) >= 1:
-        tok = str.__str__(tok)
-        _CLOSER_TYPES[tok] = int(tok[1:])
-        return tok
+        return str.__str__(tok)
     raise ValueError(f"bad token {tok!r}")
 
 
@@ -56,13 +48,7 @@ class ParenString:
     """Sequence of number and parenthesis tokens, cyclic unless rotated."""
 
     def __init__(self, tokens: Iterable, cyclic: bool = True):
-        tokens = tuple(tokens)
-        if not all(
-            type(tok) is int and tok != 0
-            or type(tok) is str and (tok in _CLOSER_TYPES or tok == "(")
-            for tok in tokens
-        ):
-            tokens = tuple(map(_check_token, tokens))
+        tokens = tuple(map(_check_token, tokens))
         labels = [tok for tok in tokens if type(tok) is not str]
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
@@ -108,11 +94,7 @@ class ParenString:
             raise ValueError("rotations need a cyclic string")
         if not 1 <= shift <= n:
             raise ValueError(f"shift {shift} out of range 1..{n}")
-        k = shift % n
-        rotated = copy.copy(self)  # same tokens, so no second token check
-        rotated.tokens = self.tokens[k:] + self.tokens[:k]
-        rotated.cyclic = False
-        return rotated
+        return ParenString(_rotate(self.tokens, shift), cyclic=False)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -132,6 +114,12 @@ class ParenString:
 
     def __repr__(self):
         return f"ParenString.parse({str(self)!r}, cyclic={self.cyclic})"
+
+
+def _rotate(tokens: tuple, shift: int) -> tuple:
+    """The cyclic token tuple read from just after position `shift` (1-based)."""
+    k = shift % len(tokens)
+    return tokens[k:] + tokens[:k]
 
 
 def _paren_flags(tokens: Sequence) -> list[tuple[int, bool]]:
@@ -170,27 +158,33 @@ def _legal_starts(steps: Sequence[int], side: str) -> list[int]:
     return out
 
 
+def _left_shifts(tokens: Sequence) -> list[int]:
+    parens = _paren_flags(tokens)
+    starts = _legal_starts([1 if left else -1 for _, left in parens], "left")
+    return sorted(parens[i][0] or len(tokens) for i in starts)
+
+
+def _right_shifts(tokens: Sequence) -> list[int]:
+    # The legal-left starts of the reversed word with the paren kinds swapped.
+    parens = _paren_flags(tokens)
+    steps = [-1 if left else 1 for _, left in reversed(parens)]
+    last = len(parens) - 1
+    return sorted(parens[last - i][0] + 1 for i in _legal_starts(steps, "right"))
+
+
 def legal_left_shifts(s: ParenString) -> list[int]:
     """Shifts starting with "(" whose paren word keeps a strict left surplus.
 
     With surplus m = #"(" - #")" > 0 there are exactly m such shifts; they
     are returned as ascending 1-based indices (shift len(s) is s itself).
     """
-    parens = _paren_flags(s.tokens)
-    starts = _legal_starts([1 if left else -1 for _, left in parens], "left")
-    return sorted(parens[i][0] or len(s) for i in starts)
+    return _left_shifts(s.tokens)
 
 
 def legal_right_shifts(s: ParenString) -> list[int]:
     """Mirror of legal_left_shifts: shifts ending with a right paren whose
-    paren word keeps a strict right surplus; exactly #")" - #"(" of them.
-
-    They are the legal-left starts of the reversed word with the paren
-    kinds swapped."""
-    parens = _paren_flags(s.tokens)
-    steps = [-1 if left else 1 for _, left in reversed(parens)]
-    last = len(parens) - 1
-    return sorted(parens[last - i][0] + 1 for i in _legal_starts(steps, "right"))
+    paren word keeps a strict right surplus; exactly #")" - #"(" of them."""
+    return _right_shifts(s.tokens)
 
 
 def _read_blocks(tokens: Sequence) -> list[list[int]]:
@@ -315,13 +309,12 @@ class AnnulusTuple:
         return f"AnnulusTuple.from_text({self.to_text()!r})"
 
 
-def _boundary_tokens(labels: Sequence[int], lefts, rights_levels) -> list:
+def _boundary_tokens(labels: Sequence[int], lefts, rights_levels) -> tuple:
     """Circle string: labels then mirrored labels, "(" before members of
     `lefts`, ")k" after members of rights_levels[k-1] in ascending k."""
     closers: dict[int, list[str]] = {}
     for k, rights in enumerate(rights_levels, start=1):
-        closer = f"){k}"  # one shared token per type, known to ParenString
-        _CLOSER_TYPES[closer] = k
+        closer = f"){k}"
         for x in rights:
             closers.setdefault(x, []).append(closer)
     tokens: list = []
@@ -332,7 +325,7 @@ def _boundary_tokens(labels: Sequence[int], lefts, rights_levels) -> list:
             tokens.append(sign * x)
             if x in closers:
                 tokens += closers[x]
-    return tokens
+    return tuple(tokens)
 
 
 def _match_pairs(tokens: Sequence) -> list[tuple[int, int]]:
@@ -361,22 +354,22 @@ def _validate_tuple_range(t: AnnulusTuple, p: int, q: int) -> None:
 
 def _circle_strings(
     p: int, q: int, left_outer, rights_outer, left_inner, rights_inner
-) -> tuple[ParenString, ParenString]:
-    """The outer and inner boundary strings of a tuple's subsets."""
-    u = ParenString(_boundary_tokens(range(1, p + 1), left_outer, rights_outer))
-    v = ParenString(_boundary_tokens(range(p + 1, p + q + 1), left_inner, rights_inner))
+) -> tuple[tuple, tuple]:
+    """The outer and inner boundary tokens of a tuple's subsets."""
+    u = _boundary_tokens(range(1, p + 1), left_outer, rights_outer)
+    v = _boundary_tokens(range(p + 1, p + q + 1), left_inner, rights_inner)
     return u, v
 
 
-def _inner_anchor(v: ParenString) -> int:
+def _inner_anchor(v: tuple) -> int:
     """The last legal-right shift of v among those ending with the highest
     closer type.
 
     Ending on a low closer type can nest a high-type pair inside a
     low-type pair, which breaks the level reads.  The anchor always ends a
     closer run, because a legal shift is still legal one closer later."""
-    end_type = lambda r: _paren_type(v.tokens[r - 1])
-    return max(legal_right_shifts(v), key=lambda r: (end_type(r), r))
+    end_type = lambda r: _paren_type(v[r - 1])
+    return max(_right_shifts(v), key=lambda r: (end_type(r), r))
 
 
 def encode_multichain(
@@ -394,21 +387,22 @@ def encode_multichain(
     u, v = _circle_strings(
         p, q, t.left_outer, t.rights_outer, t.left_inner, t.rights_inner
     )
-    left_shifts = legal_left_shifts(u)
+    left_shifts = _left_shifts(u)
     assert len(left_shifts) == 2 * t.c
     return _assemble(u, v, left_shifts[t.d - 1], _inner_anchor(v), t.m, p + q)
 
 
 def _assemble(
-    u: ParenString, v: ParenString, shift: int, anchor: int, m: int, n: int
+    u: tuple, v: tuple, shift: int, anchor: int, m: int, n: int
 ) -> tuple[BPartition, ...]:
     """The chain read off u rotated to `shift` followed by v rotated to
     `anchor`: pi_j keeps the pairs closed by types j and above."""
-    tokens = u.rotation(shift).tokens + v.rotation(anchor).tokens
+    tokens = _rotate(u, shift) + _rotate(v, anchor)
+    closer_types = {f"){k}": k for k in range(1, m)}
     # A pair closed by type k is erased from level k + 1 on; labels stay.
     keep = [m] * len(tokens)
     for open_pos, close_pos in _match_pairs(tokens):
-        keep[open_pos] = keep[close_pos] = _CLOSER_TYPES[tokens[close_pos]]
+        keep[open_pos] = keep[close_pos] = closer_types[tokens[close_pos]]
     levels = [[tok for tok, k in zip(tokens, keep) if k >= j] for j in range(1, m)]
     return tuple(BPartition(n, _read_blocks(level)) for level in levels)
 
@@ -527,15 +521,15 @@ def decode_multichain(
     u, v = _circle_strings(p, q, left_outer, rights_outer, left_inner, rights_inner)
     anchor = _inner_anchor(v)
     end = anchor - 1
-    level = ends[_paren_type(v.tokens[end]) - 1]
-    while not isinstance(v.tokens[end], int):
+    level = ends[_paren_type(v[end]) - 1]
+    while not isinstance(v[end], int):
         end -= 1
-    first = next((f for f, last in level.items() if last == v.tokens[end]), None)
+    first = next((f for f, last in level.items() if last == v[end]), None)
     if first is None or abs(first) > p:
         raise not_image
-    shift = (u.tokens.index(first) - 1) or len(u)
+    shift = (u.index(first) - 1) or len(u)
     try:
-        d = legal_left_shifts(u).index(shift) + 1
+        d = _left_shifts(u).index(shift) + 1
     except ValueError:
         raise not_image from None
     result = AnnulusTuple(c, d, left_outer, rights_outer, left_inner, rights_inner)

@@ -162,7 +162,7 @@ def _cmd_decode(args) -> int:
                 chain = [BPartition.from_dict(data)]
             else:
                 chain = [BPartition.from_dict(d) for d in data]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(
                 f"line {number} is not a partition or a list of them: "
                 f"{line.strip()} ({type(exc).__name__}: {exc})"

@@ -74,9 +74,6 @@ class FinitePoset:
     def __contains__(self, x) -> bool:
         return x in self._index
 
-    def index(self, x) -> int:
-        return self._index[x]
-
     def _down_rows(self) -> list[int]:
         """Row i is the bitmask of indices j with elements[j] <= elements[i].
 
@@ -205,10 +202,6 @@ class FinitePoset:
         return "\n".join(lines)
 
 
-def _gamma_image(shape: AnnulusShape) -> tuple[int, ...]:
-    return boundary_permutation(shape).image
-
-
 def _reflection_images(n: int) -> list[tuple[int, ...]]:
     """The n^2 reflections of B_n as image tuples."""
     ident = tuple(range(1, n + 1))
@@ -275,17 +268,17 @@ def _check_desk_bound(shape: AnnulusShape) -> None:
 
 
 @lru_cache(maxsize=None)
-def _poset_for_sizes(sizes: tuple[int, ...]) -> FinitePoset:
+def _preimages(sizes: tuple[int, ...]) -> dict[BPartition, SignedPermutation]:
+    """Each partition of the poset keyed to its permutation below the
+    boundary permutation; the one map both the poset and its inverse read."""
     shape = AnnulusShape(sizes)
     _check_desk_bound(shape)
-    partitions = []
-    seen = set()
-    for img in _interval_images(_gamma_image(shape)):
-        pi = adjusted_orbits(SignedPermutation(img))
-        if pi not in seen:
-            seen.add(pi)
-            partitions.append(pi)
-    partitions.sort(key=lambda pi: pi.blocks)
+    return {adjusted_orbits(t): t for t in interval_perms(boundary_permutation(shape))}
+
+
+@lru_cache(maxsize=None)
+def _poset_for_sizes(sizes: tuple[int, ...]) -> FinitePoset:
+    partitions = sorted(_preimages(sizes), key=lambda pi: pi.blocks)
     return FinitePoset(
         partitions,
         [pi.rank() for pi in partitions],
@@ -337,23 +330,12 @@ def nc_a(n: int) -> FinitePoset:
     )
 
 
-@lru_cache(maxsize=None)
-def _inverse_table(sizes: tuple[int, ...]) -> dict:
-    shape = AnnulusShape(sizes)
-    _check_desk_bound(shape)
-    table = {}
-    for img in _interval_images(_gamma_image(shape)):
-        t = SignedPermutation(img)
-        table[adjusted_orbits(t)] = t
-    return table
-
-
 def adjusted_orbits_inverse(
     partition: BPartition, shape: AnnulusShape
 ) -> SignedPermutation:
     """The unique permutation below the boundary with the given adjusted orbits."""
     try:
-        return _inverse_table(shape.sizes)[partition]
+        return _preimages(shape.sizes)[partition]
     except KeyError:
         raise ValueError(
             f"{partition} is not in the poset of shape {shape}"

@@ -346,6 +346,7 @@ BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
             '{"n":2.0,"blocks":[[1],[-1],[2],[-2]]}',
             "is not a partition or a list of them",
         ),
+        ("1,1", "[" * 100_000 + "]" * 100_000, "is not a partition or a list of them"),
     ],
     ids=[
         "missing-blocks",
@@ -354,6 +355,7 @@ BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
         "chain-outside-the-image",
         "float-elements",
         "float-n",
+        "nested-past-the-recursion-limit",
     ],
 )
 def test_decode_rejects_malformed_json(capsys, monkeypatch, shape, line, reason):

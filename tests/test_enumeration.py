@@ -12,11 +12,13 @@ from ncb import (
     adjusted_orbits_inverse,
     boundary_permutation,
     interval_perms,
+    kreweras,
     nc_a,
     nc_b_annulus,
     nc_b_disc,
     nc_b_multi,
 )
+from ncb import enumeration
 from ncb.formulas import annulus_total, binom
 
 
@@ -289,6 +291,23 @@ def test_adjusted_orbits_inverse_rejects_foreign():
     outside = BPartition(3, [[1, -1], [2, 3], [-2, -3]])
     with pytest.raises(ValueError):
         adjusted_orbits_inverse(outside, AnnulusShape(2, 1))
+
+
+def test_kreweras_maps_no_interval_again(monkeypatch):
+    """Building a poset maps each permutation of its interval once; the
+    preimages kreweras looks up come from that same map."""
+    for name in ("_preimages", "_poset_for_sizes"):  # fresh, unshared caches
+        fresh = lru_cache(getattr(enumeration, name).__wrapped__)
+        monkeypatch.setattr(enumeration, name, fresh)
+    real = enumeration.adjusted_orbits
+    calls = []
+    counted = lambda t: calls.append(t) or real(t)
+    monkeypatch.setattr(enumeration, "adjusted_orbits", counted)
+    shape = AnnulusShape(3, 2)
+    poset = nc_b_annulus(3, 2)
+    assert len(calls) == len(interval_perms(boundary_permutation(shape)))
+    assert {kreweras(pi, shape) for pi in poset} == set(poset.elements)
+    assert len(calls) == len(interval_perms(boundary_permutation(shape)))
 
 
 def test_classical_poset():
