@@ -284,11 +284,14 @@ class AnnulusTuple:
             left_inner = ints(fields.pop("LI"))
         except KeyError as missing:
             raise ValueError(f"missing field {missing}") from None
-        levels = max(
-            (int(k[2:]) for k in fields if k.startswith(("RE", "RI"))), default=0
-        )
-        rights_outer = [ints(fields.pop(f"RE{k}", "")) for k in range(1, levels + 1)]
-        rights_inner = [ints(fields.pop(f"RI{k}", "")) for k in range(1, levels + 1)]
+        # keys are exactly RE1..REk and RI1..RIk, as to_text writes; checked first
+        sides = ("RE", "RI")
+        levels = max(sum(k.startswith(side) for k in fields) for side in sides)
+        for key in (f"{side}{k}" for side in sides for k in range(1, levels + 1)):
+            if key not in fields:
+                raise ValueError(f"missing field {key!r}")
+        rights_outer = [ints(fields.pop(f"RE{k}")) for k in range(1, levels + 1)]
+        rights_inner = [ints(fields.pop(f"RI{k}")) for k in range(1, levels + 1)]
         if fields:
             raise ValueError(f"unknown fields {sorted(fields)}")
         return cls(c, d, left_outer, rights_outer, left_inner, rights_inner)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -201,6 +202,7 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache  # built on the first call, reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncb",
@@ -255,11 +257,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    lift = hasattr(sys, "set_int_max_str_digits")  # absent before Python 3.10.7
+    if lift:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # closed forms print at any size
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _run(argv)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

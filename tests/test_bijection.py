@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -279,6 +280,34 @@ def test_tuple_text_rejects(text):
     "Missing fields, bad depth, and size mismatches are reported."
     with pytest.raises(ValueError):
         AnnulusTuple.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [
+        ("c=1 d=1 LE=1 LI= RE300000=", "RE1"),
+        ("c=1 d=1 LE=1 RE0= LI= RI1=2", "RE1"),
+        ("c=1 d=1 LE=1 RE01= LI= RI1=2", "RE1"),
+        ("c=1 d=1 LE=1 REx= LI= RI1=2", "RE1"),
+        ("c=1 d=1 LE=1 RE1= RE01= LI= RI1=2", "RE2"),
+        ("c=1 d=1 LE=1 RE1= LI= RI1=2 RI3=", "RE2"),
+        ("c=1 d=1 LE=1 RE1= LI=", "RI1"),
+        ("c=2 d=1 LE=1,2 RE1= RE2= LI= RI1=4 RI20=3", "RI2"),
+    ],
+)
+def test_tuple_text_needs_every_level(text, missing):
+    "Right-set keys must run RE1..REk and RI1..RIk; the first gap is named."
+    with pytest.raises(ValueError, match=f"missing field '{missing}'"):
+        AnnulusTuple.from_text(text)
+
+
+def test_tuple_text_is_checked_before_levels_are_built():
+    "A huge level number is rejected at once, not after building the levels."
+    start = time.perf_counter()
+    for k in (300_000, 100_000_000):
+        with pytest.raises(ValueError, match="missing field 'RE1'"):
+            AnnulusTuple.from_text(f"c=1 d=1 LE=1 LI= RE{k}= RI{k}=")
+    assert time.perf_counter() - start < 0.1
 
 
 def test_worked_example_encode():

@@ -1,8 +1,10 @@
+import argparse
 import importlib.util
 import io
 import itertools
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 
 from ncb import BPartition, IntPolynomial, SignedPermutation, genus_defect, nc_b_multi
 from ncb.checks import FAMILIES, Check
+from ncb import cli
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
 from ncb.formulas import binom
@@ -423,3 +426,117 @@ def test_count_prints_huge_values(capsys):
     assert time.perf_counter() - start < 1.0
     value = out.strip()
     assert len(value) > 4300 and value.isdigit()
+
+
+def test_encode_rejects_a_huge_level_at_once(capsys, monkeypatch):
+    "A right-set key far past the line's levels exits 2 without building levels."
+    monkeypatch.setattr("sys.stdin", io.StringIO("c=1 d=1 LE=1 LI= RE100000000=\n"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "encode", "--shape", "1,1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1 is not a tuple: ") and "'RE1'" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["count", "--shape", "5000,4000"], 0),  # answer past 4300 digits
+        (["count", "--shape", "x"], 2),  # usage error inside argparse
+        (["verify", "--only", "no-such-check"], 2),  # ValueError from the verb
+    ],
+)
+def test_main_restores_int_digit_limit(capsys, argv, expected):
+    "main lifts the int-to-str digit limit for its own call only."
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        code, _, _ = run(capsys, *argv)
+        assert code == expected
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    "Many main calls in one process build the argument parser once."
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli._build_parser.cache_clear()
+    try:
+        for argv in (["count", "--shape", "2,1"], ["zeta", "--shape", "3,2", "-m", "2"],
+                     ["count", "--shape", "0"], ["nope"]) * 25:
+            run(capsys, *argv)
+    finally:
+        cli._build_parser.cache_clear()
+    assert builds == ["ncb"]
+
+
+TUPLE_LINE = "c=1 d=2 LE=2,4,5 RE1=1,2 LI=7 RI1=6,7\n"
+PARTITION_LINE = (
+    '{"n":8,"blocks":[[1,-5],[-1,5],[2],[-2],[3,-4,-6,8],[-3,4,6,-8],[7],[-7]]}\n'
+)
+
+# (argv, stdin): every verb, filters set and then left out, defaults taken
+# after being given, errors of each kind, and help text
+MIXED_QUERIES = [
+    (["count", "--shape", "3,2", "--rank", "2"], ""),
+    (["count", "--shape", "3,2"], ""),
+    (["count", "--shape", "2,1", "--connectivity", "1"], ""),
+    (["count", "--shape", "2,1", "--cell", "1,1,0"], ""),
+    (["count", "--shape", "2,1"], ""),
+    (["count", "--shape", "2,1,1", "--rank", "2"], ""),
+    (["enumerate", "--shape", "1,1", "--json"], ""),
+    (["enumerate", "--shape", "2,1", "--rank", "1"], ""),
+    (["enumerate", "--shape", "1,1"], ""),
+    (["rank-poly", "--shape", "3,2"], ""),
+    (["zeta", "--shape", "3,2", "-m", "3"], ""),
+    (["zeta", "--shape", "3,2", "-m", "-1"], ""),
+    (["zeta", "--shape", "3,2"], ""),
+    (["mobius", "--shape", "3,2"], ""),
+    (["max-chains", "--shape", "3,2"], ""),
+    (["encode", "--shape", "5,3"], TUPLE_LINE),
+    (["decode", "--shape", "5,3"], PARTITION_LINE),
+    (["encode", "--shape", "5,3"], "c=1 d=9\n"),
+    (["decode", "--shape", "5,3"], "[1]\n"),
+    (["verify", "--only", "rank-gen", "--max-n", "2"], ""),
+    (["verify", "--only", "no-such-check"], ""),
+    (["hasse-dot", "--shape", "2,1"], ""),
+    (["count", "--shape", "0,1"], ""),
+    (["count", "--shape", "x"], ""),
+    (["count", "--shape", ",".join(["1"] * (MAX_CIRCLES + 1))], ""),
+    (["count", "--shape", "2,1", "--cell", "1,1"], ""),
+    (["count"], ""),
+    (["frobnicate", "--shape", "1"], ""),
+    ([], ""),
+    (["--help"], ""),
+    (["zeta", "--help"], ""),
+    (["count", "--shape", "2,1"], ""),
+]
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    "A warm parser answers every query as a freshly built one does."
+
+    def answer(argv, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        return run(capsys, *argv)
+
+    cli._build_parser.cache_clear()
+    warm = [answer(argv, stdin) for argv, stdin in MIXED_QUERIES]
+    fresh = []
+    for argv, stdin in MIXED_QUERIES:
+        cli._build_parser.cache_clear()
+        fresh.append(answer(argv, stdin))
+    for (argv, _), got, want in zip(MIXED_QUERIES, warm, fresh):
+        assert got == want, argv
+    assert {code for code, _, _ in warm} == {0, 2}
