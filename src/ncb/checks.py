@@ -22,7 +22,7 @@ from .enumeration import (
     nc_b_disc,
     nc_b_multi,
 )
-from .formulas import binom, disc_counts
+from .formulas import binom
 from .partition import connectivity, pair_stats
 from .signed_perm import (
     AnnulusShape,
@@ -139,7 +139,7 @@ def _rank_vector_q1(max_n: int) -> Iterable[Check]:
         yield Check(
             "rank-vector-q1",
             f"p={n - 1} q=1",
-            tuple(binom(n, k) ** 2 for k in range(n + 1)),
+            tuple(formulas.rank_gen_disc(n).coefficients),
             nc_b_annulus(n - 1, 1).rank_vector(),
         )
 
@@ -147,7 +147,7 @@ def _rank_vector_q1(max_n: int) -> Iterable[Check]:
 _per_n(
     "rank-vector-disc",
     1,
-    lambda n: disc_counts(n).rank_counts,
+    lambda n: tuple(formulas.rank_gen_disc(n).coefficients),
     lambda n: nc_b_disc(n).rank_vector(),
     cap=6,
 )
@@ -222,7 +222,7 @@ _per_pair(
 _per_n(
     "mobius-disc",
     2,
-    lambda n: disc_counts(n).mobius_b,
+    formulas.mobius_disc,
     lambda n: _mobius(nc_b_disc(n)),
     cap=6,
 )

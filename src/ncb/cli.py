@@ -38,11 +38,13 @@ def _parse_cell(text: str) -> tuple[int, int, int]:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text as a line, or nothing at all for an empty result."""
+    text = text + "\n" if text else ""
     if out is None:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
 
 
 def _cmd_count(args) -> int:
@@ -87,8 +89,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _rank_poly(sizes: tuple[int, ...]) -> formulas.IntPolynomial:
-    disc = lambda n: formulas.IntPolynomial(formulas.disc_counts(n).rank_counts)
-    return formulas.over_matchings(sizes, disc, formulas.rank_gen)
+    return formulas.over_matchings(sizes, formulas.rank_gen_disc, formulas.rank_gen)
 
 
 def _cmd_rank_poly(args) -> int:

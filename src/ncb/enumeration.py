@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .formulas import gbinom
-from .partition import BPartition, ClassicalPartition, adjusted_orbits
+from .partition import BPartition, adjusted_orbits
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
@@ -299,35 +299,6 @@ def nc_b_annulus(p: int, q: int) -> FinitePoset:
 def nc_b_disc(n: int) -> FinitePoset:
     """One-circle poset on 2n points."""
     return nc_b_multi((n,))
-
-
-def _set_partitions(n: int):
-    """All set partitions of {1..n} as lists of lists."""
-    if n == 0:
-        yield []
-        return
-    for smaller in _set_partitions(n - 1):
-        for i in range(len(smaller)):
-            yield smaller[:i] + [smaller[i] + [n]] + smaller[i + 1 :]
-        yield smaller + [[n]]
-
-
-@lru_cache(maxsize=None)
-def nc_a(n: int) -> FinitePoset:
-    """Non-crossing partitions of {1..n} under refinement."""
-    if not 1 <= n <= DESK_BOUND_TWO_CIRCLES:
-        raise ValueError(f"desk bound exceeded for one-circle size {n}")
-    partitions = [
-        cp
-        for blocks in _set_partitions(n)
-        if (cp := ClassicalPartition(n, blocks)).is_noncrossing()
-    ]
-    partitions.sort(key=lambda cp: cp.blocks)
-    return FinitePoset(
-        partitions,
-        [cp.rank() for cp in partitions],
-        masks=[cp.pair_mask for cp in partitions],
-    )
 
 
 def adjusted_orbits_inverse(

@@ -8,7 +8,7 @@ every division is checked to land on an integer.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 
@@ -44,39 +44,6 @@ def gbinom(a: int, k: int) -> int:
     if a >= 0:
         return comb(a, k)
     return (-1) ** k * comb(k - a - 1, k)
-
-
-def catalan(n: int) -> int:
-    """Number of non-crossing partitions of {1..n}."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return comb(2 * n, n) // (n + 1)
-
-
-def narayana(n: int, k: int) -> int:
-    """Rank-k count in the non-crossing partitions of {1..n}: C(n,k)C(n,k+1)/n."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"rank {k} out of range 0..{n - 1}")
-    return _exact_div(binom(n, k) * binom(n, k + 1), n)
-
-
-class DiscCounts(NamedTuple):
-    """Headline numbers for the one-circle type B poset on 2n points."""
-
-    rank_counts: tuple[int, ...]
-    total: int
-    mobius_a: int
-    mobius_b: int
-
-
-def disc_counts(n: int) -> DiscCounts:
-    """Rank counts C(n,k)^2, total C(2n,n), and both Moebius values."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    rank_counts = tuple(binom(n, k) ** 2 for k in range(n + 1))
-    total = binom(2 * n, n)
-    mobius_a = (-1) ** (n + 1) * factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
-    return DiscCounts(rank_counts, total, mobius_a, mobius_disc(n))
 
 
 def mobius_disc(n: int) -> int:
@@ -254,6 +221,14 @@ def rank_gen_compact(p: int, q: int) -> IntPolynomial:
 
 # The CLI and the README call the fast form by this name.
 rank_gen = rank_gen_compact
+
+
+def rank_gen_disc(n: int) -> IntPolynomial:
+    """Rank generating polynomial of the one-circle poset on 2n points:
+    C(n, k)^2 at x^k."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return IntPolynomial(binom(n, k) ** 2 for k in range(n + 1))
 
 
 def rank_coefficient(p: int, q: int, k: int) -> int:

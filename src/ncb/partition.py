@@ -147,83 +147,6 @@ class BPartition:
         return f"BPartition({self.n}, {[list(b) for b in self.blocks]})"
 
 
-class ClassicalPartition:
-    """Partition of {1..n} in canonical form (used for the one-circle story)."""
-
-    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        canon = []
-        seen: set[int] = set()
-        for block in blocks:
-            block = tuple(sorted(set(block)))
-            if not block:
-                raise ValueError("empty block")
-            for x in block:
-                if not 1 <= x <= n or x in seen:
-                    raise ValueError(f"bad or repeated element {x} for n={n}")
-                seen.add(x)
-            canon.append(block)
-        if len(seen) != n:
-            raise ValueError(f"blocks do not cover 1..{n}")
-        canon.sort()
-        self.n = n
-        self.blocks = tuple(canon)
-
-    def rank(self) -> int:
-        return self.n - len(self.blocks)
-
-    @cached_property
-    def pair_mask(self) -> int:
-        mask = 0
-        for block in self.blocks:
-            bits = 0
-            for x in block:
-                bits |= 1 << (x - 1)
-            for x in block:
-                mask |= bits << ((x - 1) * self.n)
-        return mask
-
-    def le(self, other: "ClassicalPartition") -> bool:
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return self.pair_mask & ~other.pair_mask == 0
-
-    def is_noncrossing(self) -> bool:
-        """No a < b < c < d with {a, c} and {b, d} in different blocks."""
-        block_of = {}
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                block_of[x] = i
-        open_blocks: list[int] = []
-        for x in range(1, self.n + 1):
-            b = block_of[x]
-            while open_blocks and open_blocks[-1] == b:
-                open_blocks.pop()
-            if b in open_blocks:
-                return False
-            if x != max(self.blocks[b]):
-                open_blocks.append(b)
-        return True
-
-    def block_string(self) -> str:
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassicalPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __str__(self):
-        return self.block_string()
-
-    def __repr__(self):
-        return f"ClassicalPartition({self.n}, {[list(b) for b in self.blocks]})"
-
-
 class PairStats(NamedTuple):
     """Counts of block pairs {A, -A} by how they meet the two circles."""
 
@@ -272,12 +195,6 @@ def pair_stats(partition: BPartition, shape: AnnulusShape) -> PairStats:
 def connectivity(partition: BPartition, shape: AnnulusShape) -> int:
     """Number of block pairs {A, -A} meeting both circles."""
     return pair_stats(partition, shape).connecting
-
-
-def abs_map(partition: BPartition) -> ClassicalPartition:
-    """Forget signs: blocks A and -A collapse to the block |A| of {1..n}."""
-    blocks = {tuple(sorted({abs(x) for x in block})) for block in partition.blocks}
-    return ClassicalPartition(partition.n, blocks)
 
 
 def kreweras(partition: BPartition, shape: AnnulusShape) -> BPartition:

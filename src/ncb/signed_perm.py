@@ -8,14 +8,7 @@ is the prefix order of that length function.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
-
-
-class OrbitStats(NamedTuple):
-    """Orbit census of a signed permutation acting on {-n..-1, 1..n}."""
-
-    count: int
-    inversion_invariant: int
+from typing import Iterable
 
 
 class AnnulusShape:
@@ -28,9 +21,12 @@ class AnnulusShape:
     __slots__ = ("sizes",)
 
     def __init__(self, *sizes):
-        if len(sizes) == 1 and not isinstance(sizes[0], int):
-            sizes = tuple(sizes[0])
-        sizes = tuple(int(s) for s in sizes)
+        one = sizes[0] if len(sizes) == 1 else None
+        if isinstance(one, Iterable) and not isinstance(one, str):
+            sizes = tuple(one)
+        for s in sizes:
+            if type(s) is not int:
+                raise ValueError(f"circle size {s!r} is not an int")
         if not sizes:
             raise ValueError("a shape needs at least one circle")
         if any(s < 1 for s in sizes):
@@ -144,13 +140,9 @@ class SignedPermutation:
         """Orbits on {-n..-1, 1..n}, each in traversal order."""
         return _orbits(self.image)
 
-    def orbit_stats(self) -> OrbitStats:
-        return OrbitStats(*_orbit_stats(self.image))
-
     def length(self) -> int:
         """Reflection length: n minus half the number of non-invariant orbits."""
-        total, invariant = _orbit_stats(self.image)
-        return self.n - (total - invariant) // 2
+        return self.n - _noninvariant_orbits(self.image) // 2
 
     def le(self, other: "SignedPermutation") -> bool:
         """Absolute order: self is on a shortest reflection path to other."""
@@ -230,15 +222,9 @@ def _inverse(image: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _orbit_stats(image: tuple[int, ...]) -> tuple[int, int]:
-    """(orbit count, inversion-invariant orbit count) on {-n..-1, 1..n}."""
-    orbits = _orbits(image)
-    return len(orbits), sum(-orbit[0] in orbit for orbit in orbits)
-
-
 def _noninvariant_orbits(image: tuple[int, ...]) -> int:
-    total, invariant = _orbit_stats(image)
-    return total - invariant
+    """Number of orbits on {-n..-1, 1..n} that are not inversion-invariant."""
+    return sum(-orbit[0] not in orbit for orbit in _orbits(image))
 
 
 def _le_images(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -294,15 +280,10 @@ def joint_orbits(a: SignedPermutation, b: SignedPermutation) -> list[list[int]]:
     return out
 
 
-def joint_orbit_count(a: SignedPermutation, b: SignedPermutation) -> int:
-    """Number of orbits of the group generated by a and b on {-n..-1, 1..n}."""
-    return len(joint_orbits(a, b))
-
-
 def genus_defect(a: SignedPermutation, b: SignedPermutation) -> int:
     """Slack in the genus inequality for the triple (a, b, a^-1 b).
 
-    Returns |X| + 2*joint_orbit_count(a, b) - (#(a) + #(b) + #(a^-1 b))
+    Returns |X| + 2*len(joint_orbits(a, b)) - (#(a) + #(b) + #(a^-1 b))
     where X = {-n..-1, 1..n}; always even and >= 0.
     """
     if a.n != b.n:
@@ -318,11 +299,5 @@ def _genus_slack(
     """genus_defect given the image of a^-1 and the orbit counts of a and b,
     which a sweep over many pairs computes once per permutation."""
     rest = len(_orbits(_compose(a_inverse, b.image)))
-    return 2 * a.n + 2 * joint_orbit_count(a, b) - a_orbits - b_orbits - rest
+    return 2 * a.n + 2 * len(joint_orbits(a, b)) - a_orbits - b_orbits - rest
 
-
-def kreweras_perm(t: SignedPermutation, bound: SignedPermutation) -> SignedPermutation:
-    """Complement t -> t^-1 * bound on the interval below bound."""
-    if not t.le(bound):
-        raise ValueError("complement is only defined below the bound")
-    return t.inverse() * bound

@@ -1,0 +1,147 @@
+"""Type-A references for the tests: classical non-crossing partitions of
+{1..n}, their poset, and the Catalan, Narayana and Moebius numbers that
+count it.  The package is type B only; forgetting signs (`abs_map`) maps
+its one-circle poset onto the type-A poset built here.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property, lru_cache
+from math import comb, factorial
+from typing import Iterable
+
+from ncb.enumeration import DESK_BOUND_TWO_CIRCLES, FinitePoset
+from ncb.formulas import _exact_div, binom
+from ncb.partition import BPartition
+
+
+class ClassicalPartition:
+    """Partition of {1..n} in canonical form (used for the one-circle story)."""
+
+    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+        canon = []
+        seen: set[int] = set()
+        for block in blocks:
+            block = tuple(sorted(set(block)))
+            if not block:
+                raise ValueError("empty block")
+            for x in block:
+                if not 1 <= x <= n or x in seen:
+                    raise ValueError(f"bad or repeated element {x} for n={n}")
+                seen.add(x)
+            canon.append(block)
+        if len(seen) != n:
+            raise ValueError(f"blocks do not cover 1..{n}")
+        canon.sort()
+        self.n = n
+        self.blocks = tuple(canon)
+
+    def rank(self) -> int:
+        return self.n - len(self.blocks)
+
+    @cached_property
+    def pair_mask(self) -> int:
+        mask = 0
+        for block in self.blocks:
+            bits = 0
+            for x in block:
+                bits |= 1 << (x - 1)
+            for x in block:
+                mask |= bits << ((x - 1) * self.n)
+        return mask
+
+    def le(self, other: "ClassicalPartition") -> bool:
+        if self.n != other.n:
+            raise ValueError("size mismatch")
+        return self.pair_mask & ~other.pair_mask == 0
+
+    def is_noncrossing(self) -> bool:
+        """No a < b < c < d with {a, c} and {b, d} in different blocks."""
+        block_of = {}
+        for i, block in enumerate(self.blocks):
+            for x in block:
+                block_of[x] = i
+        open_blocks: list[int] = []
+        for x in range(1, self.n + 1):
+            b = block_of[x]
+            while open_blocks and open_blocks[-1] == b:
+                open_blocks.pop()
+            if b in open_blocks:
+                return False
+            if x != max(self.blocks[b]):
+                open_blocks.append(b)
+        return True
+
+    def block_string(self) -> str:
+        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ClassicalPartition)
+            and self.n == other.n
+            and self.blocks == other.blocks
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.blocks))
+
+    def __str__(self):
+        return self.block_string()
+
+    def __repr__(self):
+        return f"ClassicalPartition({self.n}, {[list(b) for b in self.blocks]})"
+
+
+def abs_map(partition: BPartition) -> ClassicalPartition:
+    """Forget signs: blocks A and -A collapse to the block |A| of {1..n}."""
+    blocks = {tuple(sorted({abs(x) for x in block})) for block in partition.blocks}
+    return ClassicalPartition(partition.n, blocks)
+
+
+def _set_partitions(n: int):
+    """All set partitions of {1..n} as lists of lists."""
+    if n == 0:
+        yield []
+        return
+    for smaller in _set_partitions(n - 1):
+        for i in range(len(smaller)):
+            yield smaller[:i] + [smaller[i] + [n]] + smaller[i + 1 :]
+        yield smaller + [[n]]
+
+
+@lru_cache(maxsize=None)
+def nc_a(n: int) -> FinitePoset:
+    """Non-crossing partitions of {1..n} under refinement."""
+    if not 1 <= n <= DESK_BOUND_TWO_CIRCLES:
+        raise ValueError(f"desk bound exceeded for one-circle size {n}")
+    partitions = [
+        cp
+        for blocks in _set_partitions(n)
+        if (cp := ClassicalPartition(n, blocks)).is_noncrossing()
+    ]
+    partitions.sort(key=lambda cp: cp.blocks)
+    return FinitePoset(
+        partitions,
+        [cp.rank() for cp in partitions],
+        masks=[cp.pair_mask for cp in partitions],
+    )
+
+
+def catalan(n: int) -> int:
+    """Number of non-crossing partitions of {1..n}."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return comb(2 * n, n) // (n + 1)
+
+
+def narayana(n: int, k: int) -> int:
+    """Rank-k count in the non-crossing partitions of {1..n}: C(n,k)C(n,k+1)/n."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"rank {k} out of range 0..{n - 1}")
+    return _exact_div(binom(n, k) * binom(n, k + 1), n)
+
+
+def mobius_a(n: int) -> int:
+    """Moebius value of the non-crossing partitions of {1..n}:
+    (-1)^(n+1) times the Catalan number C(n-1)."""
+    return (-1) ** (n + 1) * factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))

@@ -329,6 +329,26 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "20\n"
 
 
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["enumerate", "--shape", "1,1", "--rank", "7"], ""),
+        (["enumerate", "--shape", "1,1", "--rank", "7", "--json"], ""),
+        (["encode", "--shape", "2,1"], ""),
+        (["encode", "--shape", "2,1"], "\n  \n"),
+        (["decode", "--shape", "2,1"], ""),
+    ],
+)
+def test_empty_result_prints_nothing(tmp_path, capsys, monkeypatch, argv, stdin):
+    "No result is no output: not a blank line a JSON-lines reader would choke on."
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, *argv) == (0, "", "")
+    target = tmp_path / "out.txt"
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == ""
+
+
 BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
 
 

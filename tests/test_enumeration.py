@@ -1,6 +1,7 @@
 from functools import lru_cache
 
 import pytest
+from oracles import nc_a
 from test_acceptance import size_tuples
 from test_signed_perm import all_perms, reflections
 
@@ -13,7 +14,6 @@ from ncb import (
     boundary_permutation,
     interval_perms,
     kreweras,
-    nc_a,
     nc_b_annulus,
     nc_b_disc,
     nc_b_multi,

@@ -10,19 +10,18 @@ from ncb import (
     annulus_cell_count,
     annulus_connectivity_count,
     annulus_total,
-    catalan,
-    disc_counts,
     max_chains,
     mobius_annulus,
+    mobius_disc,
     mobius_q1,
     multi3_total,
-    narayana,
     nc_b_annulus,
     nc_b_multi,
     rank_coefficient,
     rank_gen,
     rank_gen_cells,
     rank_gen_compact,
+    rank_gen_disc,
     zeta_poly,
     zeta_poly_q1,
 )
@@ -33,6 +32,7 @@ from ncb.formulas import (
     gbinom,
     over_matchings,
 )
+from oracles import catalan, mobius_a, narayana
 from test_acceptance import size_tuples
 
 
@@ -80,11 +80,10 @@ def test_narayana_row(n):
 )
 def test_disc_counts(n, counts, total, mu_a, mu_b):
     "Closed forms for the one-circle posets of both kinds."
-    got = disc_counts(n)
-    assert got.rank_counts == counts
-    assert got.total == total
-    assert got.mobius_a == mu_a
-    assert got.mobius_b == mu_b
+    assert rank_gen_disc(n).coefficients == counts
+    assert binom(2 * n, n) == total
+    assert mobius_a(n) == mu_a
+    assert mobius_disc(n) == mu_b
     assert sum(counts) == total
 
 
@@ -232,11 +231,6 @@ def test_multi3_total():
     assert multi3_total(1, 2, 1) == 68
 
 
-def disc_rank_poly(n):
-    "Rank polynomial of the one-circle poset: C(n, k)^2 at x^k."
-    return IntPolynomial(comb(n, k) ** 2 for k in range(n + 1))
-
-
 MANY_CIRCLE_SHAPES = sorted({tuple(sorted(s)) for s in size_tuples(6) if len(s) >= 3})
 
 
@@ -250,9 +244,9 @@ def test_over_matchings_agrees_with_enumeration(shape):
     for sizes in (shape, tuple(shuffled)):
         total = over_matchings(sizes, lambda a: comb(2 * a, a), annulus_total)
         assert total == len(poset)
-        ranks = over_matchings(sizes, disc_rank_poly, rank_gen)
+        ranks = over_matchings(sizes, rank_gen_disc, rank_gen)
         assert ranks.coefficients == poset.rank_vector()
-        mu = over_matchings(sizes, lambda a: disc_counts(a).mobius_b, mobius_annulus)
+        mu = over_matchings(sizes, mobius_disc, mobius_annulus)
         assert mu == poset.mobius(poset.bottom(), poset.top())
         zeta = {
             m: over_matchings(

@@ -5,19 +5,17 @@ import hypothesis.strategies as st
 from ncb import (
     AnnulusShape,
     BPartition,
-    ClassicalPartition,
     SignedPermutation,
-    abs_map,
     adjusted_orbits,
     boundary_permutation,
     connectivity,
     kreweras,
     meet_q1,
-    nc_a,
     nc_b_annulus,
     nc_b_disc,
     pair_stats,
 )
+from oracles import ClassicalPartition, abs_map, nc_a
 
 TOP3 = BPartition(3, [[1, -1, 2, -2, 3, -3]])
 

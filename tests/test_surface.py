@@ -1,0 +1,124 @@
+"""The public surface of ncb: what it exports, what it no longer has, and
+that its modules import nothing from the tests and nothing they leave
+unused."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import ncb
+
+PACKAGE = Path(ncb.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+TESTS = Path(__file__).parent
+
+PUBLIC = [
+    "AnnulusShape",
+    "AnnulusTuple",
+    "BPartition",
+    "FinitePoset",
+    "IntPolynomial",
+    "PairStats",
+    "ParenString",
+    "SignedPermutation",
+    "adjusted_orbits",
+    "adjusted_orbits_inverse",
+    "annulus_cell_count",
+    "annulus_connectivity_count",
+    "annulus_total",
+    "annulus_tuples",
+    "binom",
+    "boundary_permutation",
+    "canonical_block_order",
+    "connectivity",
+    "decode_annulus",
+    "decode_multichain",
+    "encode_annulus",
+    "encode_multichain",
+    "genus_defect",
+    "interval_perms",
+    "kreweras",
+    "legal_left_shifts",
+    "legal_right_shifts",
+    "max_chains",
+    "meet_q1",
+    "mobius_annulus",
+    "mobius_disc",
+    "mobius_q1",
+    "multi3_total",
+    "nc_b_annulus",
+    "nc_b_disc",
+    "nc_b_multi",
+    "pair_stats",
+    "rank_coefficient",
+    "rank_gen",
+    "rank_gen_cells",
+    "rank_gen_compact",
+    "rank_gen_disc",
+    "read_partition",
+    "zeta_poly",
+    "zeta_poly_q1",
+]
+
+# The type-A references now in tests/oracles.py, and wrappers and copies
+# that were deleted.
+RETIRED = [
+    "ClassicalPartition",
+    "DiscCounts",
+    "OrbitStats",
+    "_orbit_stats",
+    "_set_partitions",
+    "abs_map",
+    "catalan",
+    "disc_counts",
+    "joint_orbit_count",
+    "kreweras_perm",
+    "narayana",
+    "nc_a",
+    "orbit_stats",
+]
+
+
+def test_all_is_the_pinned_sorted_list():
+    "ncb exports exactly these names, sorted, and binds every one."
+    assert ncb.__all__ == PUBLIC == sorted(PUBLIC)
+    assert all(hasattr(ncb, name) for name in PUBLIC)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_retired_names_are_gone(module):
+    "No retired name is importable from ncb or its modules, or named in them."
+    mod = ncb if module == "__init__" else importlib.import_module(f"ncb.{module}")
+    classes = [c for c in vars(mod).values() if isinstance(c, type)]
+    for name in RETIRED:
+        assert not hasattr(mod, name), name
+        assert not [c for c in classes if hasattr(c, name)], name
+    source = (PACKAGE / f"{module}.py").read_text()
+    named = [n for n in RETIRED if re.search(rf"\b{n}\b", source)]
+    assert named == []
+
+
+def imports(tree):
+    "(module, bound name) for every import statement of a module's tree."
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.module or "", alias.asname or alias.name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_test_imports_and_no_unused_imports(module):
+    "Every import of a package module is used and none reaches into the tests."
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(ncb.__all__) if module == "__init__" else set()
+    test_modules = {"tests", *(path.stem for path in TESTS.glob("*.py"))}
+    for source, name in imports(tree):
+        assert source.split(".")[0] not in test_modules, (module, source)
+        assert name in used | exported, f"{module}.py imports {name} unused"
