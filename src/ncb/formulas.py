@@ -90,7 +90,10 @@ class IntPolynomial:
     """Dense integer polynomial, stored low degree first without trailing zeros."""
 
     def __init__(self, coefficients=()):
-        coefficients = [int(c) for c in coefficients]
+        coefficients = list(coefficients)
+        if not {int}.issuperset(map(type, coefficients)):
+            bad = next(c for c in coefficients if type(c) is not int)
+            raise ValueError(f"coefficient {bad!r} is not an int")
         while coefficients and coefficients[-1] == 0:
             coefficients.pop()
         self.coefficients = tuple(coefficients)
@@ -99,9 +102,11 @@ class IntPolynomial:
     def from_dict(cls, terms: dict[int, int]) -> "IntPolynomial":
         if not terms:
             return cls()
+        if min(terms) < 0:
+            raise ValueError(f"negative degree {min(terms)}")
         coeffs = [0] * (max(terms) + 1)
         for k, c in terms.items():
-            coeffs[k] += c
+            coeffs[k] = c
         return cls(coeffs)
 
     @property
@@ -131,12 +136,22 @@ class IntPolynomial:
         return self + IntPolynomial(-c for c in other.coefficients)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coefficients or not other.coefficients:
+        """Kronecker substitution: evaluate both factors at x = 2^(8 size), multiply
+        once, and read each product coefficient plus `half` from its slot."""
+        a, b = self.coefficients, other.coefficients
+        if not a or not b:
             return IntPolynomial()
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
+        bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+        size = (bits + min(len(a), len(b)).bit_length()) // 8 + 1
+        half = 1 << (8 * size - 1)  # above every |coefficient| of the product
+        bias = lambda m: int.from_bytes(half.to_bytes(size, "little") * m, "little")
+        pack = lambda cs: int.from_bytes(
+            b"".join([(c + half).to_bytes(size, "little") for c in cs]), "little"
+        ) - bias(len(cs))
+        n = len(a) + len(b) - 1
+        raw = (pack(a) * pack(b) + bias(n)).to_bytes(size * n, "little")
+        starts = range(0, size * n, size)
+        out = [int.from_bytes(raw[k : k + size], "little") - half for k in starts]
         return IntPolynomial(out)
 
     def __eq__(self, other):

@@ -1,7 +1,12 @@
-"""Type-A references for the tests: classical non-crossing partitions of
-{1..n}, their poset, and the Catalan, Narayana and Moebius numbers that
-count it.  The package is type B only; forgetting signs (`abs_map`) maps
-its one-circle poset onto the type-A poset built here.
+"""References for the tests.
+
+Type A: classical non-crossing partitions of {1..n}, their poset, and the
+Catalan, Narayana and Moebius numbers that count it.  The package is type B
+only; forgetting signs (`abs_map`) maps its one-circle poset onto the type-A
+poset built here.
+
+Polynomials: `schoolbook_mul`, the term-by-term product that the
+Kronecker-substitution `IntPolynomial.__mul__` must equal.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from math import comb, factorial
 from typing import Iterable
 
 from ncb.enumeration import DESK_BOUND_TWO_CIRCLES, FinitePoset
-from ncb.formulas import _exact_div, binom
+from ncb.formulas import IntPolynomial, _exact_div, binom
 from ncb.partition import BPartition
 
 
@@ -145,3 +150,14 @@ def mobius_a(n: int) -> int:
     """Moebius value of the non-crossing partitions of {1..n}:
     (-1)^(n+1) times the Catalan number C(n-1)."""
     return (-1) ** (n + 1) * factorial(2 * n - 2) // (factorial(n - 1) * factorial(n))
+
+
+def schoolbook_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """a * b summed term by term: x^(i+j) gains a_i b_j."""
+    if not a.coefficients or not b.coefficients:
+        return IntPolynomial()
+    out = [0] * (len(a.coefficients) + len(b.coefficients) - 1)
+    for i, x in enumerate(a.coefficients):
+        for j, y in enumerate(b.coefficients):
+            out[i + j] += x * y
+    return IntPolynomial(out)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -80,6 +81,26 @@ def test_rank_poly(capsys):
     assert code == 0 and out == "1 + 9*x + 9*x^2 + x^3\n"
     code, out, _ = run(capsys, "rank-poly", "--shape", "2,1,1")
     assert code == 0 and out == "1 + 16*x + 34*x^2 + 16*x^3 + x^4\n"
+
+
+# SHA-256 of the stdout, trailing newline included, that the term-by-term
+# polynomial product printed.
+@pytest.mark.parametrize(
+    "shape, digest",
+    [
+        ("80,71", "27de6bdb390b6e9d4d781b9c5dd25204c5bc1372d347ffe5660bb7cf9d1000d0"),
+        (
+            ",".join(map(str, range(10, 22))),
+            "6d83c1c76ddccd09ae6b06c8dba7e8d40b9157166f627cbdc8ea7829a314144b",
+        ),
+    ],
+    ids=["80,71", "10..21"],
+)
+def test_rank_poly_output_is_pinned(capsys, shape, digest):
+    "Two and twelve circles print byte for byte what they always printed."
+    code, out, _ = run(capsys, "rank-poly", "--shape", shape)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_zeta(capsys):

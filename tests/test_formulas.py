@@ -1,3 +1,4 @@
+import re
 from math import comb, factorial, prod
 from random import Random
 
@@ -32,7 +33,7 @@ from ncb.formulas import (
     gbinom,
     over_matchings,
 )
-from oracles import catalan, mobius_a, narayana
+from oracles import catalan, mobius_a, narayana, schoolbook_mul
 from test_acceptance import size_tuples
 
 
@@ -154,13 +155,65 @@ def test_polynomial_basics():
     assert hash(IntPolynomial([1, 1])) == hash(IntPolynomial((1, 1)))
 
 
+def test_from_dict_rejects_negative_degrees():
+    "A negative degree is named in an error, not wrapped onto the top term."
+    for terms in ({2: 1, -1: 5}, {-1: 3}):
+        with pytest.raises(ValueError, match="negative degree -1"):
+            IntPolynomial.from_dict(terms)
+
+
+@pytest.mark.parametrize(
+    "coefficients, bad",
+    [([2.9], 2.9), ([True], True), (["7"], "7"), ([1, 2.0], 2.0), ([0, None], None)],
+)
+def test_polynomial_rejects_coefficients_that_are_not_ints(coefficients, bad):
+    "Only exact ints are coefficients: nothing is truncated or converted."
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {bad!r} is not an int")):
+        IntPolynomial(coefficients)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        IntPolynomial.from_dict(dict(enumerate(coefficients)))
+
+
+@st.composite
+def signed_lists(draw):
+    "Coefficient lists of one bit size, up to 4,000 bits, with either sign."
+    top = 2 ** draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 300, 4000])) - 1
+    if draw(st.booleans()):  # one extreme value throughout: the widest products
+        return [draw(st.sampled_from([top, -top]))] * draw(st.integers(0, 40))
+    return draw(st.lists(st.integers(-top, top), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_lists(), signed_lists())
+@example([], [1, 2])
+@example([0, 0, 0], [5, -5])
+@example([7], [-3])
+@example([1, 2, 0, 0], [3, 0])
+@example([-1, 2, -3, 4], [5, -6, 7])
+@example([2**4000 - 1] * 40, [-(2**4000 - 1)] * 40)
+@example([255] * 40, [-255] * 3)
+@example([1] * 40, [-(2**4000) + 1])
+def test_product_matches_schoolbook(a, b):
+    "The Kronecker-substitution product equals the term-by-term product."
+    p, q = IntPolynomial(a), IntPolynomial(b)
+    assert p * q == schoolbook_mul(p, q) == q * p
+
+
+def test_rank_gen_matches_rank_coefficient_at_scale():
+    "Every coefficient of the (300, 200) polynomial equals its diagonal sum."
+    poly = rank_gen(300, 200)
+    assert poly.degree == 500
+    for k in range(-1, 502):
+        assert poly.coefficient(k) == rank_coefficient(300, 200, k), k
+
+
 def test_rank_gen_spot():
     "The rank generating polynomial of the smallest unequal shape."
     assert str(rank_gen(2, 1)) == "1 + 9*x + 9*x^2 + x^3"
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("p", range(1, 13))
+@pytest.mark.parametrize("q", range(1, 13))
 def test_rank_gen_forms_agree(p, q):
     "The three-index and two-index forms give the same polynomial."
     assert rank_gen_cells(p, q) == rank_gen_compact(p, q)

@@ -63,8 +63,8 @@ PUBLIC = [
     "zeta_poly_q1",
 ]
 
-# The type-A references now in tests/oracles.py, and wrappers and copies
-# that were deleted.
+# The references now in tests/oracles.py (the type-A side and the
+# term-by-term polynomial product), and wrappers and copies that were deleted.
 RETIRED = [
     "ClassicalPartition",
     "DiscCounts",
@@ -79,6 +79,7 @@ RETIRED = [
     "narayana",
     "nc_a",
     "orbit_stats",
+    "schoolbook_mul",
 ]
 
 
