@@ -9,8 +9,10 @@ order, which is the order of ``ncb verify`` output.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterable
 
 from . import bijection, formulas
@@ -372,6 +374,8 @@ def _chu_vandermonde(max_n: int) -> Iterable[Check]:
 
 @_family("hypersum")
 def _hypersum(max_n: int) -> Iterable[Check]:
+    # Every binomial here is C(n, x) with n, x <= 10, read off one table.
+    pascal = [[comb(n, x) for x in range(11)] for n in range(11)]
     bad = 0
     count = 0
     for k in (1, 2, 3):
@@ -384,16 +388,16 @@ def _hypersum(max_n: int) -> Iterable[Check]:
             # Vandermonde identity this family checks.
             weight = [1]
             for A in heads:
-                row = [binom(A, x) for x in range(A + 1)]
+                row = pascal[A][: A + 1]
                 convolved = [0] * (len(weight) + A)
                 for s, w in enumerate(weight):
                     for x, c in enumerate(row):
                         convolved[s + x] += w * c
                 weight = convolved
             for b in range(last + 1):
-                lhs = sum(binom(last, s + b) * w for s, w in enumerate(weight))
+                lhs = sum(map(operator.mul, pascal[last][b:], weight))
                 count += 1
-                bad += lhs != binom(sum(caps), last - b)
+                bad += lhs != pascal[sum(caps)][last - b]
     yield Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)
 
 

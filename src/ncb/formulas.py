@@ -3,13 +3,58 @@
 Every function returns plain ints.  Zeta, Moebius and maximal chain counts
 are the paper's products of binomials, not sums over the connectivity, and
 every division is checked to land on an integer.
+
+Every closed form takes its binomials from `binom`: `math.comb` for small
+ones and, past a measured crossover (`_by_primes`), the prime powers of
+C(a, b), with Legendre's exponents, multiplied as a balanced tree.  The
+two-circle rank polynomial is two Kronecker products (`rank_gen_compact`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from itertools import compress
+from math import comb, isqrt
 from typing import NamedTuple
+
+
+def _by_primes(a: int, k: int) -> bool:
+    """Whether C(a, k), k <= a/2, is faster from its prime factors than from
+    `math.comb`.  The factor path costs about a (it sieves to a), while
+    `math.comb` grows faster than k.  Timed on a 2-core host with Python
+    3.11, the factor path wins from about k = 700 at a = 2k, k = 1200 at
+    a = 4k and k = 3000 at a = 8k; k * k >= 400 a takes it only where it
+    was faster by a fifth or more in two timings of the grid."""
+    return k * k >= 400 * a
+
+
+def _prime_factor_binom(a: int, b: int) -> int:
+    """C(a, b) as the product of its prime powers p^e, multiplied pairwise."""
+    sieve = bytearray([1]) * (a + 1)
+    sieve[:2] = b"\0\0"
+    root = isqrt(a)
+    for i in range(2, root + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes((a - i * i) // i + 1)
+    c = a - b
+    factors = []
+    for p in compress(range(root + 1), sieve[: root + 1]):
+        e, power = 0, p  # Legendre: e = sum over j of a//p^j - b//p^j - c//p^j
+        while power <= a:
+            e += a // power - b // power - c // power
+            power *= p
+        factors.append(p**e)
+    # Past the root e is 0 or 1, and 1 exactly when adding b and c carries
+    # in base p: a % p < b % p.  Every prime in (max(b, c), a] divides C(a, b)
+    # once; max(b, c) >= a/2 is never below the root.
+    top = max(b, c)
+    middle = compress(range(root + 1, top + 1), sieve[root + 1 : top + 1])
+    factors += [p for p in middle if a % p < b % p]
+    factors += compress(range(top + 1, a + 1), sieve[top + 1 :])
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [x * y for x, y in zip(factors[::2], factors[1::2])] + odd
+    return factors[0] if factors else 1
 
 
 def binom(a: int, b: int) -> int:
@@ -18,6 +63,8 @@ def binom(a: int, b: int) -> int:
         raise ValueError("upper argument must be nonnegative; use gbinom")
     if b < 0 or b > a:
         return 0
+    if _by_primes(a, min(b, a - b)):
+        return _prime_factor_binom(a, b)
     return comb(a, b)
 
 
@@ -42,8 +89,8 @@ def gbinom(a: int, k: int) -> int:
     if k < 0:
         return 0
     if a >= 0:
-        return comb(a, k)
-    return (-1) ** k * comb(k - a - 1, k)
+        return binom(a, k)
+    return (-1) ** k * binom(k - a - 1, k)
 
 
 def mobius_disc(n: int) -> int:
@@ -201,37 +248,36 @@ def rank_gen_cells(p: int, q: int) -> IntPolynomial:
     return IntPolynomial.from_dict(terms)
 
 
-def _circle_factors(n: int) -> tuple[list[int], list[int], list[int]]:
-    """One circle's rows in the compact rank sum: C(n, k)^2 for k = 0..n, then
-    C(n, k)C(n-1, k) and C(n, k+1)C(n-1, k) for k = 0..n-1."""
-    row, inner = _binom_row(n, n), _binom_row(n - 1, n - 1)
-    return (
-        [c * c for c in row],
-        [a * b for a, b in zip(row, inner)],
-        [a * b for a, b in zip(row[1:], inner)],
-    )
-
-
 def rank_gen_compact(p: int, q: int) -> IntPolynomial:
-    """Rank generating polynomial of the (p, q) poset, with the connected part
-    folded into a single double sum.
+    """Rank generating polynomial R(x) of the (p, q) poset in two products.
 
-    The disconnected part is sum C(p,i)^2 C(q,j)^2 x^(i+j); the connected part
-    is 2pq/(p+q) times sum (hi_p[i] lo_q[j] + lo_p[i] hi_q[j]) x^(i+j+1) over
-    the rows of `_circle_factors`.
+    R(x) is sum C(p,i)^2 C(q,j)^2 x^(i+j) (the disconnected part) plus
+    2pq/(p+q) times sum (H_p[i] L_q[j] + L_p[i] H_q[j]) x^(i+j+1) (the
+    connected part), with L_n[k] = C(n, k)C(n-1, k) and H_n[k] =
+    C(n, k+1)C(n-1, k).  Pascal's rule gives C(n, k)^2 = L_n[k] + H_n[k-1],
+    so with d = p+q and u = d+2pq,
+    d^2 R(x) = (d L_p + u x H_p)(d L_q + u x H_q) - 4pq(pq+d) x^2 H_p H_q.
     """
     if min(p, q) < 1:
         raise ValueError("circle sizes must be positive")
-    sq_p, lo_p, hi_p = _circle_factors(p)
-    sq_q, lo_q, hi_q = _circle_factors(q)
-    coeffs = list((IntPolynomial(sq_p) * IntPolynomial(sq_q)).coefficients)
-    linked = (
-        IntPolynomial(hi_p) * IntPolynomial(lo_q)
-        + IntPolynomial(lo_p) * IntPolynomial(hi_q)
-    )
-    for k, weight in enumerate(linked.coefficients, start=1):
-        coeffs[k] += _exact_div(2 * p * q * weight, p + q)
-    return IntPolynomial(coeffs)
+    d = p + q
+    u = d + 2 * p * q
+
+    def circle(n: int) -> tuple[IntPolynomial, IntPolynomial]:
+        """d L_n + u x H_n, and H_n."""
+        row, inner = _binom_row(n, n), _binom_row(n - 1, n - 1)
+        low = [a * b for a, b in zip(row, inner)] + [0]
+        high = [a * b for a, b in zip(row[1:], inner)]
+        mixed = [d * x + u * y for x, y in zip(low, [0] + high)]
+        return IntPolynomial(mixed), IntPolynomial(high)
+
+    mixed_p, high_p = circle(p)
+    mixed_q, high_q = circle(q)
+    coeffs = list((mixed_p * mixed_q).coefficients)
+    linked = 4 * p * q * (p * q + d)
+    for k, c in enumerate((high_p * high_q).coefficients, start=2):
+        coeffs[k] -= linked * c
+    return IntPolynomial([_exact_div(c, d * d) for c in coeffs])
 
 
 # The CLI and the README call the fast form by this name.
@@ -243,7 +289,7 @@ def rank_gen_disc(n: int) -> IntPolynomial:
     C(n, k)^2 at x^k."""
     if n < 1:
         raise ValueError("n must be positive")
-    return IntPolynomial(binom(n, k) ** 2 for k in range(n + 1))
+    return IntPolynomial([c * c for c in _binom_row(n, n)])
 
 
 def rank_coefficient(p: int, q: int, k: int) -> int:
@@ -261,7 +307,7 @@ def rank_coefficient(p: int, q: int, k: int) -> int:
     if not 0 <= k <= p + q:
         return 0
     low, high = max(0, k - q), min(p, k)
-    term = (comb(p, low) * comb(q, k - low)) ** 2
+    term = (binom(p, low) * binom(q, k - low)) ** 2
     plain = term
     for i in range(low, high):
         term = _exact_div(
@@ -304,7 +350,7 @@ def max_chains(p: int, q: int) -> int:
     coefficient of `zeta_poly`, C(p+q, p) p^p q^q (p+q+2pq)/(p+q)."""
     if min(p, q) < 1:
         raise ValueError("circle sizes must be positive")
-    return _exact_div(comb(p + q, p) * p**p * q**q * (p + q + 2 * p * q), p + q)
+    return _exact_div(binom(p + q, p) * p**p * q**q * (p + q + 2 * p * q), p + q)
 
 
 class GradedChains(NamedTuple):
@@ -317,7 +363,7 @@ class GradedChains(NamedTuple):
 
     def __mul__(self, other: "GradedChains") -> "GradedChains":
         rank = self.rank + other.rank
-        return GradedChains(rank, comb(rank, self.rank) * self.count * other.count)
+        return GradedChains(rank, binom(rank, self.rank) * self.count * other.count)
 
     def __add__(self, other: "GradedChains") -> "GradedChains":
         return GradedChains(self.rank, self.count + other.count)
@@ -331,7 +377,7 @@ def mobius_annulus(p: int, q: int) -> int:
     (-1)^(p+q) C(2p-1, p) C(2q-1, q) (p+q+4pq)/(p+q)."""
     if min(p, q) < 1:
         raise ValueError("circle sizes must be positive")
-    total = comb(2 * p - 1, p) * comb(2 * q - 1, q) * (p + q + 4 * p * q)
+    total = binom(2 * p - 1, p) * binom(2 * q - 1, q) * (p + q + 4 * p * q)
     return (-1) ** (p + q) * _exact_div(total, p + q)
 
 
@@ -368,18 +414,3 @@ def over_matchings(sizes, disc, annulus):
     sizes = tuple(sizes)
     return total(sizes if len(sizes) <= 2 else tuple(sorted(sizes)))
 
-
-def multi3_total(n1: int, n2: int, n3: int) -> int:
-    """Size of the three-circle poset, symmetric in the circle sizes."""
-    if min(n1, n2, n3) < 1:
-        raise ValueError("circle sizes must be positive")
-    # factor 1 + n1n2/(n1+n2) + n1n3/(n1+n3) + n2n3/(n2+n3) over one denominator
-    d12, d13, d23 = n1 + n2, n1 + n3, n2 + n3
-    numerator = (
-        d12 * d13 * d23
-        + n1 * n2 * d13 * d23
-        + n1 * n3 * d12 * d23
-        + n2 * n3 * d12 * d13
-    )
-    product = binom(2 * n1, n1) * binom(2 * n2, n2) * binom(2 * n3, n3)
-    return _exact_div(numerator * product, d12 * d13 * d23)

@@ -7,6 +7,9 @@ poset built here.
 
 Polynomials: `schoolbook_mul`, the term-by-term product that the
 Kronecker-substitution `IntPolynomial.__mul__` must equal.
+
+Three circles: `multi3_total`, the size of the three-circle poset as one
+symmetric closed form, which the sum over matchings must equal.
 """
 
 from __future__ import annotations
@@ -161,3 +164,19 @@ def schoolbook_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         for j, y in enumerate(b.coefficients):
             out[i + j] += x * y
     return IntPolynomial(out)
+
+
+def multi3_total(n1: int, n2: int, n3: int) -> int:
+    """Size of the three-circle poset, symmetric in the circle sizes."""
+    if min(n1, n2, n3) < 1:
+        raise ValueError("circle sizes must be positive")
+    # factor 1 + n1n2/(n1+n2) + n1n3/(n1+n3) + n2n3/(n2+n3) over one denominator
+    d12, d13, d23 = n1 + n2, n1 + n3, n2 + n3
+    numerator = (
+        d12 * d13 * d23
+        + n1 * n2 * d13 * d23
+        + n1 * n3 * d12 * d23
+        + n2 * n3 * d12 * d13
+    )
+    product = binom(2 * n1, n1) * binom(2 * n2, n2) * binom(2 * n3, n3)
+    return _exact_div(numerator * product, d12 * d13 * d23)

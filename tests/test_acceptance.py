@@ -32,7 +32,6 @@ from ncb import (
     max_chains,
     mobius_annulus,
     mobius_q1,
-    multi3_total,
     nc_b_annulus,
     nc_b_disc,
     nc_b_multi,
@@ -45,6 +44,7 @@ from ncb import (
 )
 from ncb.cli import verify_suite
 from ncb.formulas import annulus_positive_total, binom
+from oracles import multi3_total
 
 
 @contextmanager

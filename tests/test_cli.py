@@ -13,7 +13,7 @@ import pytest
 
 from ncb import BPartition, IntPolynomial, SignedPermutation, genus_defect, nc_b_multi
 from ncb.checks import FAMILIES, Check
-from ncb import cli
+from ncb import cli, formulas
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
 from ncb.formulas import binom
@@ -467,6 +467,33 @@ def test_count_prints_huge_values(capsys):
     assert time.perf_counter() - start < 1.0
     value = out.strip()
     assert len(value) > 4300 and value.isdigit()
+
+
+def test_large_binomials_skip_math_comb(capsys, monkeypatch):
+    "Past the crossover no binomial comes from math.comb; the output stays."
+    C = math.comb
+    queries = {
+        ("count", "--shape", "3000,2500"): (5500 + 3000 * 2500)
+        * C(6000, 3000)
+        * C(5000, 2500)
+        // 5500,
+        ("mobius", "--shape", "1100,900"): C(2199, 1100)
+        * C(1799, 900)
+        * (2000 + 4 * 1100 * 900)
+        // 2000,
+    }
+    before = {argv: run(capsys, *argv) for argv in queries}
+    assert {argv: out for argv, (_, out, _) in before.items()} == {
+        argv: f"{value}\n" for argv, value in queries.items()
+    }
+
+    def small_comb(a, b):
+        if formulas._by_primes(a, min(b, a - b)):
+            raise AssertionError(f"math.comb({a}, {b}) is past the crossover")
+        return C(a, b)
+
+    monkeypatch.setattr(formulas, "comb", small_comb)
+    assert {argv: run(capsys, *argv) for argv in queries} == before
 
 
 def test_encode_rejects_a_huge_level_at_once(capsys, monkeypatch):

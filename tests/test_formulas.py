@@ -15,7 +15,6 @@ from ncb import (
     mobius_annulus,
     mobius_disc,
     mobius_q1,
-    multi3_total,
     nc_b_annulus,
     nc_b_multi,
     rank_coefficient,
@@ -26,14 +25,17 @@ from ncb import (
     zeta_poly,
     zeta_poly_q1,
 )
+from ncb import formulas
 from ncb.formulas import (
     GradedChains,
+    _by_primes,
+    _prime_factor_binom,
     annulus_positive_total,
     binom,
     gbinom,
     over_matchings,
 )
-from oracles import catalan, mobius_a, narayana, schoolbook_mul
+from oracles import catalan, mobius_a, multi3_total, narayana, schoolbook_mul
 from test_acceptance import size_tuples
 
 
@@ -43,6 +45,36 @@ def test_binom():
     assert binom(5, -1) == 0
     assert binom(3, 5) == 0
     assert binom(0, 0) == 1
+
+
+def crossover(a):
+    "The least k at which binom(a, k) takes the prime-factor path, else a//2 + 1."
+    return next((k for k in range(a // 2 + 1) if _by_primes(a, k)), a // 2 + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 20_000),
+    st.sampled_from(["zero", "crossover", "mirror", "half", "top"]),
+    st.integers(-3, 3),
+)
+@example(20_000, "crossover", 0)
+@example(20_000, "half", 0)
+@example(1600, "half", 0)
+def test_binom_matches_math_comb(a, anchor, offset):
+    "On both sides of the crossover, and out of range, binom is math.comb."
+    k = crossover(a)
+    center = {"zero": 0, "crossover": k, "mirror": a - k, "half": a // 2, "top": a}
+    b = center[anchor] + offset
+    assert binom(a, b) == (comb(a, b) if b >= 0 else 0)
+
+
+def test_prime_factor_binom_on_small_rows():
+    "The prime-factor product is C(a, b) on rows the crossover never sends it."
+    for a in range(61):
+        assert [_prime_factor_binom(a, b) for b in range(a + 1)] == [
+            comb(a, b) for b in range(a + 1)
+        ], a
 
 
 def test_gbinom():
@@ -205,6 +237,16 @@ def test_rank_gen_matches_rank_coefficient_at_scale():
     assert poly.degree == 500
     for k in range(-1, 502):
         assert poly.coefficient(k) == rank_coefficient(300, 200, k), k
+
+
+def test_two_circle_rank_gen_is_two_products(monkeypatch):
+    "One two-circle rank polynomial costs two polynomial products."
+    calls = []
+    mul = IntPolynomial.__mul__
+    counted = lambda a, b: calls.append((a, b)) or mul(a, b)
+    monkeypatch.setattr(IntPolynomial, "__mul__", counted)
+    rank_gen(81, 70)
+    assert len(calls) == 2
 
 
 def test_rank_gen_spot():
@@ -415,6 +457,9 @@ def test_rank_coefficient_matches_cell_sum(p, q):
 
 @settings(max_examples=40, deadline=None)
 @given(sizes, sizes)
+@example(1, 40)
+@example(40, 1)
+@example(40, 40)
 def test_rank_gen_compact_matches_cell_sum(p, q):
     "The integer double sum equals the cell-by-cell sum."
     assert rank_gen_compact(p, q) == rank_gen_cells(p, q)
@@ -453,6 +498,14 @@ def test_gbinom_pascal_rule():
     for a in range(-40, 41):
         for k in range(0, 41):
             assert gbinom(a, k) == gbinom(a - 1, k - 1) + gbinom(a - 1, k), (a, k)
+
+
+@pytest.mark.parametrize("k", [3000, 3001])
+def test_gbinom_negative_upper_past_crossover(k, monkeypatch):
+    "Upper negation onto a prime-factor binomial keeps the falling factorial's sign."
+    assert _by_primes(k + 1999, 1999)  # C(-2000, k) = (-1)^k C(k + 1999, k)
+    monkeypatch.setattr(formulas, "comb", None)  # no math.comb past the crossover
+    assert gbinom(-2000, k) == gbinom_reference(-2000, k)
 
 
 large = st.integers(1, 400)

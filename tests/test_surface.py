@@ -48,7 +48,6 @@ PUBLIC = [
     "mobius_annulus",
     "mobius_disc",
     "mobius_q1",
-    "multi3_total",
     "nc_b_annulus",
     "nc_b_disc",
     "nc_b_multi",
@@ -63,8 +62,9 @@ PUBLIC = [
     "zeta_poly_q1",
 ]
 
-# The references now in tests/oracles.py (the type-A side and the
-# term-by-term polynomial product), and wrappers and copies that were deleted.
+# The references now in tests/oracles.py (the type-A side, the term-by-term
+# polynomial product and the three-circle size), and wrappers and copies that
+# were deleted.
 RETIRED = [
     "ClassicalPartition",
     "DiscCounts",
@@ -76,6 +76,7 @@ RETIRED = [
     "disc_counts",
     "joint_orbit_count",
     "kreweras_perm",
+    "multi3_total",
     "narayana",
     "nc_a",
     "orbit_stats",
