@@ -22,10 +22,13 @@ def _by_primes(a: int, k: int) -> bool:
     """Whether C(a, k), k <= a/2, is faster from its prime factors than from
     `math.comb`.  The factor path costs about a (it sieves to a), while
     `math.comb` grows faster than k.  Timed on a 2-core host with Python
-    3.11, the factor path wins from about k = 700 at a = 2k, k = 1200 at
-    a = 4k and k = 3000 at a = 8k; k * k >= 400 a takes it only where it
-    was faster by a fifth or more in two timings of the grid."""
-    return k * k >= 400 * a
+    3.11 for k <= 5000 and a/k from 2 to 32, the factor path wins from about
+    k = 700 at a = 2k, k = 1200 at a = 4k and k = 3000 at a = 8k, and never
+    in the grid at a >= 12k.  The rule takes it only inside the timed cells
+    where it was faster by a fifth or more: a <= 8k and k * k >= 400 a.
+    Past a = 8k the sieve's cost in a would outgrow the answer, so
+    `math.comb` keeps every such row."""
+    return a <= 8 * k and k * k >= 400 * a
 
 
 def _prime_factor_binom(a: int, b: int) -> int:
@@ -48,9 +51,10 @@ def _prime_factor_binom(a: int, b: int) -> int:
     # in base p: a % p < b % p.  Every prime in (max(b, c), a] divides C(a, b)
     # once; max(b, c) >= a/2 is never below the root.
     top = max(b, c)
-    middle = compress(range(root + 1, top + 1), sieve[root + 1 : top + 1])
+    view = memoryview(sieve)  # slices of a view copy nothing
+    middle = compress(range(root + 1, top + 1), view[root + 1 : top + 1])
     factors += [p for p in middle if a % p < b % p]
-    factors += compress(range(top + 1, a + 1), sieve[top + 1 :])
+    factors += compress(range(top + 1, a + 1), view[top + 1 :])
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [x * y for x, y in zip(factors[::2], factors[1::2])] + odd

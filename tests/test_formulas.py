@@ -69,6 +69,22 @@ def test_binom_matches_math_comb(a, anchor, offset):
     assert binom(a, b) == (comb(a, b) if b >= 0 else 0)
 
 
+def test_binom_far_from_the_middle_uses_math_comb(monkeypatch):
+    "Past a = 8k the sieve to a would outgrow the answer: math.comb keeps it."
+    assert _by_primes(8 * 3200, 3200) and not _by_primes(8 * 3200 + 1, 3200)
+    assert not _by_primes(4_000_000, 40_000)  # k * k >= 400 a alone would take it
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    monkeypatch.setattr(formulas, "comb", spy)
+    monkeypatch.setattr(formulas, "_prime_factor_binom", None)
+    binom(4_000_000, 40_000)
+    assert calls == [(4_000_000, 40_000)]
+
+
 def test_prime_factor_binom_on_small_rows():
     "The prime-factor product is C(a, b) on rows the crossover never sends it."
     for a in range(61):
