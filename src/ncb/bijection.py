@@ -10,8 +10,8 @@ those ending with the highest closer type) gives a matchable string whose
 nesting structure is read off as a partition, one partition per paren type
 for multichains.  Decoding reads the subsets back off the first and last
 elements of the blocks, level by level, and the shift off the block whose
-closer ends the inner string; reading the chain off the strings the decode
-already built, at the shift it found, confirms the result."""
+closer ends the inner string; the blocks read off the strings the decode
+already built, at the shift it found, must be the chain's blocks."""
 
 from __future__ import annotations
 
@@ -331,21 +331,6 @@ def _boundary_tokens(labels: Sequence[int], lefts, rights_levels) -> tuple:
     return tuple(tokens)
 
 
-def _match_pairs(tokens: Sequence) -> list[tuple[int, int]]:
-    stack = []
-    pairs = []
-    for pos, tok in enumerate(tokens):
-        if tok == "(":
-            stack.append(pos)
-        elif type(tok) is str:
-            if not stack:
-                raise ValueError("unmatchable parentheses")
-            pairs.append((stack.pop(), pos))
-    if stack:
-        raise ValueError("unmatchable parentheses")
-    return pairs
-
-
 def _validate_tuple_range(t: AnnulusTuple, p: int, q: int) -> None:
     outer = set(range(1, p + 1))
     inner = set(range(p + 1, p + q + 1))
@@ -392,22 +377,41 @@ def encode_multichain(
     )
     left_shifts = _left_shifts(u)
     assert len(left_shifts) == 2 * t.c
-    return _assemble(u, v, left_shifts[t.d - 1], _inner_anchor(v), t.m, p + q)
+    levels = _assemble(u, v, left_shifts[t.d - 1], _inner_anchor(v), t.m)
+    return tuple(BPartition(p + q, blocks) for blocks in levels)
 
 
-def _assemble(
-    u: tuple, v: tuple, shift: int, anchor: int, m: int, n: int
-) -> tuple[BPartition, ...]:
-    """The chain read off u rotated to `shift` followed by v rotated to
-    `anchor`: pi_j keeps the pairs closed by types j and above."""
-    tokens = _rotate(u, shift) + _rotate(v, anchor)
+def _assemble(u: tuple, v: tuple, shift: int, anchor: int, m: int) -> list[list]:
+    """The blocks of each level of the chain read off u rotated to `shift`
+    followed by v rotated to `anchor`: level j keeps the pairs closed by
+    types j and above, and a label belongs to its innermost kept pair.
+
+    The two rotations have surpluses c and -c, so the string matches.  One
+    scan records each pair's enclosing pair and closer type and each
+    label's innermost pair; pair 0 stands for the outside and is kept at
+    every level."""
     closer_types = {f"){k}": k for k in range(1, m)}
-    # A pair closed by type k is erased from level k + 1 on; labels stay.
-    keep = [m] * len(tokens)
-    for open_pos, close_pos in _match_pairs(tokens):
-        keep[open_pos] = keep[close_pos] = closer_types[tokens[close_pos]]
-    levels = [[tok for tok, k in zip(tokens, keep) if k >= j] for j in range(1, m)]
-    return tuple(BPartition(n, _read_blocks(level)) for level in levels)
+    parent, kind, stack, home = [0], [m], [0], {}
+    for tok in _rotate(u, shift) + _rotate(v, anchor):
+        if tok == "(":
+            stack.append(len(parent))
+            parent.append(stack[-2])
+            kind.append(0)
+        elif type(tok) is str:
+            kind[stack.pop()] = closer_types[tok]
+        else:
+            home[tok] = stack[-1]
+    levels = []
+    for j in range(1, m):
+        # Parents open first, so kept[parent[i]] is set before kept[i].
+        kept = [0]
+        for i in range(1, len(parent)):
+            kept.append(i if kind[i] >= j else kept[parent[i]])
+        blocks: dict[int, list] = {}
+        for x, i in home.items():
+            blocks.setdefault(kept[i], []).append(x)
+        levels.append(list(blocks.values()))
+    return levels
 
 
 def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
@@ -497,8 +501,9 @@ def decode_multichain(
       of pi_k whose last is the label before the anchor.
 
     The circle strings built for the anchor, rotated to the shift found,
-    give the exact encoding of the result, which must equal the chain; a
-    chain outside the image raises ValueError.
+    give the blocks of the result's encoding, level by level, which must
+    be the blocks of the chain; a chain outside the image raises
+    ValueError.
     """
     chain = tuple(chain)
     if not chain:
@@ -536,8 +541,15 @@ def decode_multichain(
     except ValueError:
         raise not_image from None
     result = AnnulusTuple(c, d, left_outer, rights_outer, left_inner, rights_inner)
-    if _assemble(u, v, shift, anchor, result.m, p + q) != chain:
-        raise not_image
+    # Both sides cover the ground set once, so the levels equal the chain
+    # when each level has as many blocks as its member and no block of it
+    # meets two of the member's blocks.
+    for blocks, pi in zip(_assemble(u, v, shift, anchor, result.m), chain):
+        index = pi._block_of
+        if len(blocks) != len(pi.blocks) or any(
+            len({index[x] for x in block}) > 1 for block in blocks
+        ):
+            raise not_image
     return result
 
 

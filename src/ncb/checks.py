@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijection, formulas
 from .enumeration import (
@@ -29,7 +28,7 @@ from .partition import connectivity, pair_stats
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
-    _genus_slack,
+    _compose,
     _inverse,
     _orbits,
     boundary_permutation,
@@ -37,8 +36,7 @@ from .signed_perm import (
 )
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     params: str
     expected: object
@@ -344,20 +342,39 @@ def _multi_total(max_n: int) -> Iterable[Check]:
         yield Check("multi-total", params, total, len(nc_b_multi(sizes)))
 
 
+def _genus_slacks(n: int) -> Iterator[tuple[SignedPermutation, SignedPermutation, int]]:
+    """(a, b, genus_defect(a, b)) for every pair of B_n, a-major.
+
+    Orbits are counted once per permutation, and a^-1 b's count is read
+    back since B_n is a group.  The joint orbits of a and b depend only on
+    their orbit partitions, so one walk serves each pair of classes."""
+    perms = [
+        SignedPermutation(p * s for p, s in zip(perm, signs))
+        for perm in itertools.permutations(range(1, n + 1))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+    count, classes, kinds = {}, {}, []
+    for a in perms:
+        orbits = _orbits(a.image)
+        count[a.image] = len(orbits)
+        partition = frozenset(map(frozenset, orbits))
+        kinds.append(classes.setdefault(partition, len(classes)))
+    joint: dict[tuple[int, int], int] = {}
+    for a, a_kind in zip(perms, kinds):
+        a_inverse = _inverse(a.image)
+        base = 2 * n - count[a.image]
+        for b, b_kind in zip(perms, kinds):
+            key = (a_kind, b_kind)
+            if key not in joint:
+                joint[key] = 2 * len(joint_orbits(a, b))
+            rest = count[_compose(a_inverse, b.image)]
+            yield a, b, base + joint[key] - count[b.image] - rest
+
+
 @_family("genus-defect")
 def _genus_defect(max_n: int) -> Iterable[Check]:
     for n in (2, 3):
-        perms = [
-            SignedPermutation(p * s for p, s in zip(perm, signs))
-            for perm in itertools.permutations(range(1, n + 1))
-            for signs in itertools.product((1, -1), repeat=n)
-        ]
-        stats = [(a, _inverse(a.image), len(_orbits(a.image))) for a in perms]
-        bad = sum(
-            (d := _genus_slack(a, b, a_inverse, a_orbits, b_orbits)) < 0 or d % 2 == 1
-            for a, a_inverse, a_orbits in stats
-            for b, _, b_orbits in stats
-        )
+        bad = sum(d < 0 or d % 2 == 1 for _, _, d in _genus_slacks(n))
         yield Check("genus-defect", f"n={n}", 0, bad)
 
 
@@ -372,32 +389,42 @@ def _chu_vandermonde(max_n: int) -> Iterable[Check]:
     yield Check("chu-vandermonde", "n<=12", 0, bad)
 
 
+def _compositions(length: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of `length` nonnegative ints with sum <= budget, in
+    lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for x in range(budget + 1):
+        for rest in _compositions(length - 1, budget - x):
+            yield (x, *rest)
+
+
 @_family("hypersum")
 def _hypersum(max_n: int) -> Iterable[Check]:
     # Every binomial here is C(n, x) with n, x <= 10, read off one table.
     pascal = [[comb(n, x) for x in range(11)] for n in range(11)]
+    # weights[heads][s] sums prod C(A, a) over the a with sum(a) = s.  It is
+    # convolved from the weights of heads[:-1], not taken as
+    # C(sum(heads), s): that equality is the Vandermonde identity this
+    # family checks.
+    weights: dict[tuple[int, ...], list[int]] = {(): [1]}
     bad = 0
     count = 0
     for k in (1, 2, 3):
-        for caps in itertools.product(range(11), repeat=k + 1):
-            if sum(caps) > 10:
-                continue
-            *heads, last = caps
-            # weight[s] sums prod C(A, a) over the a with sum(a) = s.  It is
-            # convolved, not taken as C(sum(heads), s): that equality is the
-            # Vandermonde identity this family checks.
-            weight = [1]
-            for A in heads:
-                row = pascal[A][: A + 1]
-                convolved = [0] * (len(weight) + A)
-                for s, w in enumerate(weight):
-                    for x, c in enumerate(row):
-                        convolved[s + x] += w * c
-                weight = convolved
-            for b in range(last + 1):
-                lhs = sum(map(operator.mul, pascal[last][b:], weight))
-                count += 1
-                bad += lhs != pascal[sum(caps)][last - b]
+        for heads in _compositions(k, 10):
+            weight, A = weights[heads[:-1]], heads[-1]
+            convolved = [0] * (len(weight) + A)
+            for x, c in enumerate(pascal[A][: A + 1]):
+                for s, w in enumerate(weight, x):
+                    convolved[s] += w * c
+            weights[heads] = weight = convolved
+            total = sum(heads)
+            for last in range(11 - total):
+                for b in range(last + 1):
+                    lhs = sum(map(operator.mul, pascal[last][b:], weight))
+                    count += 1
+                    bad += lhs != pascal[total + last][last - b]
     yield Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)
 
 

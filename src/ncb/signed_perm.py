@@ -288,16 +288,5 @@ def genus_defect(a: SignedPermutation, b: SignedPermutation) -> int:
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
-    orbits = [len(_orbits(x.image)) for x in (a, b)]
-    return _genus_slack(a, b, _inverse(a.image), *orbits)
-
-
-def _genus_slack(
-    a: SignedPermutation, b: SignedPermutation, a_inverse: tuple[int, ...],
-    a_orbits: int, b_orbits: int,
-) -> int:
-    """genus_defect given the image of a^-1 and the orbit counts of a and b,
-    which a sweep over many pairs computes once per permutation."""
-    rest = len(_orbits(_compose(a_inverse, b.image)))
-    return 2 * a.n + 2 * len(joint_orbits(a, b)) - a_orbits - b_orbits - rest
-
+    orbits = [a.image, b.image, _compose(_inverse(a.image), b.image)]
+    return 2 * a.n + 2 * len(joint_orbits(a, b)) - sum(len(_orbits(x)) for x in orbits)

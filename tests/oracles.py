@@ -10,14 +10,20 @@ Kronecker-substitution `IntPolynomial.__mul__` must equal.
 
 Three circles: `multi3_total`, the size of the three-circle poset as one
 symmetric closed form, which the sum over matchings must equal.
+
+Verify suite: `hypersum_check`, the `hypersum` family's record from every
+product tuple with sum <= 10, each heads tuple convolved from scratch.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable
 
+from ncb.checks import Check
 from ncb.enumeration import DESK_BOUND_TWO_CIRCLES, FinitePoset
 from ncb.formulas import IntPolynomial, _exact_div, binom
 from ncb.partition import BPartition
@@ -180,3 +186,33 @@ def multi3_total(n1: int, n2: int, n3: int) -> int:
     )
     product = binom(2 * n1, n1) * binom(2 * n2, n2) * binom(2 * n3, n3)
     return _exact_div(numerator * product, d12 * d13 * d23)
+
+
+def hypersum_check() -> Check:
+    """The `hypersum` record from the product of all cap tuples, filtered
+    to sum <= 10, with every heads tuple convolved from scratch."""
+    # Every binomial here is C(n, x) with n, x <= 10, read off one table.
+    pascal = [[comb(n, x) for x in range(11)] for n in range(11)]
+    bad = 0
+    count = 0
+    for k in (1, 2, 3):
+        for caps in itertools.product(range(11), repeat=k + 1):
+            if sum(caps) > 10:
+                continue
+            *heads, last = caps
+            # weight[s] sums prod C(A, a) over the a with sum(a) = s.  It is
+            # convolved, not taken as C(sum(heads), s): that equality is the
+            # Vandermonde identity this family checks.
+            weight = [1]
+            for A in heads:
+                row = pascal[A][: A + 1]
+                convolved = [0] * (len(weight) + A)
+                for s, w in enumerate(weight):
+                    for x, c in enumerate(row):
+                        convolved[s + x] += w * c
+                weight = convolved
+            for b in range(last + 1):
+                lhs = sum(map(operator.mul, pascal[last][b:], weight))
+                count += 1
+                bad += lhs != pascal[sum(caps)][last - b]
+    return Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)

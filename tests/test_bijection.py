@@ -365,6 +365,18 @@ def test_decode_rejects_disconnected():
         decode_annulus(BPartition.singletons(2), 1, 1)
 
 
+def test_decode_rejects_a_coarser_partition():
+    """Every block of the encoding of the tuple read off this crossing
+    partition lies inside one of its blocks, but {1, -3} and {4} are two
+    blocks there and one here: the confirm counts blocks too."""
+    t = AnnulusTuple.from_text("c=1 d=2 LE=2,3,4 RE1=1,4 LI=6 RI1=5,6")
+    image = BPartition(6, [[1, -3], [-1, 3], [2, 5], [-2, -5], [4], [-4], [6], [-6]])
+    assert encode_annulus(t, 4, 2) == image
+    coarser = BPartition(6, [[1, -3, 4], [-1, 3, -4], [2, 5], [-2, -5], [6], [-6]])
+    with pytest.raises(ValueError, match="not in the image"):
+        decode_annulus(coarser, 4, 2)
+
+
 def test_chain_example_encode():
     "The reference chain tuple produces the reference multichain."
     chain = encode_multichain(CHAIN_TUPLE, 6, 3)
@@ -660,7 +672,8 @@ def test_decode_rejects_bent_chains_bench_scale(case, data):
 
 def test_decode_builds_its_strings_once(monkeypatch):
     """One decode builds the circle strings once and runs the left cycle
-    lemma once: its confirm reuses them instead of re-encoding."""
+    lemma once: its confirm reuses them instead of re-encoding, and
+    compares blocks with the chain without building a partition."""
     chain = encode_multichain(CHAIN_TUPLE, 6, 3)
     calls = Counter()
 
@@ -675,5 +688,6 @@ def test_decode_builds_its_strings_once(monkeypatch):
 
     count("_circle_strings")
     count("_left_shifts")
+    count("BPartition")
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
     assert calls == {"_circle_strings": 1, "_left_shifts": 1}

@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from ncb import BPartition, IntPolynomial, SignedPermutation, genus_defect, nc_b_multi
-from ncb.checks import FAMILIES, Check
+from ncb.checks import FAMILIES, Check, _compositions, _genus_slacks
 from ncb import cli, formulas
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
 from ncb.formulas import binom
+
+from oracles import hypersum_check
 
 TESTS = Path(__file__).parent
 
@@ -289,6 +291,20 @@ def test_hypersum_matches_brute_force():
     assert verify_suite(max_n=3, only="hypersum") == [expected]
 
 
+def test_hypersum_matches_product_and_filter():
+    "The family's record equals the product-and-filter loop it replaced."
+    assert verify_suite(max_n=3, only="hypersum") == [hypersum_check()]
+
+
+@pytest.mark.parametrize("length", range(5))
+@pytest.mark.parametrize("budget", [0, 1, 4, 10])
+def test_compositions_are_the_filtered_products(length, budget):
+    "The generator yields the product tuples with sum <= budget, in order."
+    products = itertools.product(range(budget + 1), repeat=length)
+    expected = [caps for caps in products if sum(caps) <= budget]
+    assert list(_compositions(length, budget)) == expected
+
+
 def test_genus_defect_family_matches_direct_sum():
     "The family's bad counts equal a genus_defect sweep over all pairs."
     expected = []
@@ -303,6 +319,17 @@ def test_genus_defect_family_matches_direct_sum():
         bad = sum(d < 0 or d % 2 == 1 for d in defects)
         expected.append(Check("genus-defect", f"n={n}", 0, bad))
     assert verify_suite(max_n=3, only="genus-defect") == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_genus_slacks_equal_genus_defect(n):
+    """The family's per-pair slacks are genus_defect itself on every pair
+    of B_n, not only in their count of odd or negative values."""
+    slacks = list(_genus_slacks(n))
+    size = 2**n * math.factorial(n)
+    assert len(slacks) == len({(a, b) for a, b, _ in slacks}) == size**2
+    assert all(d == genus_defect(a, b) for a, b, d in slacks)
+    assert len({d for _, _, d in slacks}) > 1
 
 
 def test_verify_unknown_check(capsys):
