@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect, bisect_left
+from functools import lru_cache
 from operator import neg
 from typing import Iterable, Sequence
 
@@ -274,14 +275,18 @@ class AnnulusTuple:
                 raise ValueError(f"repeated field {key}")
             fields[key] = value
 
-        def ints(value: str) -> frozenset[int]:
-            return frozenset(int(x) for x in value.split(",") if x)
+        def ints(key: str) -> frozenset[int]:
+            labels = [int(x) for x in fields.pop(key).split(",") if x]
+            if len(set(labels)) < len(labels):
+                twice = next(x for i, x in enumerate(labels) if x in labels[:i])
+                raise ValueError(f"field {key} repeats label {twice}")
+            return frozenset(labels)
 
         try:
             c = int(fields.pop("c"))
             d = int(fields.pop("d"))
-            left_outer = ints(fields.pop("LE"))
-            left_inner = ints(fields.pop("LI"))
+            left_outer = ints("LE")
+            left_inner = ints("LI")
         except KeyError as missing:
             raise ValueError(f"missing field {missing}") from None
         # keys are exactly RE1..REk and RI1..RIk, as to_text writes; checked first
@@ -290,8 +295,8 @@ class AnnulusTuple:
         for key in (f"{side}{k}" for side in sides for k in range(1, levels + 1)):
             if key not in fields:
                 raise ValueError(f"missing field {key!r}")
-        rights_outer = [ints(fields.pop(f"RE{k}")) for k in range(1, levels + 1)]
-        rights_inner = [ints(fields.pop(f"RI{k}")) for k in range(1, levels + 1)]
+        rights_outer = [ints(f"RE{k}") for k in range(1, levels + 1)]
+        rights_inner = [ints(f"RI{k}") for k in range(1, levels + 1)]
         if fields:
             raise ValueError(f"unknown fields {sorted(fields)}")
         return cls(c, d, left_outer, rights_outer, left_inner, rights_inner)
@@ -356,8 +361,10 @@ def _inner_anchor(v: tuple) -> int:
     Ending on a low closer type can nest a high-type pair inside a
     low-type pair, which breaks the level reads.  The anchor always ends a
     closer run, because a legal shift is still legal one closer later."""
-    end_type = lambda r: _paren_type(v[r - 1])
-    return max(_right_shifts(v), key=lambda r: (end_type(r), r))
+    shifts = _right_shifts(v)
+    closers = [v[r - 1] for r in shifts]
+    # Closers ")k" order by type as (length, text) does.
+    return max(zip(map(len, closers), closers, shifts))[2]
 
 
 def encode_multichain(
@@ -387,30 +394,32 @@ def _assemble(u: tuple, v: tuple, shift: int, anchor: int, m: int) -> list[list]
     types j and above, and a label belongs to its innermost kept pair.
 
     The two rotations have surpluses c and -c, so the string matches.  One
-    scan records each pair's enclosing pair and closer type and each
-    label's innermost pair; pair 0 stands for the outside and is kept at
-    every level."""
+    scan records each pair's enclosing pair, closer type and directly
+    enclosed labels; pair 0 stands for the outside and is kept at every
+    level.  Every pair is kept at level 1, and each later level moves the
+    labels of the pairs it drops into their nearest kept ancestor."""
     closer_types = {f"){k}": k for k in range(1, m)}
-    parent, kind, stack, home = [0], [m], [0], {}
+    parent, kind, stack, members = [0], [m], [0], [[]]
     for tok in _rotate(u, shift) + _rotate(v, anchor):
         if tok == "(":
             stack.append(len(parent))
             parent.append(stack[-2])
             kind.append(0)
+            members.append([])
         elif type(tok) is str:
             kind[stack.pop()] = closer_types[tok]
         else:
-            home[tok] = stack[-1]
-    levels = []
-    for j in range(1, m):
-        # Parents open first, so kept[parent[i]] is set before kept[i].
-        kept = [0]
-        for i in range(1, len(parent)):
-            kept.append(i if kind[i] >= j else kept[parent[i]])
-        blocks: dict[int, list] = {}
-        for x, i in home.items():
-            blocks.setdefault(kept[i], []).append(x)
-        levels.append(list(blocks.values()))
+            members[stack[-1]].append(tok)
+    levels = [[block for block in members if block]]
+    kept = list(range(len(parent)))
+    for j in range(2, m):
+        blocks: list[list] = [[] for _ in parent]
+        for i, labels in enumerate(members):
+            # Parents open first, so kept[parent[i]] is final before kept[i].
+            if kind[i] < j:
+                kept[i] = kept[parent[i]]
+            blocks[kept[i]] += labels
+        levels.append([block for block in blocks if block])
     return levels
 
 
@@ -421,10 +430,11 @@ def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
     return encode_multichain(t, p, q)[0]
 
 
+@lru_cache(maxsize=64)
 def _circle_positions(p: int, q: int) -> dict[int, int]:
     """Index of each signed label in running order, circle after circle:
     1..p then -1..-p outside, then p+1..p+q and their negatives inside.
-    The dict lists the labels in that order."""
+    The dict lists the labels in that order; it is shared, so read-only."""
     outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
     order = [*outer, *map(neg, outer), *inner, *map(neg, inner)]
     return {x: i for i, x in enumerate(order)}
@@ -461,15 +471,18 @@ def _block_ends(
     on the outer circle and closes on the inner one, so its first is the
     first of its outer piece and its last the last of its inner piece.
     """
+    index = partition._block_of
+    spots: list[list[int]] = [[] for _ in partition.blocks]
+    for i, x in enumerate(position):  # each block's positions, ascending
+        spots[index[x]].append(i)
     order = list(position)
     ends = {}
-    for block in partition.blocks:
-        if -block[0] in block:
+    for block, own in zip(partition.blocks, spots):
+        mirror = spots[index[-block[0]]]
+        if mirror is own:  # the zero block
             continue
-        spots = sorted(map(position.__getitem__, block))
-        mirror = sorted(map(position.__getitem__, map(neg, block)))
-        k = bisect_left(spots, 2 * p)  # spots[:k] lie on the outer circle
-        head, tail = spots[:k] or spots, spots[k:] or spots
+        k = bisect_left(own, 2 * p)  # own[:k] lie on the outer circle
+        head, tail = own[:k] or own, own[k:] or own
         # Each piece's mirror starts at mirror[0] (outer) or mirror[k] (inner).
         first = head[bisect(head, mirror[0]) % len(head)]
         last = tail[bisect(tail, mirror[k % len(mirror)]) - 1]

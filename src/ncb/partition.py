@@ -9,25 +9,49 @@ of rho.
 from __future__ import annotations
 
 import json
-from functools import cached_property
-from itertools import chain
-from operator import neg
+from functools import cached_property, lru_cache
+from itertools import chain, starmap
+from operator import eq, neg
 from typing import Iterable, NamedTuple
 
 from .signed_perm import AnnulusShape, SignedPermutation, boundary_permutation
 
 
-def _bad_block_list(n: int, canon: list[tuple[int, ...]]) -> ValueError:
+def _bad_block_list(n: int, blocks: list[tuple[int, ...]]) -> ValueError:
     """The error for the first empty block or bad element, else for coverage."""
     seen: set[int] = set()
-    for block in canon:
+    for block in blocks:
         if not block:
             return ValueError("empty block")
-        for x in block:
+        # Descending, then stably by absolute value: x before -x.
+        for x in sorted(sorted(set(block), reverse=True), key=abs):
             if x == 0 or abs(x) > n or x in seen:
                 return ValueError(f"bad or repeated element {x} for n={n}")
             seen.add(x)
     return ValueError(f"blocks do not cover -{n}..-1, 1..{n}")
+
+
+def _bad_negation(canon: tuple[tuple[int, ...], ...]) -> ValueError:
+    """The error for the first block whose negation is no block, else for
+    a second inversion-invariant block."""
+    by_first = {block[0]: block for block in canon}
+    for block in canon:
+        # A block without x and -x negates to the sorted block -block.
+        mirror = tuple(map(neg, block))
+        if by_first.get(mirror[0]) != mirror and set(mirror) != set(block):
+            return ValueError(f"negation of block {block} is not a block")
+    return ValueError("more than one inversion-invariant block")
+
+
+@lru_cache(maxsize=64)
+def _places(n: int) -> dict[int, int]:
+    """Place of each label in canonical order 1, -1, 2, -2, ..., n, -n;
+    the dict lists the labels in that order, and -x sits at place ^ 1."""
+    return {x: i for i, x in enumerate(x for k in range(1, n + 1) for x in (k, -k))}
+
+
+# json.dumps with non-default separators builds an encoder on every call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class BPartition:
@@ -38,31 +62,51 @@ class BPartition:
     """
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        # Descending, then stably by absolute value: x before -x.
-        canon = [tuple(sorted(sorted(set(b), reverse=True), key=abs)) for b in blocks]
-        elements = set().union(*canon)
-        if not (
-            all(canon)
-            and len(elements) == sum(map(len, canon)) == 2 * n
-            and 0 not in elements
-            and -n <= min(elements, default=0) <= max(elements, default=0) <= n
+        if type(n) is not int:
+            raise ValueError(f"n must be an int, not {n!r}")
+        if n < 0:
+            raise ValueError(f"n must be at least 0, not {n}")
+        blocks = [*map(tuple, blocks)]
+        if not {int}.issuperset(map(type, chain.from_iterable(blocks))):
+            bad = next(x for x in chain.from_iterable(blocks) if type(x) is not int)
+            raise ValueError(f"block element {bad!r} is not an int")
+        size = sum(map(len, blocks))
+        if size < 2 * n:  # before any table of 2n places is built
+            raise _bad_block_list(n, blocks)
+        # owner[k]: the block holding the label at place k.  Reading the
+        # labels in place order sorts every block, and the blocks come out
+        # ordered by their first elements.
+        places = _places(n)
+        owner = [-1] * (2 * n)
+        try:
+            for i, block in enumerate(blocks):
+                for x in block:
+                    owner[places[x]] = i
+        except KeyError:
+            raise _bad_block_list(n, blocks) from None
+        # A label in no block leaves a -1 owner, an empty block owns no
+        # place, and a label in two blocks is counted twice.
+        firsts = dict.fromkeys(owner)
+        if (
+            -1 in firsts
+            or len(firsts) != len(blocks)
+            or size != 2 * n
+            and sum(len(set(block)) for block in blocks) != 2 * n
         ):
-            raise _bad_block_list(n, canon)
-        # Blocks are disjoint, so their first elements order them.
-        by_first = {block[0]: block for block in canon}
-        canon = [by_first[x] for x in sorted(sorted(by_first, reverse=True), key=abs)]
-        invariant = 0
-        for block in canon:
-            # A block without x and -x negates to the sorted block -block.
-            mirror = tuple(map(neg, block))
-            if by_first.get(mirror[0]) != mirror:
-                if set(mirror) != set(block):
-                    raise ValueError(f"negation of block {block} is not a block")
-                invariant += 1
-        if invariant > 1:
-            raise ValueError("more than one inversion-invariant block")
+            raise _bad_block_list(n, blocks)
+        members: list[list[int]] = [[] for _ in blocks]
+        for x, i in zip(places, owner):
+            members[i].append(x)
+        canon = tuple(map(tuple, map(members.__getitem__, firsts)))
+        # Negation is closed when each block's negatives share one block:
+        # the (block of x, block of -x) links then pair off the blocks.
+        mirror = owner[:]
+        mirror[::2], mirror[1::2] = owner[1::2], owner[::2]
+        links = set(zip(owner, mirror))
+        if len(links) != len(canon) or sum(starmap(eq, links)) > 1:
+            raise _bad_negation(canon)
         self.n = n
-        self.blocks = tuple(canon)
+        self.blocks = canon
 
     @cached_property
     def _block_of(self) -> dict[int, int]:
@@ -74,13 +118,7 @@ class BPartition:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BPartition":
-        n, blocks = data["n"], data["blocks"]
-        if type(n) is not int:
-            raise ValueError(f"n must be an int, not {n!r}")
-        if not {int}.issuperset(map(type, chain.from_iterable(blocks))):
-            bad = next(x for x in chain.from_iterable(blocks) if type(x) is not int)
-            raise ValueError(f"block element {bad!r} is not an int")
-        return cls(n, blocks)
+        return cls(data["n"], data["blocks"])
 
     @classmethod
     def from_json(cls, text: str) -> "BPartition":
@@ -90,7 +128,7 @@ class BPartition:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _JSON.encode({"n": self.n, "blocks": self.blocks})
 
     def block_containing(self, x: int) -> tuple[int, ...]:
         return self.blocks[self._block_of[x]]

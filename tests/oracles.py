@@ -13,12 +13,17 @@ symmetric closed form, which the sum over matchings must equal.
 
 Verify suite: `hypersum_check`, the `hypersum` family's record from every
 product tuple with sum <= 10, each heads tuple convolved from scratch.
+
+Decode: `block_ends_by_sorting`, each block's ends read off its positions
+and its mirror's, both sorted per block, which the walk over the running
+order in `bijection._block_ends` must equal.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect, bisect_left
 from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable
@@ -216,3 +221,30 @@ def hypersum_check() -> Check:
                 count += 1
                 bad += lhs != pascal[sum(caps)][last - b]
     return Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)
+
+
+def block_ends_by_sorting(
+    partition: BPartition, p: int, position: dict[int, int]
+) -> dict[int, int]:
+    """Signed last element keyed by signed first element, for every block
+    but the zero block.
+
+    A block read off a pair holds the label after its "(" first and the
+    label before its closer last.  For a connecting block the pair opens
+    on the outer circle and closes on the inner one, so its first is the
+    first of its outer piece and its last the last of its inner piece.
+    """
+    order = list(position)
+    ends = {}
+    for block in partition.blocks:
+        if -block[0] in block:
+            continue
+        spots = sorted(map(position.__getitem__, block))
+        mirror = sorted(map(position.__getitem__, map(operator.neg, block)))
+        k = bisect_left(spots, 2 * p)  # spots[:k] lie on the outer circle
+        head, tail = spots[:k] or spots, spots[k:] or spots
+        # Each piece's mirror starts at mirror[0] (outer) or mirror[k] (inner).
+        first = head[bisect(head, mirror[0]) % len(head)]
+        last = tail[bisect(tail, mirror[k % len(mirror)]) - 1]
+        ends[order[first]] = order[last]
+    return ends

@@ -27,6 +27,7 @@ from ncb import (
 from ncb import bijection
 from ncb.bijection import _paren_type
 from ncb.formulas import annulus_positive_total, binom
+from oracles import block_ends_by_sorting
 
 OUTER = ParenString.parse("1 ) ( 2 ) 3 ( 4 ( 5 -1 ) ( -2 ) -3 ( -4 ( -5")
 INNER = ParenString.parse("6 ) ( 7 ) 8 -6 ) ( -7 ) -8")
@@ -301,6 +302,20 @@ def test_tuple_text_needs_every_level(text, missing):
         AnnulusTuple.from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, field, label",
+    [
+        ("c=1 d=1 LE=1,1 RE1= LI= RI1=2", "LE", 1),
+        ("c=1 d=1 LE=1 RE1= LI= RI1=2,02", "RI1", 2),
+        ("c=1 d=1 LE=1,2,3 RE1=2,3,2 LI= RI1=4", "RE1", 2),
+    ],
+)
+def test_tuple_text_rejects_a_repeated_label(text, field, label):
+    "A label written twice in one field is named, not merged into one."
+    with pytest.raises(ValueError, match=f"^field {field} repeats label {label}$"):
+        AnnulusTuple.from_text(text)
+
+
 def test_tuple_text_is_checked_before_levels_are_built():
     "A huge level number is rejected at once, not after building the levels."
     start = time.perf_counter()
@@ -406,6 +421,12 @@ def test_nested_closer_types():
     assert chain[0] == BPartition(4, [[1, -4], [-1, 4], [2, -3], [-2, 3]])
     assert chain[1] == BPartition(4, [[1, -2, 3, -4], [-1, 2, -3, 4]])
     assert decode_multichain(chain, 2, 2) == t
+
+
+def test_inner_anchor_orders_closers_by_type():
+    "Type 10 outranks type 9, though \")9\" sorts after \")10\" as text."
+    v = (5, ")10", 6, ")9", -5, ")10", -6, ")9")
+    assert bijection._inner_anchor(v) == 6
 
 
 def test_chain_connectivity_can_exceed_both_sizes():
@@ -558,7 +579,10 @@ def test_decode_matches_search_on_image(p, q, m):
         assert decode_multichain(chain, p, q) == search_decode(chain, p, q) == t
 
 
-@pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 3, 4) for p in range(1, n)])
+DESK_PAIRS = [(p, n - p) for n in (2, 3, 4) for p in range(1, n)]
+
+
+@pytest.mark.parametrize("p,q", DESK_PAIRS)
 def test_decode_matches_search_on_all_pairs(p, q):
     """On every one- and two-member chain of poset elements, image or not,
     both decodes give the same tuple or both raise ValueError."""
@@ -668,6 +692,30 @@ def test_decode_rejects_bent_chains_bench_scale(case, data):
         )
         found = decoded(decode_multichain, relabelled, p, q)
         assert found is None or encode_multichain(found, p, q) == relabelled
+
+
+@pytest.mark.parametrize("p,q", DESK_PAIRS)
+def test_block_ends_match_the_sorting_oracle(p, q):
+    """The walk over the running order reads the same ends as sorting each
+    block and its mirror, on every element of the shape.  It reads one
+    member at a time, so these are the members of every two-member chain."""
+    position = bijection._circle_positions(p, q)
+    for pi in nc_b_annulus(p, q).elements:
+        assert bijection._block_ends(pi, p, position) == block_ends_by_sorting(
+            pi, p, position
+        )
+
+
+@settings(deadline=None)
+@given(chain_tuples())
+def test_block_ends_match_the_sorting_oracle_on_chains(case):
+    "Every member of an encoded chain up to p + q = 12 and m = 6."
+    p, q, t = case
+    position = bijection._circle_positions(p, q)
+    for pi in encode_multichain(t, p, q):
+        assert bijection._block_ends(pi, p, position) == block_ends_by_sorting(
+            pi, p, position
+        )
 
 
 def test_decode_builds_its_strings_once(monkeypatch):

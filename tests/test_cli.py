@@ -417,6 +417,7 @@ BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
             '{"n":2.0,"blocks":[[1],[-1],[2],[-2]]}',
             "is not a partition or a list of them",
         ),
+        ("1,1", '{"n":-1,"blocks":[]}', "is not a partition or a list of them"),
         ("1,1", "[" * 100_000 + "]" * 100_000, "is not a partition or a list of them"),
     ],
     ids=[
@@ -426,6 +427,7 @@ BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
         "chain-outside-the-image",
         "float-elements",
         "float-n",
+        "negative-n",
         "nested-past-the-recursion-limit",
     ],
 )
@@ -465,6 +467,18 @@ def test_encode_error_names_the_line(capsys, monkeypatch):
     code, out, err = run(capsys, "encode", "--shape", "1,1")
     assert code == 2 and out == ""
     assert err.startswith("error: line 3 is not a tuple: c=x d=1 (ValueError: ")
+
+
+def test_encode_rejects_a_repeated_label(capsys, monkeypatch):
+    "A label written twice exits 2 naming the line, the field and the label."
+    text = "c=1 d=1 LE=1 RE1= LI= RI1=2\nc=1 d=1 LE=1,1 RE1= LI= RI1=2\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "encode", "--shape", "1,1")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: line 2 is not a tuple: c=1 d=1 LE=1,1 RE1= LI= RI1=2 "
+        "(ValueError: field LE repeats label 1)\n"
+    )
 
 
 def test_count_rank_at_any_size(capsys):

@@ -3,7 +3,7 @@
 Hypothesis drives `main` in process over every verb.  Its argv is built
 from valid fragments and then mutated; the stdin lines of encode and
 decode are valid tuples and chains with some field or JSON value swapped
-for another type.  Whatever the input, `main` returns 0 or 2 (or 1 from
+for another type (or, in a tuple, for a repeated label).  Whatever the input, `main` returns 0 or 2 (or 1 from
 verify only), and a 2 leaves stdout empty and explains itself on stderr.
 
 Sizes stay where every verb answers at once: enumerate and hasse-dot see
@@ -38,7 +38,7 @@ FILES = ["@FILE", "@DIR", "@MISSING"]
 JUNK = ["--bogus", "--shape", "--rank", "-m", "--json", "--all", "--only", "--out", "-h"]
 JUNK += ["x", "", "-1", "2,1", "@DIR"]
 JSON_SWAPS = [1.5, True, "x", None, [[1]], HUGE]
-TEXT_SWAPS = ["1.5", "true", "x", "", "null", "[1]", str(HUGE), "-1", "0"]
+TEXT_SWAPS = ["1.5", "true", "x", "", "null", "[1]", str(HUGE), "-1", "0", "1,1"]
 
 # Flag -> value choices (None for a switch), per verb; --out for every verb.
 OPTIONS = {

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -42,20 +45,26 @@ def test_element_order_within_block():
 
 
 @pytest.mark.parametrize(
-    "blocks",
+    "n,blocks,named",
     [
-        [[1, 2], [-1, -2], []],
-        [[1, 2], [-1, -2], [3]],
-        [[1, 0], [-1, 2, -2]],
-        [[1, 2], [-1, -2], [1, -1]],
-        [[1, -2], [2, -1, 3, -3]],
-        [[1, -1], [2, -2]],
+        pytest.param(2, [[1, 2], [-1, -2], []], None, id="blocks0"),
+        pytest.param(3, [[1, 2], [-1, -2], [3]], None, id="blocks1"),
+        pytest.param(2, [[1, 0], [-1, 2, -2]], None, id="blocks2"),
+        pytest.param(2, [[1, 2], [-1, -2], [1, -1]], None, id="blocks3"),
+        pytest.param(3, [[1, -2], [2, -1, 3, -3]], None, id="blocks4"),
+        pytest.param(2, [[1, -1], [2, -2]], None, id="blocks5"),
+        pytest.param(True, [[1], [-1]], "n must be an int, not True", id="bool-n"),
+        pytest.param(1.0, [[1], [-1]], "n must be an int, not 1.0", id="float-n"),
+        pytest.param(-1, [], "n must be at least 0, not -1", id="negative-n"),
+        pytest.param(10**30, [[1], [-1]], "blocks do not cover", id="huge-n"),
+        pytest.param(1, [[1.0], [-1]], "block element 1.0 is", id="float-element"),
+        pytest.param(1, [[1], [False]], "block element False is", id="bool-element"),
     ],
 )
-def test_constructor_rejects(blocks):
-    "Coverage, negation closure, and the single invariant block are enforced."
-    n = max((abs(x) for b in blocks for x in b), default=1)
-    with pytest.raises(ValueError):
+def test_constructor_rejects(n, blocks, named):
+    """Coverage, negation closure, the single invariant block and int
+    values are enforced; a value of the wrong type or sign is named."""
+    with pytest.raises(ValueError, match=named and re.escape(named)):
         BPartition(n, blocks)
 
 
@@ -367,3 +376,10 @@ def test_canonical_form_matches_keyed_canonicaliser(case):
     assert outcome(lambda: BPartition(n, blocks).blocks) == outcome(
         lambda: keyed_canonical(n, blocks)
     )
+
+
+@given(negation_closed_blocks())
+def test_to_json_matches_json_dumps(case):
+    "The shared encoder writes what json.dumps writes for the partition's dict."
+    pi = BPartition(*case)
+    assert pi.to_json() == json.dumps(pi.to_dict(), separators=(",", ":"))
