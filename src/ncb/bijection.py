@@ -235,6 +235,13 @@ class AnnulusTuple:
         rights_inner = tuple(frozenset(r) for r in rights_inner)
         left_outer = frozenset(left_outer)
         left_inner = frozenset(left_inner)
+        for name, value in ("c", c), ("d", d):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
+        labels = (left_outer, left_inner, *rights_outer, *rights_inner)
+        if not {int}.issuperset(map(type, itertools.chain(*labels))):
+            bad = next(x for x in itertools.chain(*labels) if type(x) is not int)
+            raise ValueError(f"label {bad!r} is not an int")
         if c < 1:
             raise ValueError("c must be at least 1")
         if not 1 <= d <= 2 * c:
@@ -535,10 +542,8 @@ def decode_multichain(
     left_inner = lefts - left_outer
     rights_inner = [r - outer for r, outer in zip(rights, rights_outer)]
     c = len(left_outer) - sum(map(len, rights_outer))
-    what = "partition" if len(chain) == 1 else "chain"
-    not_image = ValueError(f"{what} is not in the image of the encoding")
     if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
-        raise not_image
+        raise _not_image(chain)
     u, v = _circle_strings(p, q, left_outer, rights_outer, left_inner, rights_inner)
     anchor = _inner_anchor(v)
     end = anchor - 1
@@ -547,23 +552,28 @@ def decode_multichain(
         end -= 1
     first = next((f for f, last in level.items() if last == v[end]), None)
     if first is None or abs(first) > p:
-        raise not_image
+        raise _not_image(chain)
     shift = (u.index(first) - 1) or len(u)
     try:
         d = _left_shifts(u).index(shift) + 1
     except ValueError:
-        raise not_image from None
+        raise _not_image(chain) from None
     result = AnnulusTuple(c, d, left_outer, rights_outer, left_inner, rights_inner)
     # Both sides cover the ground set once, so the levels equal the chain
     # when each level has as many blocks as its member and no block of it
     # meets two of the member's blocks.
     for blocks, pi in zip(_assemble(u, v, shift, anchor, result.m), chain):
-        index = pi._block_of
+        owner = pi._block_of.__getitem__
         if len(blocks) != len(pi.blocks) or any(
-            len({index[x] for x in block}) > 1 for block in blocks
+            len(set(map(owner, block))) > 1 for block in blocks
         ):
-            raise not_image
+            raise _not_image(chain)
     return result
+
+
+def _not_image(chain: tuple) -> ValueError:
+    what = "partition" if len(chain) == 1 else "chain"
+    return ValueError(f"{what} is not in the image of the encoding")
 
 
 def _subsets(labels: Sequence[int]):

@@ -28,9 +28,9 @@ from .partition import connectivity, pair_stats
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
-    _compose,
     _inverse,
     _orbits,
+    _steps,
     boundary_permutation,
     joint_orbits,
 )
@@ -294,6 +294,7 @@ def _roundtrip_multichain(max_n: int) -> Iterable[Check]:
     for p, q in _annulus_pairs(min(max_n, 4)):
         poset = nc_b_annulus(p, q)
         shape = AnnulusShape(p, q)
+        connected = {pi for pi in poset if connectivity(pi, shape) >= 1}
         for m in (3, 4):
             formula = sum(
                 2 * c * binom(m * p, p - c) * binom(m * q, q + c)
@@ -305,9 +306,9 @@ def _roundtrip_multichain(max_n: int) -> Iterable[Check]:
                 chain = bijection.encode_multichain(t, p, q)
                 chains.add(chain)
                 good += (
-                    all(pi in poset for pi in chain)
-                    and all(a.le(b) for a, b in zip(chain, chain[1:]))
-                    and any(connectivity(pi, shape) >= 1 for pi in chain)
+                    all(map(poset.__contains__, chain))
+                    and all(map(poset.le, chain, chain[1:]))
+                    and not connected.isdisjoint(chain)
                     and bijection.decode_multichain(chain, p, q) == t
                 )
             params = f"p={p} q={q} m={m}"
@@ -359,16 +360,18 @@ def _genus_slacks(n: int) -> Iterator[tuple[SignedPermutation, SignedPermutation
         count[a.image] = len(orbits)
         partition = frozenset(map(frozenset, orbits))
         kinds.append(classes.setdefault(partition, len(classes)))
-    joint: dict[tuple[int, int], int] = {}
+    # rows[k][l]: twice the joint orbits of classes k and l, filled on demand.
+    rows: list[list[int | None]] = [[None] * len(classes) for _ in classes]
     for a, a_kind in zip(perms, kinds):
-        a_inverse = _inverse(a.image)
+        step = _steps(_inverse(a.image)).__getitem__  # composes a^-1 b
         base = 2 * n - count[a.image]
+        row = rows[a_kind]
         for b, b_kind in zip(perms, kinds):
-            key = (a_kind, b_kind)
-            if key not in joint:
-                joint[key] = 2 * len(joint_orbits(a, b))
-            rest = count[_compose(a_inverse, b.image)]
-            yield a, b, base + joint[key] - count[b.image] - rest
+            joint = row[b_kind]
+            if joint is None:
+                joint = row[b_kind] = 2 * len(joint_orbits(a, b))
+            rest = count[tuple(map(step, b.image))]
+            yield a, b, base + joint - count[b.image] - rest
 
 
 @_family("genus-defect")

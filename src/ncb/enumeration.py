@@ -19,8 +19,8 @@ from .partition import BPartition, adjusted_orbits
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
-    _compose,
     _orbits,
+    _steps,
     boundary_permutation,
 )
 
@@ -244,10 +244,11 @@ def _interval_images(gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             for y in orbit:
                 label[y] = k
             invariant.append(-orbit[0] in orbit)
+        step = _steps(x).__getitem__  # composes x r
         for r, a, b in moves:
             la, lb = label[a], label[b]
             if la == lb or (invariant[la] and invariant[lb]):
-                y = _compose(x, r)
+                y = tuple(map(step, r))
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)

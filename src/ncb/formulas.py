@@ -31,6 +31,11 @@ def _by_primes(a: int, k: int) -> bool:
     return a <= 8 * k and k * k >= 400 * a
 
 
+# With k <= a/2, k * k >= 400 a needs a >= 1600: `_by_primes` takes no row
+# below this but (0, 0), where both paths return 1.
+_COMB_ROWS = 1600
+
+
 def _prime_factor_binom(a: int, b: int) -> int:
     """C(a, b) as the product of its prime powers p^e, multiplied pairwise."""
     sieve = bytearray([1]) * (a + 1)
@@ -63,6 +68,8 @@ def _prime_factor_binom(a: int, b: int) -> int:
 
 def binom(a: int, b: int) -> int:
     """C(a, b) with the convention 0 for b < 0 or b > a (a must be >= 0)."""
+    if 0 <= b <= a < _COMB_ROWS:
+        return comb(a, b)
     if a < 0:
         raise ValueError("upper argument must be nonnegative; use gbinom")
     if b < 0 or b > a:

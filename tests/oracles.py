@@ -17,6 +17,10 @@ product tuple with sum <= 10, each heads tuple convolved from scratch.
 Decode: `block_ends_by_sorting`, each block's ends read off its positions
 and its mirror's, both sorted per block, which the walk over the running
 order in `bijection._block_ends` must equal.
+
+Round trips: `roundtrip_multichain_by_pair_stats`, the `roundtrip-multichain`
+family with each chain checked by hashing, pair masks and pair statistics
+instead of the poset's tables; a bad codec must fail both.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable
 
-from ncb.checks import Check
-from ncb.enumeration import DESK_BOUND_TWO_CIRCLES, FinitePoset
+from ncb import bijection
+from ncb.checks import Check, _annulus_pairs
+from ncb.enumeration import DESK_BOUND_TWO_CIRCLES, FinitePoset, nc_b_annulus
 from ncb.formulas import IntPolynomial, _exact_div, binom
-from ncb.partition import BPartition
+from ncb.partition import BPartition, connectivity
+from ncb.signed_perm import AnnulusShape
 
 
 class ClassicalPartition:
@@ -248,3 +254,32 @@ def block_ends_by_sorting(
         last = tail[bisect(tail, mirror[k % len(mirror)]) - 1]
         ends[order[first]] = order[last]
     return ends
+
+
+def roundtrip_multichain_by_pair_stats(max_n: int) -> Iterable[Check]:
+    """The `roundtrip-multichain` records, each chain's members checked for
+    membership by hashing, for order by their pair masks and for a
+    connecting block by their pair statistics."""
+    for p, q in _annulus_pairs(min(max_n, 4)):
+        poset = nc_b_annulus(p, q)
+        shape = AnnulusShape(p, q)
+        for m in (3, 4):
+            formula = sum(
+                2 * c * binom(m * p, p - c) * binom(m * q, q + c)
+                for c in range(1, p + 1)
+            )
+            chains = set()
+            good = 0
+            for t in bijection.annulus_tuples(p, q, m):
+                chain = bijection.encode_multichain(t, p, q)
+                chains.add(chain)
+                good += (
+                    all(pi in poset for pi in chain)
+                    and all(a.le(b) for a, b in zip(chain, chain[1:]))
+                    and any(connectivity(pi, shape) >= 1 for pi in chain)
+                    and bijection.decode_multichain(chain, p, q) == t
+                )
+            params = f"p={p} q={q} m={m}"
+            yield Check(
+                "roundtrip-multichain", params, (formula, formula), (len(chains), good)
+            )

@@ -316,6 +316,29 @@ def test_tuple_text_rejects_a_repeated_label(text, field, label):
         AnnulusTuple.from_text(text)
 
 
+# (c, d, left_outer, rights_outer, left_inner, rights_inner) of
+# "c=1 d=1 LE=1 RE1= LI= RI1=2", with one value of another type swapped in.
+NOT_INT_TUPLES = {
+    "bool-c": ((True, 1, {1}, [()], (), [{2}]), "c must be an int, not True"),
+    "float-c": ((1.0, 1, {1}, [()], (), [{2}]), "c must be an int, not 1.0"),
+    "bool-d": ((1, True, {1}, [()], (), [{2}]), "d must be an int, not True"),
+    "float-d": ((1, 1.0, {1}, [()], (), [{2}]), "d must be an int, not 1.0"),
+    "bool-left": ((1, 1, {True}, [()], (), [{2}]), "label True is not an int"),
+    "float-right": ((1, 1, {1}, [()], (), [{2.0}]), "label 2.0 is not an int"),
+    "str-right": ((1, 1, {1, 2}, [{"2"}], (), [{3}]), "label '2' is not an int"),
+    "float-left-inner": ((1, 1, {1}, [()], {3.0}, [{2, 3}]), "label 3.0 is not an int"),
+}
+
+
+@pytest.mark.parametrize(
+    "args, message", NOT_INT_TUPLES.values(), ids=NOT_INT_TUPLES.keys()
+)
+def test_tuple_rejects_values_that_are_not_ints(args, message):
+    "A c, d or label of another type would write text from_text cannot read."
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AnnulusTuple(*args)
+
+
 def test_tuple_text_is_checked_before_levels_are_built():
     "A huge level number is rejected at once, not after building the levels."
     start = time.perf_counter()

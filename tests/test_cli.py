@@ -13,12 +13,12 @@ import pytest
 
 from ncb import BPartition, IntPolynomial, SignedPermutation, genus_defect, nc_b_multi
 from ncb.checks import FAMILIES, Check, _compositions, _genus_slacks
-from ncb import cli, formulas
+from ncb import bijection, cli, formulas
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
 from ncb.formulas import binom
 
-from oracles import hypersum_check
+from oracles import hypersum_check, roundtrip_multichain_by_pair_stats
 
 TESTS = Path(__file__).parent
 
@@ -330,6 +330,45 @@ def test_genus_slacks_equal_genus_defect(n):
     assert len(slacks) == len({(a, b) for a, b, _ in slacks}) == size**2
     assert all(d == genus_defect(a, b) for a, b, d in slacks)
     assert len({d for _, _, d in slacks}) > 1
+
+
+# A crossing partition of n = 3, outside the (2, 1) poset.
+CROSSING_3 = BPartition(3, [[1, 3], [-1, -3], [2, -2]])
+ROUNDTRIP_PARAMS = ["p=1 q=1 m=3", "p=1 q=1 m=4", "p=2 q=1 m=3", "p=2 q=1 m=4"]
+
+# Bad codecs: a map of encode_multichain's chain, and the checks it fails.
+BAD_CODECS = {
+    "reversed": (lambda chain: chain[::-1], ROUNDTRIP_PARAMS),
+    "member-outside": (
+        lambda chain: (CROSSING_3, *chain[1:]) if chain[0].n == 3 else chain,
+        ROUNDTRIP_PARAMS[2:],
+    ),
+    "all-bottom": (
+        lambda chain: (BPartition.singletons(chain[0].n),) * len(chain),
+        ROUNDTRIP_PARAMS,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "family",
+    [FAMILIES["roundtrip-multichain"], roundtrip_multichain_by_pair_stats],
+    ids=["tables", "pair-stats"],
+)
+@pytest.mark.parametrize("codec", BAD_CODECS)
+def test_roundtrip_multichain_fails_bad_codecs(monkeypatch, family, codec):
+    """A bad codec fails the checks of the chains it bends, both in the
+    family and in its pair-statistics oracle."""
+    bend, failing = BAD_CODECS[codec]
+    assert CROSSING_3 not in nc_b_multi((2, 1))
+    checks = verify_suite(max_n=3, only="roundtrip-multichain")
+    assert list(family(3)) == checks and all(c.ok for c in checks)
+    assert [c.params for c in checks] == ROUNDTRIP_PARAMS
+    encode = bijection.encode_multichain
+    monkeypatch.setattr(
+        bijection, "encode_multichain", lambda t, p, q: bend(encode(t, p, q))
+    )
+    assert [c.params for c in family(3) if not c.ok] == failing
 
 
 def test_verify_unknown_check(capsys):

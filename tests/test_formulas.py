@@ -69,6 +69,19 @@ def test_binom_matches_math_comb(a, anchor, offset):
     assert binom(a, b) == (comb(a, b) if b >= 0 else 0)
 
 
+def test_binom_small_rows_are_those_the_rule_never_takes():
+    "Below _COMB_ROWS the rule takes only (0, 0), so the guard moves no row."
+    taken = [
+        (a, k)
+        for a in range(formulas._COMB_ROWS)
+        for k in range(a // 2 + 1)
+        if _by_primes(a, k)
+    ]
+    assert taken == [(0, 0)]
+    assert formulas._COMB_ROWS == 1600
+    assert _by_primes(1600, 800) and not _by_primes(1600, 799)
+
+
 def test_binom_far_from_the_middle_uses_math_comb(monkeypatch):
     "Past a = 8k the sieve to a would outgrow the answer: math.comb keeps it."
     assert _by_primes(8 * 3200, 3200) and not _by_primes(8 * 3200 + 1, 3200)
