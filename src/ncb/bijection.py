@@ -1,225 +1,33 @@
 """The parenthesis-string bijections between subset tuples and partitions.
 
-A boundary string carries the labels of one circle in running order with
-left parens "(" inserted before chosen labels and typed right parens ")k"
-after chosen labels.  The classical cycle lemma, applied to the paren
-subsequence only, selects the shifts that are legal from the left or from
-the right in one linear pass.  Concatenating a legal-left shift of the
-outer string with a legal-right shift of the inner string (the last among
-those ending with the highest closer type) gives a matchable string whose
-nesting structure is read off as a partition, one partition per paren type
-for multichains.  Decoding reads the subsets back off the first and last
-elements of the blocks, level by level, and the shift off the block whose
-closer ends the inner string; the blocks read off the strings the decode
-already built, at the shift it found, must be the chain's blocks."""
+A circle's boundary string carries its labels in running order and then
+their negatives, with a "(" before each left label and typed closers after
+each right label, in ascending type.  The string is one period written
+twice, so the codec keeps one period as per-label arrays: whether a "("
+comes before the label, and the closer types after it.  The classical
+cycle lemma, run on one period of per-label group steps, selects the
+legal shifts: the legal starts of the two-turn word are those of one
+period and the same starts shifted by the period.  Concatenating the
+outer string from its d-th legal left start with the inner string after
+its anchor (the last legal right group end among those ending with the
+highest closer type) gives a matchable string whose nesting structure is
+read off as a partition, one partition per closer type for multichains,
+in one walk over the labels of both rotations.  Decoding reads the
+subsets back off the first and last elements of the blocks, level by
+level, and the shift off the block whose closer ends the inner string;
+the blocks read off the arrays the decode already built, at the shift it
+found, must be the chain's blocks."""
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect, bisect_left
 from functools import lru_cache
-from operator import neg
-from typing import Iterable, Sequence
+from itertools import accumulate, cycle, islice
+from operator import neg, sub
+from typing import Sequence
 
 from .partition import BPartition
-from .signed_perm import AnnulusShape
-
-def _paren_type(tok) -> int | None:
-    """Type of a right paren token, None for numbers and left parens."""
-    if isinstance(tok, str) and tok.startswith(")"):
-        return int(tok[1:])
-    return None
-
-
-def _check_token(tok):
-    """The token as stored, or ValueError.  A str subclass is stored as a
-    plain str, since a built string tells closers by `type(tok) is str`."""
-    if isinstance(tok, int):
-        if tok == 0:
-            raise ValueError("0 is not a label")
-        return tok
-    if tok == "(":
-        return "("
-    if isinstance(tok, str) and tok.startswith(")") and tok[1:].isdigit() and int(tok[1:]) >= 1:
-        return str.__str__(tok)
-    raise ValueError(f"bad token {tok!r}")
-
-
-class ParenString:
-    """Sequence of number and parenthesis tokens, cyclic unless rotated."""
-
-    def __init__(self, tokens: Iterable, cyclic: bool = True):
-        tokens = tuple(map(_check_token, tokens))
-        labels = [tok for tok in tokens if type(tok) is not str]
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct")
-        self.tokens = tokens
-        self.cyclic = cyclic
-
-    @classmethod
-    def parse(cls, text: str, cyclic: bool = True) -> "ParenString":
-        """Parse the space-separated form; a bare ")" means ")1"."""
-        tokens: list = []
-        for word in text.split():
-            if word == "(":
-                tokens.append("(")
-            elif word == ")":
-                tokens.append(")1")
-            elif word.startswith(")"):
-                tokens.append(word)
-            else:
-                tokens.append(int(word))
-        return cls(tokens, cyclic)
-
-    @classmethod
-    def from_parens(cls, text: str, cyclic: bool = True) -> "ParenString":
-        """Parse an all-parens word like "()(()((" (")" means ")1").
-
-        Whitespace is ignored; any other character is an error.
-        """
-        tokens: list = []
-        for ch in text:
-            if ch == "(":
-                tokens.append("(")
-            elif ch == ")":
-                tokens.append(")1")
-            elif not ch.isspace():
-                raise ValueError(f"not a parenthesis: {ch!r}")
-        return cls(tokens, cyclic)
-
-    def rotation(self, shift: int) -> "ParenString":
-        """The linear string starting after position `shift` (1-based;
-        shift == len gives the string itself)."""
-        n = len(self.tokens)
-        if not self.cyclic:
-            raise ValueError("rotations need a cyclic string")
-        if not 1 <= shift <= n:
-            raise ValueError(f"shift {shift} out of range 1..{n}")
-        return ParenString(_rotate(self.tokens, shift), cyclic=False)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ParenString)
-            and self.tokens == other.tokens
-            and self.cyclic == other.cyclic
-        )
-
-    def __hash__(self):
-        return hash((self.tokens, self.cyclic))
-
-    def __str__(self):
-        return " ".join(str(tok) for tok in self.tokens)
-
-    def __repr__(self):
-        return f"ParenString.parse({str(self)!r}, cyclic={self.cyclic})"
-
-
-def _rotate(tokens: tuple, shift: int) -> tuple:
-    """The cyclic token tuple read from just after position `shift` (1-based)."""
-    k = shift % len(tokens)
-    return tokens[k:] + tokens[:k]
-
-
-def _paren_flags(tokens: Sequence) -> list[tuple[int, bool]]:
-    """(position, is_left) for every paren token."""
-    out = []
-    for pos, tok in enumerate(tokens):
-        if tok == "(":
-            out.append((pos, True))
-        elif type(tok) is str:
-            out.append((pos, False))
-    return out
-
-
-def _legal_starts(steps: Sequence[int], side: str) -> list[int]:
-    """Indices i at which the cyclic +-1 word `steps` keeps every partial
-    sum positive when read from i on.
-
-    By the cycle lemma these are the i whose prefix sum P_i lies below
-    every later one; since a full turn adds the surplus s > 0, "later"
-    needs only the next turn, so one backward pass over two turns keeps
-    the running minimum.  There are exactly s of them.
-    """
-    surplus = sum(steps)
-    if surplus <= 0:
-        raise ValueError(f"{side} surplus must be positive, got {surplus}")
-    length = len(steps)
-    level = 2 * surplus  # P_{2L}
-    low = level
-    out = []
-    for i in range(2 * length - 1, -1, -1):
-        level -= steps[i % length]  # now P_i
-        if level < low:
-            if i < length:
-                out.append(i)
-            low = level
-    return out
-
-
-def _left_shifts(tokens: Sequence) -> list[int]:
-    parens = _paren_flags(tokens)
-    starts = _legal_starts([1 if left else -1 for _, left in parens], "left")
-    return sorted(parens[i][0] or len(tokens) for i in starts)
-
-
-def _right_shifts(tokens: Sequence) -> list[int]:
-    # The legal-left starts of the reversed word with the paren kinds swapped.
-    parens = _paren_flags(tokens)
-    steps = [-1 if left else 1 for _, left in reversed(parens)]
-    last = len(parens) - 1
-    return sorted(parens[last - i][0] + 1 for i in _legal_starts(steps, "right"))
-
-
-def legal_left_shifts(s: ParenString) -> list[int]:
-    """Shifts starting with "(" whose paren word keeps a strict left surplus.
-
-    With surplus m = #"(" - #")" > 0 there are exactly m such shifts; they
-    are returned as ascending 1-based indices (shift len(s) is s itself).
-    """
-    return _left_shifts(s.tokens)
-
-
-def legal_right_shifts(s: ParenString) -> list[int]:
-    """Mirror of legal_left_shifts: shifts ending with a right paren whose
-    paren word keeps a strict right surplus; exactly #")" - #"(" of them."""
-    return _right_shifts(s.tokens)
-
-
-def _read_blocks(tokens: Sequence) -> list[list[int]]:
-    """Blocks by nesting: each matched pair yields its directly enclosed
-    numbers; numbers outside every pair pool into one final block."""
-    stack: list[list[int]] = []
-    loose: list[int] = []
-    blocks = []
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif type(tok) is str:
-            if not stack:
-                raise ValueError("unmatchable parentheses")
-            blocks.append(stack.pop())
-        elif stack:
-            stack[-1].append(tok)
-        else:
-            loose.append(tok)
-    if stack:
-        raise ValueError("unmatchable parentheses")
-    if loose:
-        blocks.append(loose)
-    return blocks
-
-
-def read_partition(s: ParenString) -> BPartition:
-    """Partition of the labels read off the nesting structure of s."""
-    blocks = _read_blocks(s.tokens)
-    labels = {x for block in blocks for x in block}
-    n = max((abs(x) for x in labels), default=0)
-    if labels != {x for x in range(-n, n + 1) if x != 0}:
-        raise ValueError("labels do not cover a full signed ground set")
-    return BPartition(n, blocks)
 
 
 class AnnulusTuple:
@@ -324,25 +132,6 @@ class AnnulusTuple:
         return f"AnnulusTuple.from_text({self.to_text()!r})"
 
 
-def _boundary_tokens(labels: Sequence[int], lefts, rights_levels) -> tuple:
-    """Circle string: labels then mirrored labels, "(" before members of
-    `lefts`, ")k" after members of rights_levels[k-1] in ascending k."""
-    closers: dict[int, list[str]] = {}
-    for k, rights in enumerate(rights_levels, start=1):
-        closer = f"){k}"
-        for x in rights:
-            closers.setdefault(x, []).append(closer)
-    tokens: list = []
-    for sign in (1, -1):
-        for x in labels:
-            if x in lefts:
-                tokens.append("(")
-            tokens.append(sign * x)
-            if x in closers:
-                tokens += closers[x]
-    return tuple(tokens)
-
-
 def _validate_tuple_range(t: AnnulusTuple, p: int, q: int) -> None:
     outer = set(range(1, p + 1))
     inner = set(range(p + 1, p + q + 1))
@@ -352,26 +141,68 @@ def _validate_tuple_range(t: AnnulusTuple, p: int, q: int) -> None:
         raise ValueError(f"inner subsets must lie in {p + 1}..{p + q}")
 
 
-def _circle_strings(
-    p: int, q: int, left_outer, rights_outer, left_inner, rights_inner
-) -> tuple[tuple, tuple]:
-    """The outer and inner boundary tokens of a tuple's subsets."""
-    u = _boundary_tokens(range(1, p + 1), left_outer, rights_outer)
-    v = _boundary_tokens(range(p + 1, p + q + 1), left_inner, rights_inner)
-    return u, v
+def _circle(labels: range, lefts, rights_levels) -> tuple[list, list]:
+    """One period of a circle string, label by label: whether a "(" comes
+    before the label, and the types k of the rights_levels[k-1] holding
+    it, ascending, which are the closers after it."""
+    opens = [x in lefts for x in labels]
+    closers: list[tuple[int, ...]] = [()] * len(labels)
+    for k, rights in enumerate(rights_levels, start=1):
+        for x in rights:
+            closers[x - labels.start] += (k,)
+    return opens, closers
 
 
-def _inner_anchor(v: tuple) -> int:
-    """The last legal-right shift of v among those ending with the highest
-    closer type.
+def _legal_starts(steps: list[int]) -> list[int]:
+    """Ascending indices i of one period of a cyclic word of group steps
+    from which the word read over two turns keeps every partial sum
+    positive.
 
-    Ending on a low closer type can nest a high-type pair inside a
-    low-type pair, which breaks the level reads.  The anchor always ends a
-    closer run, because a legal shift is still legal one closer later."""
-    shifts = _right_shifts(v)
-    closers = [v[r - 1] for r in shifts]
-    # Closers ")k" order by type as (length, text) does.
-    return max(zip(map(len, closers), closers, shifts))[2]
+    These are the i whose prefix sum P_i lies below every later one up to
+    P_{i+2n}.  A turn adds the surplus P_n > 0, so a later sum past a turn
+    lies above one within a turn of i, and one backward pass over the
+    period, starting from the low point of the next turn, keeps the running
+    minimum.  The legal starts of the two-turn word are these and the same
+    shifted by the period."""
+    levels = list(accumulate(steps, initial=0))
+    low = levels[-1] + min(levels)
+    out = []
+    for i in range(len(steps) - 1, -1, -1):
+        if levels[i] < low:
+            low = levels[i]
+            out.append(i)
+    out.reverse()
+    return out
+
+
+def _left_starts(opens: list, closers: list) -> list[int]:
+    """The legal left shifts of a circle string with surplus c, as the
+    indices 1..2n of the labels whose "(" starts them, ascending.
+
+    A shift is legal from the left when every prefix of its paren word has
+    more "(" than closers.  Within one label's group "(" comes first, so
+    the group ends hold the lowest sums and the steps are open - #closers.
+    Label 0's "(" starts the string itself, which counts as the last shift,
+    so the period is read from label 1.  There are exactly 2c of them."""
+    steps = list(map(sub, opens, map(len, closers)))
+    period = [i + 1 for i in _legal_starts(steps[1:] + steps[:1])]
+    return period + [i + len(opens) for i in period]
+
+
+def _inner_anchor(opens: list, closers: list) -> tuple[int, int]:
+    """(type, index) of the label of one period whose closers end the
+    inner string: the last legal right group end among those ending with
+    the highest closer type, in the second turn.
+
+    A shift is legal from the right when every suffix has more closers than
+    "(".  Read backwards, a group's closers come first, so the steps are
+    #closers - open over the period reversed.  A legal shift that ends
+    inside a run of closers loses to the end of its run, which is also
+    legal and ends on a higher type.  Ending on a low closer type can nest
+    a high-type pair inside a low-type pair, which breaks the level reads."""
+    last = len(opens) - 1
+    steps = list(map(sub, map(len, reversed(closers)), reversed(opens)))
+    return max((closers[last - i][-1], last - i) for i in _legal_starts(steps))
 
 
 def encode_multichain(
@@ -386,37 +217,53 @@ def encode_multichain(
     if m is not None and m != t.m:
         raise ValueError(f"tuple carries {t.m - 1} right-sets per circle, not {m - 1}")
     _validate_tuple_range(t, p, q)
-    u, v = _circle_strings(
-        p, q, t.left_outer, t.rights_outer, t.left_inner, t.rights_inner
-    )
-    left_shifts = _left_shifts(u)
-    assert len(left_shifts) == 2 * t.c
-    levels = _assemble(u, v, left_shifts[t.d - 1], _inner_anchor(v), t.m)
+    outer = _circle(range(1, p + 1), t.left_outer, t.rights_outer)
+    inner = _circle(range(p + 1, p + q + 1), t.left_inner, t.rights_inner)
+    starts = _left_starts(*outer)
+    assert len(starts) == 2 * t.c
+    after = _inner_anchor(*inner)[1] + q + 1
+    levels = _assemble(p, q, outer, starts[t.d - 1], inner, after, t.m)
     return tuple(BPartition(p + q, blocks) for blocks in levels)
 
 
-def _assemble(u: tuple, v: tuple, shift: int, anchor: int, m: int) -> list[list]:
-    """The blocks of each level of the chain read off u rotated to `shift`
-    followed by v rotated to `anchor`: level j keeps the pairs closed by
-    types j and above, and a label belongs to its innermost kept pair.
+def _assemble(
+    p: int, q: int, outer: tuple, start: int, inner: tuple, after: int, m: int
+) -> list[list]:
+    """The blocks of each level of the chain read off the outer string from
+    label index `start` followed by the inner one from label index `after`
+    (each in 1..2n, 2n standing for label 0): level j keeps the pairs closed
+    by types j and above, and a label belongs to its innermost kept pair.
 
     The two rotations have surpluses c and -c, so the string matches.  One
-    scan records each pair's enclosing pair, closer type and directly
-    enclosed labels; pair 0 stands for the outside and is kept at every
-    level.  Every pair is kept at level 1, and each later level moves the
-    labels of the pairs it drops into their nearest kept ancestor."""
-    closer_types = {f"){k}": k for k in range(1, m)}
+    walk over the labels pushes a pair at each "(" and pops one per closer,
+    recording each pair's enclosing pair, closer type and directly enclosed
+    labels; pair 0 stands for the outside and is kept at every level.
+    Every pair is kept at level 1, and each later level moves the labels of
+    the pairs it drops into their nearest kept ancestor."""
+    order = _running_order(p, q)
     parent, kind, stack, members = [0], [m], [0], [[]]
-    for tok in _rotate(u, shift) + _rotate(v, anchor):
-        if tok == "(":
-            stack.append(len(parent))
-            parent.append(stack[-2])
-            kind.append(0)
-            members.append([])
-        elif type(tok) is str:
-            kind[stack.pop()] = closer_types[tok]
-        else:
-            members[stack[-1]].append(tok)
+    top = members[0]
+    for (opens, closers), labels, first in (
+        (outer, order[: 2 * p], start),
+        (inner, order[2 * p :], after),
+    ):
+        for x, opened, types in zip(
+            labels[first:] + labels[:first],
+            islice(cycle(opens), first, None),
+            islice(cycle(closers), first, None),
+        ):
+            if opened:
+                parent.append(stack[-1])
+                stack.append(len(kind))
+                kind.append(0)
+                top = [x]
+                members.append(top)
+            else:
+                top.append(x)
+            if types:
+                for k in types:
+                    kind[stack.pop()] = k
+                top = members[stack[-1]]
     levels = [[block for block in members if block]]
     kept = list(range(len(parent)))
     for j in range(2, m):
@@ -438,33 +285,19 @@ def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
 
 
 @lru_cache(maxsize=64)
-def _circle_positions(p: int, q: int) -> dict[int, int]:
-    """Index of each signed label in running order, circle after circle:
-    1..p then -1..-p outside, then p+1..p+q and their negatives inside.
-    The dict lists the labels in that order; it is shared, so read-only."""
+def _running_order(p: int, q: int) -> list[int]:
+    """The signed labels in running order, circle after circle: 1..p then
+    -1..-p outside, then p+1..p+q and their negatives inside.  The list is
+    shared, so read-only."""
     outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
-    order = [*outer, *map(neg, outer), *inner, *map(neg, inner)]
-    return {x: i for i, x in enumerate(order)}
+    return [*outer, *map(neg, outer), *inner, *map(neg, inner)]
 
 
-def canonical_block_order(
-    part: Iterable[int], partition: BPartition, shape: AnnulusShape
-) -> tuple[int, ...]:
-    """Elements of a one-circle piece of a block, in circle running order
-    starting just after an element of the mirrored piece."""
-    part = tuple(part)
-    if not part:
-        raise ValueError("empty block piece")
-    block = set(partition.block_containing(part[0]))
-    if not set(part) <= block:
-        raise ValueError("not a piece of a single block")
-    p, q = shape.p, shape.q
-    if len({abs(x) <= p for x in part}) > 1:
-        raise ValueError("piece spans both circles")
-    position = _circle_positions(p, q)
-    length = 2 * p if abs(part[0]) <= p else 2 * q
-    anchor = min(position[-x] for x in part)
-    return tuple(sorted(part, key=lambda x: (position[x] - anchor - 1) % length))
+@lru_cache(maxsize=64)
+def _circle_positions(p: int, q: int) -> dict[int, int]:
+    """Index of each signed label in running order (`_running_order`).  The
+    dict lists the labels in that order; it is shared, so read-only."""
+    return {x: i for i, x in enumerate(_running_order(p, q))}
 
 
 def _block_ends(
@@ -518,9 +351,9 @@ def decode_multichain(
     - c is |LE| - sum |RE_k|.  The inner anchor's closer, of some type k,
       is the mate of the "(" the d-th outer shift starts with, so d is
       the rank of the shift starting at that "(": the first of the block
-      of pi_k whose last is the label before the anchor.
+      of pi_k whose last is the anchor's label.
 
-    The circle strings built for the anchor, rotated to the shift found,
+    The circle arrays built for the anchor, read from the shift found,
     give the blocks of the result's encoding, level by level, which must
     be the blocks of the chain; a chain outside the image raises
     ValueError.
@@ -544,25 +377,25 @@ def decode_multichain(
     c = len(left_outer) - sum(map(len, rights_outer))
     if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
         raise _not_image(chain)
-    u, v = _circle_strings(p, q, left_outer, rights_outer, left_inner, rights_inner)
-    anchor = _inner_anchor(v)
-    end = anchor - 1
-    level = ends[_paren_type(v[end]) - 1]
-    while not isinstance(v[end], int):
-        end -= 1
-    first = next((f for f, last in level.items() if last == v[end]), None)
+    outer = _circle(range(1, p + 1), left_outer, rights_outer)
+    inner = _circle(range(p + 1, p + q + 1), left_inner, rights_inner)
+    k, anchor = _inner_anchor(*inner)
+    last = -(p + 1 + anchor)  # the anchor's label, in the second turn
+    first = next((f for f, end in ends[k - 1].items() if end == last), None)
     if first is None or abs(first) > p:
         raise _not_image(chain)
-    shift = (u.index(first) - 1) or len(u)
-    try:
-        d = _left_shifts(u).index(shift) + 1
-    except ValueError:
-        raise _not_image(chain) from None
-    result = AnnulusTuple(c, d, left_outer, rights_outer, left_inner, rights_inner)
+    start = position[first] or 2 * p
+    starts = _left_starts(*outer)
+    if start not in starts:
+        raise _not_image(chain)
+    result = AnnulusTuple(
+        c, starts.index(start) + 1, left_outer, rights_outer, left_inner, rights_inner
+    )
     # Both sides cover the ground set once, so the levels equal the chain
     # when each level has as many blocks as its member and no block of it
     # meets two of the member's blocks.
-    for blocks, pi in zip(_assemble(u, v, shift, anchor, result.m), chain):
+    levels = _assemble(p, q, outer, start, inner, anchor + q + 1, result.m)
+    for blocks, pi in zip(levels, chain):
         owner = pi._block_of.__getitem__
         if len(blocks) != len(pi.blocks) or any(
             len(set(map(owner, block))) > 1 for block in blocks

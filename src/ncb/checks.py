@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -154,19 +155,29 @@ _per_n(
 _per_pair("annulus-total", formulas.annulus_total, lambda p, q: len(nc_b_annulus(p, q)))
 
 
+@lru_cache(maxsize=None)
+def _pair_tallies(p: int, q: int) -> tuple[Counter, Counter]:
+    """The partitions of the annulus counted by connectivity, and the
+    connected ones by (c, e, i): one pass of pair statistics per shape,
+    cached as the poset is, so the two families run by name share it.
+    Shared, so read-only."""
+    shape = AnnulusShape(p, q)
+    by_c: Counter = Counter()
+    by_cell: Counter = Counter()
+    for pi in nc_b_annulus(p, q):
+        stats = pair_stats(pi, shape)
+        by_c[stats.connecting] += 1
+        if stats.connecting:
+            by_cell[tuple(stats)] += 1
+    return by_c, by_cell
+
+
 @_family("connectivity-count", "cell-count")
 def _pair_counts(max_n: int) -> Iterable[Check]:
     # One tally of pair statistics per annulus serves both families, so
     # their lines interleave by (p, q).
     for p, q in _annulus_pairs(max_n):
-        shape = AnnulusShape(p, q)
-        by_c: Counter = Counter()
-        by_cell: Counter = Counter()
-        for pi in nc_b_annulus(p, q):
-            stats = pair_stats(pi, shape)
-            by_c[stats.connecting] += 1
-            if stats.connecting:
-                by_cell[tuple(stats)] += 1
+        by_c, by_cell = _pair_tallies(p, q)
         expected = {
             c: formulas.annulus_connectivity_count(p, q, c)
             for c in range(min(p, q) + 1)

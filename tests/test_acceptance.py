@@ -14,7 +14,6 @@ from ncb import (
     AnnulusShape,
     AnnulusTuple,
     BPartition,
-    ParenString,
     SignedPermutation,
     annulus_cell_count,
     annulus_connectivity_count,
@@ -28,7 +27,6 @@ from ncb import (
     encode_multichain,
     genus_defect,
     interval_perms,
-    legal_left_shifts,
     max_chains,
     mobius_annulus,
     mobius_q1,
@@ -44,7 +42,7 @@ from ncb import (
 )
 from ncb.cli import verify_suite
 from ncb.formulas import annulus_positive_total, binom
-from oracles import multi3_total
+from oracles import ParenString, legal_left_shifts, multi3_total
 
 
 @contextmanager

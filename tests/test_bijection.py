@@ -11,23 +11,27 @@ from ncb import (
     AnnulusShape,
     AnnulusTuple,
     BPartition,
-    ParenString,
     annulus_tuples,
-    canonical_block_order,
     connectivity,
     decode_annulus,
     decode_multichain,
     encode_annulus,
     encode_multichain,
-    legal_left_shifts,
-    legal_right_shifts,
     nc_b_annulus,
-    read_partition,
 )
 from ncb import bijection
-from ncb.bijection import _paren_type
 from ncb.formulas import annulus_positive_total, binom
-from oracles import block_ends_by_sorting
+from oracles import (
+    ParenString,
+    _paren_type,
+    block_ends_by_sorting,
+    canonical_block_order,
+    decode_by_tokens,
+    encode_by_tokens,
+    legal_left_shifts,
+    legal_right_shifts,
+    read_partition,
+)
 
 OUTER = ParenString.parse("1 ) ( 2 ) 3 ( 4 ( 5 -1 ) ( -2 ) -3 ( -4 ( -5")
 INNER = ParenString.parse("6 ) ( 7 ) 8 -6 ) ( -7 ) -8")
@@ -447,9 +451,14 @@ def test_nested_closer_types():
 
 
 def test_inner_anchor_orders_closers_by_type():
-    "Type 10 outranks type 9, though \")9\" sorts after \")10\" as text."
-    v = (5, ")10", 6, ")9", -5, ")10", -6, ")9")
-    assert bijection._inner_anchor(v) == 6
+    """Type 10 outranks type 9 as ints, though ")9" sorts after ")10" as
+    text: of the circle 5 )10 6 )9, whose four group ends are all legal,
+    the anchor is label 5's, the first label of the period, ending the
+    inner string at -5 in the second turn."""
+    assert bijection._inner_anchor([False, False], [(10,), (9,)]) == (10, 0)
+    assert bijection._inner_anchor([False, False], [(9,), (10,)]) == (10, 1)
+    # A run of closers ends on its highest type, which competes for it.
+    assert bijection._inner_anchor([False, False], [(9, 10), (9,)]) == (10, 0)
 
 
 def test_chain_connectivity_can_exceed_both_sizes():
@@ -545,7 +554,8 @@ def level_splits(totals, outer_sum, p, q):
 def search_decode(chain, p, q):
     """Oracle for decode_multichain: every tuple that agrees with the chain on
     its left sets (the block firsts of pi_1) and on each level's closer count
-    (the rank differences), re-encoded until one reproduces the chain."""
+    (the rank differences), re-encoded by the token-string codec until one
+    reproduces the chain."""
     chain = tuple(chain)
     shape = AnnulusShape(p, q)
     suffix = [p + q - pi.rank() for pi in chain]
@@ -577,7 +587,7 @@ def search_decode(chain, p, q):
                         t = AnnulusTuple(
                             c, d, left_outer, rights_outer, left_inner, rights_inner
                         )
-                        if encode_multichain(t, p, q) == chain:
+                        if encode_by_tokens(t, p, q) == chain:
                             return t
     raise ValueError("chain is not in the image of the encoding")
 
@@ -617,6 +627,40 @@ def test_decode_matches_search_on_all_pairs(p, q):
             assert decoded(decode_multichain, chain, p, q) == decoded(
                 search_decode, chain, p, q
             )
+
+
+def outcome(decode, chain, p, q):
+    "The tuple decode finds, or the message of the ValueError it raises."
+    try:
+        return decode(chain, p, q)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p,q", DESK_PAIRS)
+def test_decode_matches_the_token_oracle_on_all_pairs(p, q):
+    """On every one- and two-member chain of poset elements, image or not,
+    the decode on label arrays and the token-string decode give the same
+    tuple or raise the same message."""
+    elements = nc_b_annulus(p, q).elements
+    for a in elements:
+        chain = [a]
+        assert outcome(decode_multichain, chain, p, q) == outcome(
+            decode_by_tokens, chain, p, q
+        )
+        for b in elements:
+            chain = [a, b]
+            assert outcome(decode_multichain, chain, p, q) == outcome(
+                decode_by_tokens, chain, p, q
+            )
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 3, 4, 5) for p in range(1, n)])
+def test_encode_matches_the_token_oracle_exhaustive(p, q):
+    "Every tuple of the shape at m = 2..4 encodes as the token-string codec does."
+    for m in (2, 3, 4):
+        for t in annulus_tuples(p, q, m):
+            assert encode_multichain(t, p, q) == encode_by_tokens(t, p, q)
 
 
 @pytest.mark.parametrize("p,q,m", [(3, 2, 3), (2, 3, 3), (2, 2, 5)])
@@ -670,6 +714,22 @@ def test_decode_round_trip_random(case):
 
 # The bench codec workload's sizes: p + q up to 40, chains of up to 3 members.
 BENCH_SCALE = chain_tuples(max_size=40, max_levels=3)
+
+
+@settings(deadline=None)
+@given(chain_tuples())
+def test_encode_matches_the_token_oracle_random(case):
+    "Random tuples up to p + q = 12 and m = 6 encode as the token-string codec does."
+    p, q, t = case
+    assert encode_multichain(t, p, q) == encode_by_tokens(t, p, q)
+
+
+@settings(deadline=None, max_examples=60)
+@given(BENCH_SCALE)
+def test_encode_matches_the_token_oracle_bench_scale(case):
+    "Random tuples up to p + q = 40 and m = 4 encode as the token-string codec does."
+    p, q, t = case
+    assert encode_multichain(t, p, q) == encode_by_tokens(t, p, q)
 
 
 @settings(deadline=None, max_examples=60)
@@ -742,7 +802,7 @@ def test_block_ends_match_the_sorting_oracle_on_chains(case):
 
 
 def test_decode_builds_its_strings_once(monkeypatch):
-    """One decode builds the circle strings once and runs the left cycle
+    """One decode builds each circle's arrays once and runs the left cycle
     lemma once: its confirm reuses them instead of re-encoding, and
     compares blocks with the chain without building a partition."""
     chain = encode_multichain(CHAIN_TUPLE, 6, 3)
@@ -757,8 +817,8 @@ def test_decode_builds_its_strings_once(monkeypatch):
 
         monkeypatch.setattr(bijection, name, counted)
 
-    count("_circle_strings")
-    count("_left_shifts")
+    count("_circle")
+    count("_left_starts")
     count("BPartition")
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
-    assert calls == {"_circle_strings": 1, "_left_shifts": 1}
+    assert calls == {"_circle": 2, "_left_starts": 1}

@@ -7,13 +7,21 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ncb import BPartition, IntPolynomial, SignedPermutation, genus_defect, nc_b_multi
-from ncb.checks import FAMILIES, Check, _compositions, _genus_slacks
-from ncb import bijection, cli, formulas
+from ncb import (
+    BPartition,
+    IntPolynomial,
+    SignedPermutation,
+    genus_defect,
+    nc_b_annulus,
+    nc_b_multi,
+)
+from ncb.checks import FAMILIES, Check, _annulus_pairs, _compositions, _genus_slacks
+from ncb import bijection, checks, cli, formulas
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
 from ncb.formulas import binom
@@ -262,6 +270,28 @@ def test_verify_families_match_bench():
     for name in FAMILIES:
         checks = verify_suite(max_n=3, only=name)
         assert checks and all(c.name == name for c in checks), name
+
+
+def test_pair_count_families_tally_each_shape_once(monkeypatch):
+    """connectivity-count and cell-count, run one name at a time as the
+    bench runs them, share one tally: pair_stats runs once per element of
+    each shape, not once per family."""
+    calls = Counter()
+    real = checks.pair_stats
+
+    def counted(pi, shape):
+        calls[shape.sizes] += 1
+        return real(pi, shape)
+
+    monkeypatch.setattr(checks, "pair_stats", counted)
+    checks._pair_tallies.cache_clear()
+    lines = [
+        check
+        for name in ("connectivity-count", "cell-count", "connectivity-count")
+        for check in verify_suite(max_n=4, only=name)
+    ]
+    assert len(lines) == 3 * len(_annulus_pairs(4)) and all(c.ok for c in lines)
+    assert calls == {(p, q): len(nc_b_annulus(p, q)) for p, q in _annulus_pairs(4)}
 
 
 def slow_hypersum():

@@ -22,7 +22,6 @@ PUBLIC = [
     "FinitePoset",
     "IntPolynomial",
     "PairStats",
-    "ParenString",
     "SignedPermutation",
     "adjusted_orbits",
     "adjusted_orbits_inverse",
@@ -32,7 +31,6 @@ PUBLIC = [
     "annulus_tuples",
     "binom",
     "boundary_permutation",
-    "canonical_block_order",
     "connectivity",
     "decode_annulus",
     "decode_multichain",
@@ -41,8 +39,6 @@ PUBLIC = [
     "genus_defect",
     "interval_perms",
     "kreweras",
-    "legal_left_shifts",
-    "legal_right_shifts",
     "max_chains",
     "meet_q1",
     "mobius_annulus",
@@ -57,29 +53,43 @@ PUBLIC = [
     "rank_gen_cells",
     "rank_gen_compact",
     "rank_gen_disc",
-    "read_partition",
     "zeta_poly",
     "zeta_poly_q1",
 ]
 
 # The references now in tests/oracles.py (the type-A side, the term-by-term
-# polynomial product and the three-circle size), and wrappers and copies that
-# were deleted.
+# polynomial product, the three-circle size, and the token-string codec with
+# the parenthesis strings that front it), and wrappers and copies that were
+# deleted.
 RETIRED = [
     "ClassicalPartition",
     "DiscCounts",
     "OrbitStats",
+    "ParenString",
+    "_boundary_tokens",
+    "_check_token",
+    "_circle_strings",
+    "_left_shifts",
     "_orbit_stats",
+    "_paren_flags",
+    "_paren_type",
+    "_read_blocks",
+    "_right_shifts",
+    "_rotate",
     "_set_partitions",
     "abs_map",
+    "canonical_block_order",
     "catalan",
     "disc_counts",
     "joint_orbit_count",
     "kreweras_perm",
+    "legal_left_shifts",
+    "legal_right_shifts",
     "multi3_total",
     "narayana",
     "nc_a",
     "orbit_stats",
+    "read_partition",
     "schoolbook_mul",
 ]
 
