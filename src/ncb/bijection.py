@@ -205,17 +205,13 @@ def _inner_anchor(opens: list, closers: list) -> tuple[int, int]:
     return max((closers[last - i][-1], last - i) for i in _legal_starts(steps))
 
 
-def encode_multichain(
-    t: AnnulusTuple, p: int, q: int, m: int | None = None
-) -> tuple[BPartition, ...]:
+def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]:
     """Chain (pi_1 <= ... <= pi_{m-1}) encoded by the tuple t.
 
     The outer string is rotated to its d-th legal-left shift, the inner
     string to its anchor (`_inner_anchor`); pi_j is read from the
     concatenation after erasing the pairs closed by types below j.
     """
-    if m is not None and m != t.m:
-        raise ValueError(f"tuple carries {t.m - 1} right-sets per circle, not {m - 1}")
     _validate_tuple_range(t, p, q)
     outer = _circle(range(1, p + 1), t.left_outer, t.rights_outer)
     inner = _circle(range(p + 1, p + q + 1), t.left_inner, t.rights_inner)

@@ -3,7 +3,8 @@ oracles (Hasse diagram, Moebius function, multichain counts, maximal chains).
 
 Everything here is exact and desk-scale by design: the interval below the
 boundary permutation is walked down from the boundary permutation one
-cover at a time, and a poset builds its down-set rows once, on first use;
+cover at a time, each cover one reflection read as the pair of labels it
+exchanges, and a poset builds its down-set rows once, on first use;
 covers, Moebius values and chain counts are read off those rows and the
 ranks.
 """
@@ -202,38 +203,22 @@ class FinitePoset:
         return "\n".join(lines)
 
 
-def _reflection_images(n: int) -> list[tuple[int, ...]]:
-    """The n^2 reflections of B_n as image tuples."""
-    ident = tuple(range(1, n + 1))
-    out = []
-    for i in range(1, n + 1):
-        img = list(ident)
-        img[i - 1] = -i
-        out.append(tuple(img))
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        img = list(ident)
-        img[i - 1], img[j - 1] = j, i
-        out.append(tuple(img))
-        img = list(ident)
-        img[i - 1], img[j - 1] = -j, -i
-        out.append(tuple(img))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _interval_images(gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All image tuples t with t <= gamma in absolute order, sorted.
 
-    Walks down from gamma: x*r is covered by x exactly when the reflection
-    r moves a to b with a and b in one orbit of x, or in two distinct
-    inversion-invariant orbits of x.  Every element of [e, gamma] lies on
-    a chain of covers down from gamma, so the walk reaches all of them.
+    Walks down from gamma, reading each of the n^2 reflections r of B_n as
+    the label pair (a, b) with b = r(a): (a, -a) for a in 1..n, and
+    (a, c), (a, -c) for a < c <= n.  x*r is covered by x exactly when a and
+    b lie in one orbit of x, or in two distinct inversion-invariant orbits
+    of x; x*r is x with its entries at a and |b| replaced through x's step
+    table.  Every element of [e, gamma] lies on a chain of covers down from
+    gamma, so the walk reaches all of them.
     """
     n = len(gamma)
-    moves = []  # (reflection, a, b) with the reflection moving a to b
-    for r in _reflection_images(n):
-        a = next(i for i, v in enumerate(r, start=1) if v != i)
-        moves.append((r, a, r[a - 1]))
+    pairs = [(a, -a) for a in range(1, n + 1)]
+    for a, c in itertools.combinations(range(1, n + 1), 2):
+        pairs += [(a, c), (a, -c)]
     label = [0] * (2 * n + 1)  # orbit index of label x at x (x < 0 wraps)
     seen = {gamma}
     stack = [gamma]
@@ -244,11 +229,14 @@ def _interval_images(gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             for y in orbit:
                 label[y] = k
             invariant.append(-orbit[0] in orbit)
-        step = _steps(x).__getitem__  # composes x r
-        for r, a, b in moves:
+        step = _steps(x)
+        for a, b in pairs:
             la, lb = label[a], label[b]
             if la == lb or (invariant[la] and invariant[lb]):
-                y = tuple(map(step, r))
+                y = list(x)
+                y[a - 1] = step[b]
+                y[abs(b) - 1] = step[a if b > 0 else -a]
+                y = tuple(y)
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)

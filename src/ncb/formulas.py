@@ -167,10 +167,6 @@ class IntPolynomial:
             coeffs[k] = c
         return cls(coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def coefficient(self, k: int) -> int:
         if 0 <= k < len(self.coefficients):
             return self.coefficients[k]

@@ -162,11 +162,10 @@ class SignedPermutation:
             orbit = orbit[i:] + orbit[:i]
             if -anchor in orbit:
                 half = orbit[: len(orbit) // 2]
-                parts.append("[" + ",".join(map(str, half)) + "]")
+                parts.append((anchor, "[" + ",".join(map(str, half)) + "]"))
             else:
-                parts.append("((" + ",".join(map(str, orbit)) + "))")
-        parts.sort(key=lambda s: abs(int(s.strip("([").split(",")[0].rstrip(")]"))))
-        return "".join(parts)
+                parts.append((anchor, "((" + ",".join(map(str, orbit)) + "))"))
+        return "".join(text for _, text in sorted(parts))
 
     def __eq__(self, other):
         return isinstance(other, SignedPermutation) and self.image == other.image

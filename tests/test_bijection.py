@@ -524,13 +524,6 @@ def test_chain_rank_profile():
             assert pi.rank() == p + q - drop
 
 
-def test_encode_multichain_checks_depth():
-    "An explicit depth must match the tuple."
-    t = AnnulusTuple.from_text("c=1 d=1 LE=1 RE1= LI= RI1=2")
-    with pytest.raises(ValueError):
-        encode_multichain(t, 1, 1, m=3)
-
-
 def test_decode_multichain_rejects_disconnected():
     "A chain with no connected member has no preimage."
     bot = BPartition.singletons(2)

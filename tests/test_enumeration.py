@@ -247,7 +247,7 @@ def b_group(n):
 
 @pytest.mark.parametrize(
     "sizes",
-    size_tuples(5) + [(3, 3), (6,), (2, 2, 2), (1, 1, 1, 1, 1, 1)],
+    size_tuples(5) + [(3, 3), (6,), (3, 2, 1), (2, 2, 2), (1, 1, 1, 1, 1, 1)],
     ids=lambda sizes: ",".join(map(str, sizes)),
 )
 def test_interval_walk_matches_definition(sizes):

@@ -204,7 +204,7 @@ def test_polynomial_basics():
     assert str(IntPolynomial([0, 1])) == "x"
     assert str(IntPolynomial([2, 0, -3])) == "2 + -3*x^2"
     p = IntPolynomial([1, 2, 1])
-    assert p.degree == 2
+    assert len(p.coefficients) == 3
     assert p.coefficient(1) == 2
     assert p.coefficient(9) == 0
     assert p(3) == 16
@@ -263,7 +263,7 @@ def test_product_matches_schoolbook(a, b):
 def test_rank_gen_matches_rank_coefficient_at_scale():
     "Every coefficient of the (300, 200) polynomial equals its diagonal sum."
     poly = rank_gen(300, 200)
-    assert poly.degree == 500
+    assert len(poly.coefficients) == 501
     for k in range(-1, 502):
         assert poly.coefficient(k) == rank_coefficient(300, 200, k), k
 
