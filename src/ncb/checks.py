@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijection, formulas
 from .enumeration import (
-    DESK_BOUND_MANY_CIRCLES,
+    DESK_BOUND,
     FinitePoset,
     interval_perms,
     nc_b_annulus,
@@ -87,15 +87,18 @@ def _annulus_pairs(max_total: int) -> list[tuple[int, int]]:
     ]
 
 
-def _size_tuples(max_total: int) -> list[tuple[int, ...]]:
-    """Nonincreasing sizes of three or more circles with total <= max_total."""
+def _many_circle_shapes(max_n: int) -> dict[tuple[int, ...], int]:
+    """Sizes of three or more circles, nonincreasing, with total <= max_n and
+    at most DESK_BOUND elements (so total <= 13), keyed to that count."""
+    top = min(max_n, DESK_BOUND.bit_length() - 1)
     tuples = [
-        sizes
-        for k in range(3, max_total + 1)
-        for sizes in itertools.combinations_with_replacement(range(max_total, 0, -1), k)
-        if sum(sizes) <= max_total
+        t
+        for k in range(3, top + 1)
+        for t in itertools.combinations_with_replacement(range(top + 1 - k, 0, -1), k)
+        if sum(t) <= top
     ]
-    return sorted(tuples, key=lambda t: (sum(t), t))
+    ordered = sorted(tuples, key=lambda t: (sum(t), t))
+    return {t: c for t in ordered if (c := formulas.poset_size(t)) <= DESK_BOUND}
 
 
 def _per_pair(name: str, formula, oracle, cap: int | None = None, note: str = ""):
@@ -330,7 +333,7 @@ def _roundtrip_multichain(max_n: int) -> Iterable[Check]:
 
 @_family("multi-split")
 def _multi_split(max_n: int) -> Iterable[Check]:
-    for sizes in _size_tuples(min(max_n, DESK_BOUND_MANY_CIRCLES)):
+    for sizes in _many_circle_shapes(max_n):
         shape = AnnulusShape(sizes)
         gamma = boundary_permutation(shape)
         circle = {x: j for j in range(shape.k) for x in shape.labels(j)}
@@ -346,11 +349,8 @@ def _multi_split(max_n: int) -> Iterable[Check]:
 
 @_family("multi-total")
 def _multi_total(max_n: int) -> Iterable[Check]:
-    for sizes in _size_tuples(min(max_n, DESK_BOUND_MANY_CIRCLES)):
+    for sizes, total in _many_circle_shapes(max_n).items():
         params = f"sizes={','.join(map(str, sizes))}"
-        total = formulas.over_matchings(
-            sizes, lambda n: binom(2 * n, n), formulas.annulus_total
-        )
         yield Check("multi-total", params, total, len(nc_b_multi(sizes)))
 
 

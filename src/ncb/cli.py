@@ -59,8 +59,7 @@ def _cmd_count(args) -> int:
     elif args.connectivity is not None:
         value = formulas.annulus_connectivity_count(*sizes, args.connectivity)
     elif rank is None:
-        central = lambda n: binom(2 * n, n)
-        value = formulas.over_matchings(sizes, central, formulas.annulus_total)
+        value = formulas.poset_size(sizes)
     elif len(sizes) == 1:
         value = binom(sizes[0], rank) ** 2
     elif len(sizes) == 2:

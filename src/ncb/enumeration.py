@@ -1,12 +1,12 @@
 """Brute-force enumeration of the non-crossing posets and order-theoretic
 oracles (Hasse diagram, Moebius function, multichain counts, maximal chains).
 
-Everything here is exact and desk-scale by design: the interval below the
-boundary permutation is walked down from the boundary permutation one
-cover at a time, each cover one reflection read as the pair of labels it
-exchanges, and a poset builds its down-set rows once, on first use;
-covers, Moebius values and chain counts are read off those rows and the
-ranks.
+Everything here is exact and desk-scale by design: a poset is built only
+when `formulas.poset_size` counts at most DESK_BOUND elements in it.  The
+interval below the boundary permutation is walked down from it one cover
+at a time, each a reflection read as the label pair it exchanges; a
+poset builds its down-set rows once, on first use, and reads covers,
+Moebius values and chain counts off those rows and the ranks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .formulas import gbinom
+from .formulas import gbinom, poset_size
 from .partition import BPartition, adjusted_orbits
 from .signed_perm import (
     AnnulusShape,
@@ -25,8 +25,7 @@ from .signed_perm import (
     boundary_permutation,
 )
 
-DESK_BOUND_TWO_CIRCLES = 8  # max p+q (also max n for one circle)
-DESK_BOUND_MANY_CIRCLES = 6  # max sum of sizes for three or more circles
+DESK_BOUND = 15_000  # most elements of a poset built by enumeration
 MAX_CIRCLES = 12  # closed forms sum over matchings of the circles
 
 
@@ -102,23 +101,21 @@ class FinitePoset:
         return (self._down_rows()[j] >> i) & 1 == 1
 
     def bottom(self):
-        low = min(self.ranks)
-        idx = [i for i, r in enumerate(self.ranks) if r == low]
-        if len(idx) != 1:
-            raise ValueError("no unique minimal-rank element")
-        return self.elements[idx[0]]
+        return self._extreme(min, "minimal")
 
     def top(self):
-        high = max(self.ranks)
-        idx = [i for i, r in enumerate(self.ranks) if r == high]
+        return self._extreme(max, "maximal")
+
+    def _extreme(self, pick, word: str):
+        rank = pick(self.ranks)
+        idx = [i for i, r in enumerate(self.ranks) if r == rank]
         if len(idx) != 1:
-            raise ValueError("no unique maximal-rank element")
+            raise ValueError(f"no unique {word}-rank element")
         return self.elements[idx[0]]
 
     def rank_vector(self) -> tuple[int, ...]:
         """Element counts per rank, from rank 0 upward."""
-        high = max(self.ranks)
-        counts = [0] * (high + 1)
+        counts = [0] * (max(self.ranks) + 1)
         for r in self.ranks:
             counts[r] += 1
         return tuple(counts)
@@ -137,9 +134,7 @@ class FinitePoset:
 
     def hasse_edges(self) -> list[tuple]:
         """Cover relations as (lower, upper) element pairs."""
-        return [
-            (self.elements[i], self.elements[j]) for i, j in self._cover_pairs()
-        ]
+        return [(self.elements[i], self.elements[j]) for i, j in self._cover_pairs()]
 
     def mobius(self, x, y) -> int:
         """Moebius function by the interval recursion, swept in rank order."""
@@ -192,8 +187,7 @@ class FinitePoset:
         for i, e in enumerate(self.elements):
             label = str(e).replace('"', '\\"')
             lines.append(f'  n{i} [label="{label}"];')
-        high = max(self.ranks)
-        for r in range(high + 1):
+        for r in range(max(self.ranks) + 1):
             same = [f"n{i}" for i, rk in enumerate(self.ranks) if rk == r]
             if same:
                 lines.append("  { rank=same; " + "; ".join(same) + "; }")
@@ -249,11 +243,13 @@ def interval_perms(bound: SignedPermutation) -> list[SignedPermutation]:
 
 
 def _check_desk_bound(shape: AnnulusShape) -> None:
-    limit = DESK_BOUND_TWO_CIRCLES if shape.k <= 2 else DESK_BOUND_MANY_CIRCLES
-    if shape.n > limit:
-        raise ValueError(
-            f"desk bound exceeded: total size {shape.n} > {limit} for {shape}"
-        )
+    # The empty matching alone gives prod C(2s, s) >= 2^n elements, so a
+    # total n with 2^n past the bound fails before any count is taken.
+    if shape.n >= DESK_BOUND.bit_length():
+        size = f"at least 2^{shape.n}"
+    elif (size := poset_size(shape.sizes)) <= DESK_BOUND:
+        return
+    raise ValueError(f"desk bound exceeded: {shape} has {size} elements > {DESK_BOUND}")
 
 
 @lru_cache(maxsize=None)

@@ -421,3 +421,7 @@ def over_matchings(sizes, disc, annulus):
     sizes = tuple(sizes)
     return total(sizes if len(sizes) <= 2 else tuple(sorted(sizes)))
 
+
+def poset_size(sizes) -> int:
+    """Elements of the shape's poset: over_matchings of C(2n, n) and annulus_total."""
+    return over_matchings(sizes, lambda n: binom(2 * n, n), annulus_total)

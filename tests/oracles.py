@@ -48,7 +48,7 @@ from ncb.bijection import (
     _validate_tuple_range,
 )
 from ncb.checks import Check, _annulus_pairs
-from ncb.enumeration import DESK_BOUND_TWO_CIRCLES, FinitePoset, nc_b_annulus
+from ncb.enumeration import FinitePoset, nc_b_annulus
 from ncb.formulas import IntPolynomial, _exact_div, binom
 from ncb.partition import BPartition, connectivity
 from ncb.signed_perm import AnnulusShape
@@ -151,7 +151,7 @@ def _set_partitions(n: int):
 @lru_cache(maxsize=None)
 def nc_a(n: int) -> FinitePoset:
     """Non-crossing partitions of {1..n} under refinement."""
-    if not 1 <= n <= DESK_BOUND_TWO_CIRCLES:
+    if not 1 <= n <= 8:
         raise ValueError(f"desk bound exceeded for one-circle size {n}")
     partitions = [
         cp

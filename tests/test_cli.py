@@ -47,7 +47,7 @@ def test_count(capsys):
     code, out, _ = run(capsys, "count", "--shape", "1,1,1")
     assert code == 0 and out == "20\n"
     code, out, _ = run(capsys, "count", "--shape", "1,1,1,1,1,1,1")
-    assert code == 0 and out == "6512\n"  # past the desk bound: nothing enumerated
+    assert code == 0 and out == "6512\n"  # a closed form: nothing enumerated
 
 
 def test_count_filters(capsys):

@@ -7,8 +7,9 @@ for another type (or, in a tuple, for a repeated label).  Whatever the input, `m
 verify only), and a 2 leaves stdout empty and explains itself on stderr.
 
 Sizes stay where every verb answers at once: enumerate and hasse-dot see
-shapes of total size at most 4 or past the desk bound, the other verbs
-shapes of total at most 70 (closed forms and codecs slow down as sizes
+shapes of at most a few hundred elements or past the desk bound of 15,000
+elements (a fixed table below gives the counts), the other verbs shapes
+of total at most 70 (closed forms and codecs slow down as sizes
 grow; the README gives the scale), and verify runs one family with
 --max-n at most 2.
 """
@@ -31,7 +32,8 @@ from ncb.cli import main
 HUGE = 10**30
 SMALL = ["1", "3", "4", "1,1", "2,1", "1,3", "2,2", "1,1,1", "2,1,1", "1,1,1,1"]
 LARGE = ["3,2", "6", "7,5", "3,3,3", ",".join(["1"] * 12), "40,30"]
-INVALID = ["0", "-1", "x", "", "1,,2", "2.5", ",".join(["1"] * 13), "9", "5,4", "2,2,2,1"]
+INVALID = ["0", "-1", "x", "", "1,,2", "2.5", ",".join(["1"] * 13), "9", "5,4"]
+INVALID += [",".join(["1"] * 8), "3,3,3"]  # past the desk bound
 NUMBERS = ["-1", "0", "1", "2", "3", str(HUGE), str(-HUGE), "x", "1.5", ""]
 CELLS = ["1,0,0", "0,1,1", "-1,0,1", "1,1", "a,b,c", f"{HUGE},1,1"]
 FILES = ["@FILE", "@DIR", "@MISSING"]
@@ -54,6 +56,14 @@ OPTIONS = {
     "hasse-dot": {},
 }
 ENUMERATING = {"enumerate", "hasse-dot"}
+# Elements of each positive shape the lists above can put after --shape, by
+# the README's closed forms.  enumerate and hasse-dot answer at once up to a
+# few hundred and refuse a shape past 15,000 before enumerating it.
+ELEMENTS = {
+    (1,): 2, (2,): 6, (3,): 20, (4,): 70, (1, 1): 6, (2, 1): 20, (1, 3): 70,
+    (2, 2): 72, (1, 1, 1): 20, (2, 1, 1): 68, (1, 1, 1, 1): 76, (9,): 48620,
+    (5, 4): 56840, (1,) * 8: 32400, (3, 3, 3): 44000, (1,) * 13: 186753920,
+}
 TUPLES = [
     (p, q, t)
     for p, q, m in [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2), (2, 1, 3)]
@@ -137,12 +147,12 @@ def invocations(draw):
     return verb, argv, stdin
 
 
-def shape_totals(argv):
-    "The total size of each --shape value argparse could read off argv."
+def shape_sizes(argv):
+    "The sizes of each --shape value argparse could read off argv."
     for flag, value in zip(argv, argv[1:]):
         if flag == "--shape":
             try:
-                yield sum(int(x) for x in value.split(","))
+                yield tuple(int(x) for x in value.split(","))
             except ValueError:
                 pass
 
@@ -152,10 +162,12 @@ def shape_totals(argv):
 def test_main_keeps_the_exit_code_contract(case):
     "Exit 0 or 2 (1 from verify only); a 2 writes only an error or usage."
     verb, argv, stdin = case
-    if verb in ENUMERATING:  # the desk bound rejects totals past 8 up front
-        assume(all(total <= 4 or total > 8 for total in shape_totals(argv)))
+    shapes = list(shape_sizes(argv))
+    if verb in ENUMERATING:  # argparse refuses a size below 1 up front
+        counts = [ELEMENTS.get(sizes) for sizes in shapes if min(sizes) >= 1]
+        assume(all(c is not None and (c <= 300 or c > 15_000) for c in counts))
     else:
-        assume(all(total <= 70 for total in shape_totals(argv)))
+        assume(all(sum(sizes) <= 70 for sizes in shapes))
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "in.txt").write_text(stdin)

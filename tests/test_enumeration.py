@@ -330,7 +330,8 @@ def test_three_circles():
     [
         lambda: nc_b_annulus(8, 1),
         lambda: nc_b_disc(9),
-        lambda: nc_b_multi([3, 2, 2]),
+        lambda: nc_b_multi([1] * 8),
+        lambda: nc_b_multi([3, 3, 3]),
         lambda: nc_a(9),
     ],
 )
@@ -338,3 +339,22 @@ def test_desk_bounds(build):
     "Sizes beyond the supported range raise instead of hanging."
     with pytest.raises(ValueError):
         build()
+
+
+def test_desk_bound_message_names_count_and_bound():
+    "The error gives the shape, its element count and the bound."
+    message = r"AnnulusShape\(3, 3, 3\) has 44000 elements > 15000"
+    with pytest.raises(ValueError, match=message):
+        nc_b_multi([3, 3, 3])
+
+
+@pytest.mark.parametrize("sizes", [[14], [7, 7], [10**8]])
+def test_desk_bound_rejects_large_totals_without_counting(sizes, monkeypatch):
+    "A total of 14 or more has 2^14 > 15000 elements at least: no count is taken."
+
+    def refuse(sizes):
+        raise AssertionError("counted a shape past the 2^total limit")
+
+    monkeypatch.setattr(enumeration, "poset_size", refuse)
+    with pytest.raises(ValueError, match="at least 2\\^"):
+        nc_b_multi(sizes)

@@ -356,6 +356,7 @@ def test_multi3_total():
 
 
 MANY_CIRCLE_SHAPES = sorted({tuple(sorted(s)) for s in size_tuples(6) if len(s) >= 3})
+MANY_CIRCLE_SHAPES += [(2, 2, 3), (1, 2, 2, 2)]  # 3,168 and 3,456 elements
 
 
 @pytest.mark.parametrize("shape", MANY_CIRCLE_SHAPES)
