@@ -30,10 +30,10 @@ from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
     _inverse,
+    _joint_walk,
     _orbits,
     _steps,
     boundary_permutation,
-    joint_orbits,
 )
 
 
@@ -87,9 +87,21 @@ def _annulus_pairs(max_total: int) -> list[tuple[int, int]]:
     ]
 
 
+def _on_desk(shapes: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """The shapes, in order, with at most DESK_BOUND elements, keyed to that
+    count: those a sweep enumerates.  As C(2n, n) >= 2^n, their n is at
+    most DESK_BOUND.bit_length() - 1."""
+    return {s: c for s in shapes if (c := formulas.poset_size(s)) <= DESK_BOUND}
+
+
+def _desk_pairs(max_total: int) -> list[tuple[int, int]]:
+    """The pairs of _annulus_pairs(max_total) on the desk."""
+    return list(_on_desk(_annulus_pairs(min(max_total, DESK_BOUND.bit_length() - 1))))
+
+
 def _many_circle_shapes(max_n: int) -> dict[tuple[int, ...], int]:
-    """Sizes of three or more circles, nonincreasing, with total <= max_n and
-    at most DESK_BOUND elements (so total <= 13), keyed to that count."""
+    """Sizes of three or more circles, nonincreasing, with total <= max_n,
+    on the desk and keyed to their element count."""
     top = min(max_n, DESK_BOUND.bit_length() - 1)
     tuples = [
         t
@@ -97,16 +109,15 @@ def _many_circle_shapes(max_n: int) -> dict[tuple[int, ...], int]:
         for t in itertools.combinations_with_replacement(range(top + 1 - k, 0, -1), k)
         if sum(t) <= top
     ]
-    ordered = sorted(tuples, key=lambda t: (sum(t), t))
-    return {t: c for t in ordered if (c := formulas.poset_size(t)) <= DESK_BOUND}
+    return _on_desk(sorted(tuples, key=lambda t: (sum(t), t)))
 
 
-def _per_pair(name: str, formula, oracle, cap: int | None = None, note: str = ""):
-    """Register a family with one check per pair of _annulus_pairs(max_n),
-    capped at p + q <= cap, comparing formula(p, q) with oracle(p, q)."""
+def _per_pair(name: str, formula, oracle, cap=None, note="", pairs=_desk_pairs):
+    """Register a family with one check per pair of pairs(max_n), capped at
+    p + q <= cap, comparing formula(p, q) with oracle(p, q)."""
 
     def family(max_n: int) -> Iterable[Check]:
-        for p, q in _annulus_pairs(max_n if cap is None else min(max_n, cap)):
+        for p, q in pairs(max_n if cap is None else min(max_n, cap)):
             yield Check(name, f"p={p} q={q}{note}", formula(p, q), oracle(p, q))
 
     FAMILIES[name] = family
@@ -137,15 +148,12 @@ def _leading_difference(p: int, q: int) -> int:
     )
 
 
-@_family("rank-vector-q1")
-def _rank_vector_q1(max_n: int) -> Iterable[Check]:
-    for n in range(2, max_n + 1):
-        yield Check(
-            "rank-vector-q1",
-            f"p={n - 1} q=1",
-            tuple(formulas.rank_gen_disc(n).coefficients),
-            nc_b_annulus(n - 1, 1).rank_vector(),
-        )
+_per_pair(
+    "rank-vector-q1",
+    lambda p, q: tuple(formulas.rank_gen_disc(p + q).coefficients),
+    lambda p, q: nc_b_annulus(p, q).rank_vector(),
+    pairs=lambda max_n: [(p, q) for p, q in _desk_pairs(max_n) if q == 1],
+)
 
 
 _per_n(
@@ -179,7 +187,7 @@ def _pair_tallies(p: int, q: int) -> tuple[Counter, Counter]:
 def _pair_counts(max_n: int) -> Iterable[Check]:
     # One tally of pair statistics per annulus serves both families, so
     # their lines interleave by (p, q).
-    for p, q in _annulus_pairs(max_n):
+    for p, q in _desk_pairs(max_n):
         by_c, by_cell = _pair_tallies(p, q)
         expected = {
             c: formulas.annulus_connectivity_count(p, q, c)
@@ -248,7 +256,7 @@ def _mobius_via_zeta(max_n: int) -> Iterable[Check]:
     for p, q in _annulus_pairs(max_n):
         mu = formulas.mobius_annulus(p, q)
         yield Check("mobius-via-zeta", f"p={p} q={q}", mu, formulas.zeta_poly(p, q, -1))
-    for p, q in _annulus_pairs(min(max_n, 5)):
+    for p, q in _desk_pairs(min(max_n, 5)):
         poset = nc_b_annulus(p, q)
         params = f"p={p} q={q} interpolated"
         yield Check("mobius-via-zeta", params, _mobius(poset), poset.zeta(-1))
@@ -282,12 +290,14 @@ _per_pair(
     lambda p, q: nc_b_annulus(p, q).maximal_chains(),
     cap=5,
 )
-_per_pair("zeta-leading", formulas.max_chains, _leading_difference)
+_per_pair(
+    "zeta-leading", formulas.max_chains, _leading_difference, pairs=_annulus_pairs
+)
 
 
 @_family("roundtrip-annulus")
 def _roundtrip_annulus(max_n: int) -> Iterable[Check]:
-    for p, q in _annulus_pairs(min(max_n, 5)):
+    for p, q in _desk_pairs(min(max_n, 5)):
         domain = list(bijection.annulus_tuples(p, q))
         images = [bijection.encode_annulus(t, p, q) for t in domain]
         good = sum(
@@ -305,7 +315,7 @@ def _roundtrip_annulus(max_n: int) -> Iterable[Check]:
 
 @_family("roundtrip-multichain")
 def _roundtrip_multichain(max_n: int) -> Iterable[Check]:
-    for p, q in _annulus_pairs(min(max_n, 4)):
+    for p, q in _desk_pairs(min(max_n, 4)):
         poset = nc_b_annulus(p, q)
         shape = AnnulusShape(p, q)
         connected = {pi for pi in poset if connectivity(pi, shape) >= 1}
@@ -336,11 +346,12 @@ def _multi_split(max_n: int) -> Iterable[Check]:
     for sizes in _many_circle_shapes(max_n):
         shape = AnnulusShape(sizes)
         gamma = boundary_permutation(shape)
+        step = _steps(gamma.image)
         circle = {x: j for j in range(shape.k) for x in shape.labels(j)}
         bad = sum(
             any(
                 len({circle[abs(x)] for x in orbit}) > 2
-                for orbit in joint_orbits(tau, gamma)
+                for orbit in _joint_walk((_steps(tau.image), step), shape.n)
             )
             for tau in interval_perms(gamma)
         )
@@ -354,41 +365,59 @@ def _multi_total(max_n: int) -> Iterable[Check]:
         yield Check("multi-total", params, total, len(nc_b_multi(sizes)))
 
 
-def _genus_slacks(n: int) -> Iterator[tuple[SignedPermutation, SignedPermutation, int]]:
-    """(a, b, genus_defect(a, b)) for every pair of B_n, a-major.
+def _genus_rows(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The images of B_n, and for each a the row of genus_defect(a, b) over b.
 
-    Orbits are counted once per permutation, and a^-1 b's count is read
-    back since B_n is a group.  The joint orbits of a and b depend only on
-    their orbit partitions, so one walk serves each pair of classes."""
-    perms = [
-        SignedPermutation(p * s for p, s in zip(perm, signs))
+    Joint orbits depend only on the orbit partitions (classes): twice their
+    count is one symmetric table, walked once per unordered pair of distinct
+    classes, with twice a class's own orbit count on its diagonal.  Each row
+    composes a^-1 b for every b in C-level maps through a's inverse steps."""
+    images = [
+        tuple(p * s for p, s in zip(perm, signs))
         for perm in itertools.permutations(range(1, n + 1))
         for signs in itertools.product((1, -1), repeat=n)
     ]
-    count, classes, kinds = {}, {}, []
-    for a in perms:
-        orbits = _orbits(a.image)
-        count[a.image] = len(orbits)
-        partition = frozenset(map(frozenset, orbits))
-        kinds.append(classes.setdefault(partition, len(classes)))
-    # rows[k][l]: twice the joint orbits of classes k and l, filled on demand.
-    rows: list[list[int | None]] = [[None] * len(classes) for _ in classes]
-    for a, a_kind in zip(perms, kinds):
-        step = _steps(_inverse(a.image)).__getitem__  # composes a^-1 b
-        base = 2 * n - count[a.image]
-        row = rows[a_kind]
-        for b, b_kind in zip(perms, kinds):
-            joint = row[b_kind]
-            if joint is None:
-                joint = row[b_kind] = 2 * len(joint_orbits(a, b))
-            rest = count[tuple(map(step, b.image))]
-            yield a, b, base + joint - count[b.image] - rest
+    counts, classes, kinds, steps = [], {}, [], []
+    for image in images:
+        orbits = _orbits(image)
+        counts.append(len(orbits))
+        kinds.append(classes.setdefault(frozenset(map(frozenset, orbits)), len(steps)))
+        if kinds[-1] == len(steps):
+            steps.append(_steps(image))
+    table = [[2 * len(partition)] * len(classes) for partition in classes]
+    for k, l in itertools.combinations(range(len(classes)), 2):
+        table[k][l] = table[l][k] = 2 * len(_joint_walk((steps[k], steps[l]), n))
+    # 2 joint(a, b) - #b - (#a - 2n) over b, one list per class of a.
+    heads = []
+    for row, partition in zip(table, classes):
+        shifted = map(operator.add, counts, itertools.repeat(len(partition) - 2 * n))
+        heads.append(list(map(operator.sub, map(row.__getitem__, kinds), shifted)))
+    # Images as bytes of their labels mod 2n + 1, so that a step table,
+    # whose negative labels count from the end, is a bytes.translate table.
+    m = 2 * n + 1
+    codes = [bytes(x % m for x in image) for image in images]
+    count = dict(zip(codes, counts))
+    rows = []
+    for image, kind in zip(images, kinds):
+        inverse = bytes(x % m for x in _steps(_inverse(image))).ljust(256, b"\0")
+        rest = map(bytes.translate, codes, itertools.repeat(inverse))  # a^-1 b
+        rows.append(list(map(operator.sub, heads[kind], map(count.__getitem__, rest))))
+    return images, rows
+
+
+def _genus_slacks(n: int) -> Iterator[tuple[SignedPermutation, SignedPermutation, int]]:
+    """(a, b, genus_defect(a, b)) for every pair of B_n, a-major."""
+    images, rows = _genus_rows(n)
+    perms = list(map(SignedPermutation, images))
+    for a, row in zip(perms, rows):
+        yield from zip(itertools.repeat(a), perms, row)
 
 
 @_family("genus-defect")
 def _genus_defect(max_n: int) -> Iterable[Check]:
     for n in (2, 3):
-        bad = sum(d < 0 or d % 2 == 1 for _, _, d in _genus_slacks(n))
+        slacks = Counter(itertools.chain.from_iterable(_genus_rows(n)[1]))
+        bad = sum(k for d, k in slacks.items() if d < 0 or d % 2 == 1)
         yield Check("genus-defect", f"n={n}", 0, bad)
 
 

@@ -260,8 +260,12 @@ def joint_orbits(a: SignedPermutation, b: SignedPermutation) -> list[list[int]]:
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
-    n = a.n
-    steps = (_steps(a.image), _steps(b.image))
+    return _joint_walk((_steps(a.image), _steps(b.image)), a.n)
+
+
+def _joint_walk(steps: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
+    """Orbits of the group generated by the step tables, as joint_orbits
+    lists them."""
     seen = [False] * (2 * n + 1)  # indexed by the signed label
     out = []
     for start in (*range(1, n + 1), *range(-1, -n - 1, -1)):

@@ -9,6 +9,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -21,7 +22,7 @@ from ncb import (
     nc_b_multi,
 )
 from ncb.checks import FAMILIES, Check, _annulus_pairs, _compositions, _genus_slacks
-from ncb import bijection, checks, cli, formulas
+from ncb import bijection, checks, cli, enumeration, formulas
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
 from ncb.formulas import binom
@@ -351,7 +352,7 @@ def test_genus_defect_family_matches_direct_sum():
     assert verify_suite(max_n=3, only="genus-defect") == expected
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_genus_slacks_equal_genus_defect(n):
     """The family's per-pair slacks are genus_defect itself on every pair
     of B_n, not only in their count of odd or negative values."""
@@ -359,7 +360,55 @@ def test_genus_slacks_equal_genus_defect(n):
     size = 2**n * math.factorial(n)
     assert len(slacks) == len({(a, b) for a, b, _ in slacks}) == size**2
     assert all(d == genus_defect(a, b) for a, b, d in slacks)
-    assert len({d for _, _, d in slacks}) > 1
+    values = {d for _, _, d in slacks}
+    # Every slack of B_1 = {e, -1} is 0.
+    assert (values == {0}) if n == 1 else (len(values) > 1)
+
+
+def test_genus_slacks_equal_genus_defect_on_sampled_rows_of_b4():
+    """At n = 4 (164 orbit partitions) the slacks of a seeded sample of 24
+    a against every b are genus_defect itself, and every row is there."""
+    slacks = list(_genus_slacks(4))
+    size = 2**4 * math.factorial(4)
+    assert len(slacks) == size**2
+    for i in sorted(Random(4).sample(range(size), 24)):
+        row = slacks[i * size : (i + 1) * size]
+        assert len({a for a, _, _ in row}) == 1
+        assert all(d == genus_defect(a, b) for a, b, d in row)
+
+
+# The two-circle sweeps that build posets.
+ENUMERATING_PAIR_SWEEPS = [
+    "rank-vector-q1",
+    "annulus-total",
+    "connectivity-count",
+    "cell-count",
+    "rank-gen",
+    "mobius-annulus",
+    "mobius-via-zeta",
+    "zeta",
+    "max-chains",
+    "roundtrip-annulus",
+    "roundtrip-multichain",
+]
+
+
+def test_two_circle_sweeps_stop_at_the_desk_bound(monkeypatch):
+    """With the element bound at 20, the sweeps that enumerate keep (1, 1)
+    and (2, 1), 6 and 20 elements, and skip (2, 2) and (3, 1) instead of
+    stopping the suite; formula-only sweeps keep every pair."""
+    monkeypatch.setattr(enumeration, "DESK_BOUND", 20)
+    monkeypatch.setattr(checks, "DESK_BOUND", 20)
+    for name in ENUMERATING_PAIR_SWEEPS:
+        lines = verify_suite(max_n=4, only=name)
+        assert all(c.ok for c in lines)
+        if name == "mobius-via-zeta":  # only its interpolated lines build posets
+            lines = [c for c in lines if "interpolated" in c.params]
+        assert {" ".join(c.params.split()[:2]) for c in lines} == {
+            "p=1 q=1",
+            "p=2 q=1",
+        }
+    assert len(verify_suite(max_n=4, only="zeta-leading")) == len(_annulus_pairs(4))
 
 
 # A crossing partition of n = 3, outside the (2, 1) poset.

@@ -364,28 +364,34 @@ def test_over_matchings_agrees_with_enumeration(shape):
     "Count, ranks, Moebius, maximal chains and zeta at n + 4 points, in two orders."
     poset = nc_b_multi(shape)
     n = sum(shape)
+    # The enumerated side depends on the shape only, so it is taken once for
+    # both circle orders.
+    size, rank_vector = len(poset), poset.rank_vector()
+    mobius_value = poset.mobius(poset.bottom(), poset.top())
+    zeta_values = {m: poset.zeta(m) for m in range(-1, n + 3)}
+    chain_count = poset.maximal_chains()
     shuffled = list(shape)
     Random(n).shuffle(shuffled)
     for sizes in (shape, tuple(shuffled)):
         total = over_matchings(sizes, lambda a: comb(2 * a, a), annulus_total)
-        assert total == len(poset)
+        assert total == size
         ranks = over_matchings(sizes, rank_gen_disc, rank_gen)
-        assert ranks.coefficients == poset.rank_vector()
+        assert ranks.coefficients == rank_vector
         mu = over_matchings(sizes, mobius_disc, mobius_annulus)
-        assert mu == poset.mobius(poset.bottom(), poset.top())
+        assert mu == mobius_value
         zeta = {
             m: over_matchings(
                 sizes, lambda a: gbinom(m * a, a), lambda p, q: zeta_poly(p, q, m)
             )
             for m in range(-1, n + 3)
         }
-        assert zeta == {m: poset.zeta(m) for m in zeta}
+        assert zeta == zeta_values
         chains = over_matchings(
             sizes,
             lambda a: GradedChains(a, a**a),
             lambda p, q: GradedChains(p + q, max_chains(p, q)),
         )
-        assert chains == (n, poset.maximal_chains())
+        assert chains == (n, chain_count)
         # n! times the leading coefficient of the zeta polynomial
         difference = sum((-1) ** (n - m) * comb(n, m) * zeta[m] for m in range(n + 1))
         assert chains.count == difference
