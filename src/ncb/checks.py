@@ -3,7 +3,9 @@
 Each family is a generator ``(max_n) -> Iterable[Check]`` registered in
 ``FAMILIES`` under the name its checks carry; one generator may serve
 several names.  ``verify_suite`` runs each generator once, in registration
-order, which is the order of ``ncb verify`` output.
+order, which is the order of ``ncb verify`` output.  Most families are
+sweeps registered by ``_sweep``: formula against oracle on each circle-size
+tuple of a shapes function, those that enumerate kept by ``on_desk``.
 """
 
 from __future__ import annotations
@@ -11,24 +13,24 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijection, formulas
 from .enumeration import (
-    DESK_BOUND,
+    MAX_CIRCLES,
     FinitePoset,
     interval_perms,
     nc_b_annulus,
     nc_b_disc,
     nc_b_multi,
+    on_desk,
 )
 from .formulas import binom
-from .partition import connectivity, pair_stats
+from .partition import pair_stats
 from .signed_perm import (
     AnnulusShape,
-    SignedPermutation,
     _inverse,
     _joint_walk,
     _orbits,
@@ -87,55 +89,62 @@ def _annulus_pairs(max_total: int) -> list[tuple[int, int]]:
     ]
 
 
-def _on_desk(shapes: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-    """The shapes, in order, with at most DESK_BOUND elements, keyed to that
-    count: those a sweep enumerates.  As C(2n, n) >= 2^n, their n is at
-    most DESK_BOUND.bit_length() - 1."""
-    return {s: c for s in shapes if (c := formulas.poset_size(s)) <= DESK_BOUND}
+def _partitions(total: int, most: int) -> Iterator[tuple[int, ...]]:
+    """Nonincreasing tuples of positive ints <= most with the given sum, in
+    lexicographic order."""
+    if total == 0:
+        yield ()
+    for first in range(1, min(total, most) + 1):
+        yield from ((first, *rest) for rest in _partitions(total - first, first))
 
 
-def _desk_pairs(max_total: int) -> list[tuple[int, int]]:
-    """The pairs of _annulus_pairs(max_total) on the desk."""
-    return list(_on_desk(_annulus_pairs(min(max_total, DESK_BOUND.bit_length() - 1))))
+def _desk_shapes(circles: range, max_n: int) -> list[tuple[int, ...]]:
+    """The sizes a sweep enumerates: nonincreasing, len(sizes) in circles,
+    total <= max_n, on_desk, by total and then lexicographically.  The
+    smallest poset of a total grows with it, so the first total with none
+    on the desk ends the sweep."""
+    per_total = (
+        [s for s in _partitions(t, t) if len(s) in circles and on_desk(s)]
+        for t in range(circles.start, max_n + 1)
+    )
+    return [s for desk in itertools.takewhile(bool, per_total) for s in desk]
 
 
-def _many_circle_shapes(max_n: int) -> dict[tuple[int, ...], int]:
-    """Sizes of three or more circles, nonincreasing, with total <= max_n,
-    on the desk and keyed to their element count."""
-    top = min(max_n, DESK_BOUND.bit_length() - 1)
-    tuples = [
-        t
-        for k in range(3, top + 1)
-        for t in itertools.combinations_with_replacement(range(top + 1 - k, 0, -1), k)
-        if sum(t) <= top
-    ]
-    return _on_desk(sorted(tuples, key=lambda t: (sum(t), t)))
+_desk_pairs = partial(_desk_shapes, range(2, 3))
+_many_circle_shapes = partial(_desk_shapes, range(3, MAX_CIRCLES + 1))
 
 
-def _per_pair(name: str, formula, oracle, cap=None, note="", pairs=_desk_pairs):
-    """Register a family with one check per pair of pairs(max_n), capped at
-    p + q <= cap, comparing formula(p, q) with oracle(p, q)."""
+def _discs(first: int, last: int | None = None) -> Callable[[int], list[tuple[int]]]:
+    """The one-circle sizes from first to max_n, and to last if given."""
+    return lambda max_n: [(n,) for n in range(first, min(max_n, last or max_n) + 1)]
+
+
+def _sweep(name: str, shapes, formula, oracle, note: str = "") -> None:
+    """Register a family with one check per sizes of shapes(max_n),
+    comparing formula(*sizes) with oracle(*sizes)."""
 
     def family(max_n: int) -> Iterable[Check]:
-        for p, q in pairs(max_n if cap is None else min(max_n, cap)):
-            yield Check(name, f"p={p} q={q}{note}", formula(p, q), oracle(p, q))
+        for sizes in shapes(max_n):
+            if len(sizes) > 2:
+                params = f"sizes={','.join(map(str, sizes))}"
+            else:
+                params = ("n={}", "p={} q={}")[len(sizes) - 1].format(*sizes)
+            yield Check(name, params + note, formula(*sizes), oracle(*sizes))
 
     FAMILIES[name] = family
 
 
-def _per_n(name: str, n0: int, formula, oracle, cap: int | None = None, note: str = ""):
-    """Register a family with one check per n from n0 to max_n, capped at
-    cap, comparing formula(n) with oracle(n)."""
-
-    def family(max_n: int) -> Iterable[Check]:
-        for n in range(n0, (max_n if cap is None else min(max_n, cap)) + 1):
-            yield Check(name, f"n={n}{note}", formula(n), oracle(n))
-
-    FAMILIES[name] = family
+def _oracle(read: Callable[[FinitePoset], object]) -> Callable[..., object]:
+    """The sweep oracle read(poset) on the enumerated poset of the sizes."""
+    return lambda *sizes: read(nc_b_multi(sizes))
 
 
 def _mobius(poset: FinitePoset) -> int:
     return poset.mobius(poset.bottom(), poset.top())
+
+
+def _zetas(poset: FinitePoset) -> dict[int, int]:
+    return {m: poset.zeta(m) for m in range(2, 5)}
 
 
 def _leading_difference(p: int, q: int) -> int:
@@ -148,39 +157,37 @@ def _leading_difference(p: int, q: int) -> int:
     )
 
 
-_per_pair(
+_sweep(
     "rank-vector-q1",
+    lambda max_n: [(p, q) for p, q in _desk_pairs(max_n) if q == 1],
     lambda p, q: tuple(formulas.rank_gen_disc(p + q).coefficients),
-    lambda p, q: nc_b_annulus(p, q).rank_vector(),
-    pairs=lambda max_n: [(p, q) for p, q in _desk_pairs(max_n) if q == 1],
+    _oracle(FinitePoset.rank_vector),
 )
-
-
-_per_n(
+_sweep(
     "rank-vector-disc",
-    1,
+    _discs(1, 6),
     lambda n: tuple(formulas.rank_gen_disc(n).coefficients),
-    lambda n: nc_b_disc(n).rank_vector(),
-    cap=6,
+    _oracle(FinitePoset.rank_vector),
 )
-_per_pair("annulus-total", formulas.annulus_total, lambda p, q: len(nc_b_annulus(p, q)))
+_sweep("annulus-total", _desk_pairs, formulas.annulus_total, _oracle(len))
 
 
 @lru_cache(maxsize=None)
-def _pair_tallies(p: int, q: int) -> tuple[Counter, Counter]:
-    """The partitions of the annulus counted by connectivity, and the
-    connected ones by (c, e, i): one pass of pair statistics per shape,
-    cached as the poset is, so the two families run by name share it.
-    Shared, so read-only."""
+def _pair_tallies(p: int, q: int) -> tuple[Counter, Counter, frozenset]:
+    """The partitions of the annulus counted by connectivity, the connected
+    ones by (c, e, i), and the connected ones: one pass of pair statistics
+    per shape, cached as the poset is and shared, so read-only."""
     shape = AnnulusShape(p, q)
     by_c: Counter = Counter()
     by_cell: Counter = Counter()
+    connected = []
     for pi in nc_b_annulus(p, q):
         stats = pair_stats(pi, shape)
         by_c[stats.connecting] += 1
         if stats.connecting:
             by_cell[tuple(stats)] += 1
-    return by_c, by_cell
+            connected.append(pi)
+    return by_c, by_cell, frozenset(connected)
 
 
 @_family("connectivity-count", "cell-count")
@@ -188,7 +195,7 @@ def _pair_counts(max_n: int) -> Iterable[Check]:
     # One tally of pair statistics per annulus serves both families, so
     # their lines interleave by (p, q).
     for p, q in _desk_pairs(max_n):
-        by_c, by_cell = _pair_tallies(p, q)
+        by_c, by_cell, _ = _pair_tallies(p, q)
         expected = {
             c: formulas.annulus_connectivity_count(p, q, c)
             for c in range(min(p, q) + 1)
@@ -203,10 +210,11 @@ def _pair_counts(max_n: int) -> Iterable[Check]:
         yield Check("cell-count", f"p={p} q={q}", expected, dict(by_cell))
 
 
-_per_pair(
+_sweep(
     "rank-gen",
+    _desk_pairs,
     lambda p, q: tuple(formulas.rank_gen(p, q).coefficients),
-    lambda p, q: nc_b_annulus(p, q).rank_vector(),
+    _oracle(FinitePoset.rank_vector),
 )
 
 
@@ -238,17 +246,14 @@ def _hasse_edges(max_n: int) -> Iterable[Check]:
     yield Check("hasse-edges", "n=3", 2 * binom(3, 1) ** 2 + 3**3, covers)
 
 
-_per_pair(
-    "mobius-annulus", formulas.mobius_annulus, lambda p, q: _mobius(nc_b_annulus(p, q))
+_sweep("mobius-annulus", _desk_pairs, formulas.mobius_annulus, _oracle(_mobius))
+_sweep("mobius-disc", _discs(2, 6), formulas.mobius_disc, _oracle(_mobius))
+_sweep(
+    "mobius-q1",
+    _discs(2),
+    lambda n: formulas.mobius_annulus(n - 1, 1),
+    formulas.mobius_q1,
 )
-_per_n(
-    "mobius-disc",
-    2,
-    formulas.mobius_disc,
-    lambda n: _mobius(nc_b_disc(n)),
-    cap=6,
-)
-_per_n("mobius-q1", 2, lambda n: formulas.mobius_annulus(n - 1, 1), formulas.mobius_q1)
 
 
 @_family("mobius-via-zeta")
@@ -262,37 +267,34 @@ def _mobius_via_zeta(max_n: int) -> Iterable[Check]:
         yield Check("mobius-via-zeta", params, _mobius(poset), poset.zeta(-1))
 
 
-_per_pair(
+_sweep(
     "zeta",
+    lambda max_n: _desk_pairs(min(max_n, 5)),
     lambda p, q: {m: formulas.zeta_poly(p, q, m) for m in range(2, 5)},
-    lambda p, q: {m: nc_b_annulus(p, q).zeta(m) for m in range(2, 5)},
-    cap=5,
+    _oracle(_zetas),
     note=" m=2..4",
 )
-_per_n(
+_sweep(
     "zeta-disc",
-    1,
+    _discs(1, 5),
     lambda n: {m: binom(m * n, n) for m in range(2, 5)},
-    lambda n: {m: nc_b_disc(n).zeta(m) for m in range(2, 5)},
-    cap=5,
+    _oracle(_zetas),
     note=" m=2..4",
 )
-_per_n(
+_sweep(
     "zeta-q1",
-    2,
+    _discs(2),
     lambda n: {m: formulas.zeta_poly(n - 1, 1, m) for m in range(-1, 5)},
     lambda n: {m: formulas.zeta_poly_q1(n, m) for m in range(-1, 5)},
     note=" m=-1..4",
 )
-_per_pair(
+_sweep(
     "max-chains",
+    lambda max_n: _desk_pairs(min(max_n, 5)),
     formulas.max_chains,
-    lambda p, q: nc_b_annulus(p, q).maximal_chains(),
-    cap=5,
+    _oracle(FinitePoset.maximal_chains),
 )
-_per_pair(
-    "zeta-leading", formulas.max_chains, _leading_difference, pairs=_annulus_pairs
-)
+_sweep("zeta-leading", _annulus_pairs, formulas.max_chains, _leading_difference)
 
 
 @_family("roundtrip-annulus")
@@ -303,13 +305,11 @@ def _roundtrip_annulus(max_n: int) -> Iterable[Check]:
         good = sum(
             bijection.decode_annulus(pi, p, q) == t for t, pi in zip(domain, images)
         )
-        shape = AnnulusShape(p, q)
-        positives = {pi for pi in nc_b_annulus(p, q) if connectivity(pi, shape) >= 1}
         yield Check(
             "roundtrip-annulus",
             f"p={p} q={q}",
             (len(domain), True),
-            (good, set(images) == positives),
+            (good, set(images) == _pair_tallies(p, q)[2]),
         )
 
 
@@ -317,8 +317,7 @@ def _roundtrip_annulus(max_n: int) -> Iterable[Check]:
 def _roundtrip_multichain(max_n: int) -> Iterable[Check]:
     for p, q in _desk_pairs(min(max_n, 4)):
         poset = nc_b_annulus(p, q)
-        shape = AnnulusShape(p, q)
-        connected = {pi for pi in poset if connectivity(pi, shape) >= 1}
+        connected = _pair_tallies(p, q)[2]
         for m in (3, 4):
             formula = sum(
                 2 * c * binom(m * p, p - c) * binom(m * q, q + c)
@@ -341,28 +340,26 @@ def _roundtrip_multichain(max_n: int) -> Iterable[Check]:
             )
 
 
-@_family("multi-split")
-def _multi_split(max_n: int) -> Iterable[Check]:
-    for sizes in _many_circle_shapes(max_n):
-        shape = AnnulusShape(sizes)
-        gamma = boundary_permutation(shape)
-        step = _steps(gamma.image)
-        circle = {x: j for j in range(shape.k) for x in shape.labels(j)}
-        bad = sum(
-            any(
-                len({circle[abs(x)] for x in orbit}) > 2
-                for orbit in _joint_walk((_steps(tau.image), step), shape.n)
-            )
-            for tau in interval_perms(gamma)
+def _split_orbits(*sizes: int) -> int:
+    """Permutations tau below the boundary permutation gamma with a joint
+    orbit of (tau, gamma) that meets more than two circles."""
+    shape = AnnulusShape(sizes)
+    gamma = boundary_permutation(shape)
+    step = _steps(gamma.image)
+    circle = {x: j for j in range(shape.k) for x in shape.labels(j)}
+    return sum(
+        any(
+            len({circle[abs(x)] for x in orbit}) > 2
+            for orbit in _joint_walk((_steps(tau.image), step), shape.n)
         )
-        yield Check("multi-split", f"sizes={','.join(map(str, sizes))}", 0, bad)
+        for tau in interval_perms(gamma)
+    )
 
 
-@_family("multi-total")
-def _multi_total(max_n: int) -> Iterable[Check]:
-    for sizes, total in _many_circle_shapes(max_n).items():
-        params = f"sizes={','.join(map(str, sizes))}"
-        yield Check("multi-total", params, total, len(nc_b_multi(sizes)))
+_sweep("multi-split", _many_circle_shapes, lambda *sizes: 0, _split_orbits)
+_sweep(
+    "multi-total", _many_circle_shapes, lambda *s: formulas.poset_size(s), _oracle(len)
+)
 
 
 def _genus_rows(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -403,14 +400,6 @@ def _genus_rows(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
         rest = map(bytes.translate, codes, itertools.repeat(inverse))  # a^-1 b
         rows.append(list(map(operator.sub, heads[kind], map(count.__getitem__, rest))))
     return images, rows
-
-
-def _genus_slacks(n: int) -> Iterator[tuple[SignedPermutation, SignedPermutation, int]]:
-    """(a, b, genus_defect(a, b)) for every pair of B_n, a-major."""
-    images, rows = _genus_rows(n)
-    perms = list(map(SignedPermutation, images))
-    for a, row in zip(perms, rows):
-        yield from zip(itertools.repeat(a), perms, row)
 
 
 @_family("genus-defect")

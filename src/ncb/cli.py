@@ -138,7 +138,12 @@ def _cmd_encode(args) -> int:
                 f"line {number} is not a tuple: "
                 f"{line.strip()} ({type(exc).__name__}: {exc})"
             ) from None
-        chain = bijection.encode_multichain(t, p, q)
+        try:
+            chain = bijection.encode_multichain(t, p, q)
+        except ValueError as exc:
+            raise ValueError(
+                f"line {number} does not encode: {line.strip()} ({exc})"
+            ) from None
         if len(chain) == 1:
             lines.append(chain[0].to_json())
         else:

@@ -242,14 +242,17 @@ def interval_perms(bound: SignedPermutation) -> list[SignedPermutation]:
     return [SignedPermutation(img) for img in _interval_images(bound.image)]
 
 
-def _check_desk_bound(shape: AnnulusShape) -> None:
+def _desk_size(sizes: Sequence[int]) -> int | str:
     # The empty matching alone gives prod C(2s, s) >= 2^n elements, so a
-    # total n with 2^n past the bound fails before any count is taken.
-    if shape.n >= DESK_BOUND.bit_length():
-        size = f"at least 2^{shape.n}"
-    elif (size := poset_size(shape.sizes)) <= DESK_BOUND:
-        return
-    raise ValueError(f"desk bound exceeded: {shape} has {size} elements > {DESK_BOUND}")
+    # total n with 2^n past the bound needs no count.
+    n = sum(sizes)
+    return poset_size(sizes) if n < DESK_BOUND.bit_length() else f"at least 2^{n}"
+
+
+def on_desk(sizes: Sequence[int]) -> bool:
+    """Whether the shape's poset has at most DESK_BOUND elements, the bound
+    read at call time: the one test before every enumeration and sweep."""
+    return isinstance(size := _desk_size(sizes), int) and size <= DESK_BOUND
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +260,9 @@ def _preimages(sizes: tuple[int, ...]) -> dict[BPartition, SignedPermutation]:
     """Each partition of the poset keyed to its permutation below the
     boundary permutation; the one map both the poset and its inverse read."""
     shape = AnnulusShape(sizes)
-    _check_desk_bound(shape)
+    if not on_desk(sizes):
+        size = _desk_size(sizes)
+        raise ValueError(f"desk bound exceeded: {shape} has {size} elements > {DESK_BOUND}")
     return {adjusted_orbits(t): t for t in interval_perms(boundary_permutation(shape))}
 
 

@@ -21,7 +21,7 @@ from ncb import (
     nc_b_annulus,
     nc_b_multi,
 )
-from ncb.checks import FAMILIES, Check, _annulus_pairs, _compositions, _genus_slacks
+from ncb.checks import FAMILIES, Check, _annulus_pairs, _compositions, _genus_rows
 from ncb import bijection, checks, cli, enumeration, formulas
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
@@ -276,7 +276,8 @@ def test_verify_families_match_bench():
 def test_pair_count_families_tally_each_shape_once(monkeypatch):
     """connectivity-count and cell-count, run one name at a time as the
     bench runs them, share one tally: pair_stats runs once per element of
-    each shape, not once per family."""
+    each shape, not once per family.  The round-trip families read the
+    connected partitions off that tally and add no call."""
     calls = Counter()
     real = checks.pair_stats
 
@@ -293,6 +294,11 @@ def test_pair_count_families_tally_each_shape_once(monkeypatch):
     ]
     assert len(lines) == 3 * len(_annulus_pairs(4)) and all(c.ok for c in lines)
     assert calls == {(p, q): len(nc_b_annulus(p, q)) for p, q in _annulus_pairs(4)}
+    tallied = dict(calls)
+    for name in ("roundtrip-annulus", "roundtrip-multichain"):
+        lines = verify_suite(max_n=4, only=name)
+        assert lines and all(c.ok for c in lines), name
+    assert calls == tallied
 
 
 def slow_hypersum():
@@ -352,11 +358,18 @@ def test_genus_defect_family_matches_direct_sum():
     assert verify_suite(max_n=3, only="genus-defect") == expected
 
 
+def genus_slacks(n):
+    "(a, b, slack) for every pair of B_n, a-major, from the family's rows."
+    images, rows = _genus_rows(n)
+    perms = list(map(SignedPermutation, images))
+    return [(a, b, d) for a, row in zip(perms, rows) for b, d in zip(perms, row)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_genus_slacks_equal_genus_defect(n):
     """The family's per-pair slacks are genus_defect itself on every pair
     of B_n, not only in their count of odd or negative values."""
-    slacks = list(_genus_slacks(n))
+    slacks = genus_slacks(n)
     size = 2**n * math.factorial(n)
     assert len(slacks) == len({(a, b) for a, b, _ in slacks}) == size**2
     assert all(d == genus_defect(a, b) for a, b, d in slacks)
@@ -368,7 +381,7 @@ def test_genus_slacks_equal_genus_defect(n):
 def test_genus_slacks_equal_genus_defect_on_sampled_rows_of_b4():
     """At n = 4 (164 orbit partitions) the slacks of a seeded sample of 24
     a against every b are genus_defect itself, and every row is there."""
-    slacks = list(_genus_slacks(4))
+    slacks = genus_slacks(4)
     size = 2**4 * math.factorial(4)
     assert len(slacks) == size**2
     for i in sorted(Random(4).sample(range(size), 24)):
@@ -398,7 +411,6 @@ def test_two_circle_sweeps_stop_at_the_desk_bound(monkeypatch):
     and (2, 1), 6 and 20 elements, and skip (2, 2) and (3, 1) instead of
     stopping the suite; formula-only sweeps keep every pair."""
     monkeypatch.setattr(enumeration, "DESK_BOUND", 20)
-    monkeypatch.setattr(checks, "DESK_BOUND", 20)
     for name in ENUMERATING_PAIR_SWEEPS:
         lines = verify_suite(max_n=4, only=name)
         assert all(c.ok for c in lines)
@@ -409,6 +421,18 @@ def test_two_circle_sweeps_stop_at_the_desk_bound(monkeypatch):
             "p=2 q=1",
         }
     assert len(verify_suite(max_n=4, only="zeta-leading")) == len(_annulus_pairs(4))
+
+
+def test_desk_sweeps_stop_at_the_first_refused_total():
+    """Every shape of total 9 or more has over 15,000 elements, so a sweep's
+    shapes at any larger max_n are those at 8: 16 pairs and 38 shapes of
+    three or more circles, with no walk over the totals beyond."""
+    pairs, many = checks._desk_pairs(8), checks._many_circle_shapes(8)
+    assert (len(pairs), len(many)) == (16, 38)
+    start = time.perf_counter()
+    assert checks._desk_pairs(10**9) == pairs
+    assert checks._many_circle_shapes(10**9) == many
+    assert time.perf_counter() - start < 1.0
 
 
 # A crossing partition of n = 3, outside the (2, 1) poset.
@@ -585,6 +609,18 @@ def test_encode_error_names_the_line(capsys, monkeypatch):
     code, out, err = run(capsys, "encode", "--shape", "1,1")
     assert code == 2 and out == ""
     assert err.startswith("error: line 3 is not a tuple: c=x d=1 (ValueError: ")
+
+
+def test_encode_names_the_line_that_does_not_encode(capsys, monkeypatch):
+    "A tuple whose labels lie outside the shape exits 2 naming its line."
+    text = "c=1 d=1 LE=1 RE1= LI= RI1=3\nc=1 d=1 LE=9 RE1= LI= RI1=3\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "encode", "--shape", "2,1")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: line 2 does not encode: c=1 d=1 LE=9 RE1= LI= RI1=3 "
+        "(outer subsets must lie in 1..2)\n"
+    )
 
 
 def test_encode_rejects_a_repeated_label(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from ncb import (
     nc_b_multi,
 )
 from ncb import enumeration
-from ncb.formulas import annulus_total, binom
+from ncb.formulas import annulus_total, binom, poset_size
 
 
 @pytest.mark.parametrize(
@@ -346,6 +346,36 @@ def test_desk_bound_message_names_count_and_bound():
     message = r"AnnulusShape\(3, 3, 3\) has 44000 elements > 15000"
     with pytest.raises(ValueError, match=message):
         nc_b_multi([3, 3, 3])
+
+
+# Nonincreasing shapes of total <= 15 with at most MAX_CIRCLES circles.
+DESK_SHAPES = [
+    s
+    for s in size_tuples(15)
+    if list(s) == sorted(s, reverse=True) and len(s) <= enumeration.MAX_CIRCLES
+]
+
+
+def test_on_desk_is_the_element_count_test():
+    "The 2^total shortcut refuses no shape that the element count admits."
+    assert len(DESK_SHAPES) == 676
+    admitted = 0
+    for s in DESK_SHAPES:
+        fits = poset_size(s) <= enumeration.DESK_BOUND
+        assert enumeration.on_desk(s) == fits, s
+        admitted += fits
+    assert admitted == 62
+
+
+def test_smallest_poset_of_a_total_grows_with_it():
+    """Among two circles and among three or more, the fewest elements of a
+    total grow with it, so a sweep may stop at the first total refused."""
+    for circles in (range(2, 3), range(3, enumeration.MAX_CIRCLES + 1)):
+        least = [
+            min(poset_size(s) for s in DESK_SHAPES if sum(s) == t and len(s) in circles)
+            for t in range(circles.start, 16)
+        ]
+        assert least == sorted(set(least)), circles
 
 
 @pytest.mark.parametrize("sizes", [[14], [7, 7], [10**8]])
