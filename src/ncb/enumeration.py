@@ -2,11 +2,13 @@
 oracles (Hasse diagram, Moebius function, multichain counts, maximal chains).
 
 Everything here is exact and desk-scale by design: a poset is built only
-when `formulas.poset_size` counts at most DESK_BOUND elements in it.  The
-interval below the boundary permutation is walked down from it one cover
-at a time, each a reflection read as the label pair it exchanges; a
-poset builds its down-set rows once, on first use, and reads covers,
-Moebius values and chain counts off those rows and the ranks.
+when `formulas.poset_size` counts at most DESK_BOUND elements in it.  One
+pass goes from the boundary permutation to the partitions: the interval
+below it is walked down one cover at a time, each a reflection read as
+the label pair it exchanges, and each element met is mapped to its
+adjusted orbits, whose blocks decide the covers below it.  A poset
+builds its down-set rows once, on first use, and reads covers, Moebius
+values and chain counts off those rows and the ranks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .partition import BPartition, adjusted_orbits
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
-    _orbits,
     _steps,
     boundary_permutation,
 )
@@ -57,6 +58,8 @@ class FinitePoset:
     ):
         if len(elements) != len(ranks):
             raise ValueError("one rank per element required")
+        if len(elements) != len(masks):
+            raise ValueError("one mask per element required")
         self.elements = tuple(elements)
         self.ranks = tuple(ranks)
         self._masks = tuple(masks)
@@ -198,35 +201,36 @@ class FinitePoset:
 
 
 @lru_cache(maxsize=None)
-def _interval_images(gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All image tuples t with t <= gamma in absolute order, sorted.
+def _interval(gamma: tuple[int, ...]) -> tuple[tuple[SignedPermutation, BPartition], ...]:
+    """Each t <= gamma in absolute order with its adjusted orbits, by image.
 
     Walks down from gamma, reading each of the n^2 reflections r of B_n as
     the label pair (a, b) with b = r(a): (a, -a) for a in 1..n, and
     (a, c), (a, -c) for a < c <= n.  x*r is covered by x exactly when a and
-    b lie in one orbit of x, or in two distinct inversion-invariant orbits
-    of x; x*r is x with its entries at a and |b| replaced through x's step
-    table.  Every element of [e, gamma] lies on a chain of covers down from
-    gamma, so the walk reaches all of them.
+    b lie in one block of adjusted_orbits(x), built once for each element
+    the walk meets; x*r is x with its entries at a and |b| replaced through
+    x's step table.  Every element of [e, gamma] lies on a chain of covers
+    down from gamma, so the walk reaches all of them.
     """
     n = len(gamma)
     pairs = [(a, -a) for a in range(1, n + 1)]
     for a, c in itertools.combinations(range(1, n + 1), 2):
         pairs += [(a, c), (a, -c)]
-    label = [0] * (2 * n + 1)  # orbit index of label x at x (x < 0 wraps)
+    block = [0] * (2 * n + 1)  # block index of label x at x (x < 0 wraps)
     seen = {gamma}
     stack = [gamma]
+    out = []
     while stack:
         x = stack.pop()
-        invariant = []
-        for k, orbit in enumerate(_orbits(x)):
-            for y in orbit:
-                label[y] = k
-            invariant.append(-orbit[0] in orbit)
+        t = SignedPermutation(x)
+        pi = adjusted_orbits(t)
+        out.append((t, pi))
+        for k, labels in enumerate(pi.blocks):
+            for y in labels:
+                block[y] = k
         step = _steps(x)
         for a, b in pairs:
-            la, lb = label[a], label[b]
-            if la == lb or (invariant[la] and invariant[lb]):
+            if block[a] == block[b]:
                 y = list(x)
                 y[a - 1] = step[b]
                 y[abs(b) - 1] = step[a if b > 0 else -a]
@@ -234,12 +238,13 @@ def _interval_images(gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-    return tuple(sorted(seen))
+    out.sort(key=lambda pair: pair[0].image)
+    return tuple(out)
 
 
 def interval_perms(bound: SignedPermutation) -> list[SignedPermutation]:
     """All permutations below bound in absolute order, sorted by image."""
-    return [SignedPermutation(img) for img in _interval_images(bound.image)]
+    return [t for t, _ in _interval(bound.image)]
 
 
 def _desk_size(sizes: Sequence[int]) -> int | str:
@@ -263,7 +268,7 @@ def _preimages(sizes: tuple[int, ...]) -> dict[BPartition, SignedPermutation]:
     if not on_desk(sizes):
         size = _desk_size(sizes)
         raise ValueError(f"desk bound exceeded: {shape} has {size} elements > {DESK_BOUND}")
-    return {adjusted_orbits(t): t for t in interval_perms(boundary_permutation(shape))}
+    return {pi: t for t, pi in _interval(boundary_permutation(shape).image)}
 
 
 @lru_cache(maxsize=None)

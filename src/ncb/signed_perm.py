@@ -188,22 +188,8 @@ def _steps(image: tuple[int, ...]) -> tuple[int, ...]:
 
 def _orbits(image: tuple[int, ...]) -> list[list[int]]:
     """Orbits of the image tuple on {-n..-1, 1..n}, each in traversal order,
-    started from 1..n and then -1..-n."""
-    n = len(image)
-    step = _steps(image)
-    seen = [False] * (2 * n + 1)  # indexed by the signed label
-    out = []
-    for start in (*range(1, n + 1), *range(-1, -n - 1, -1)):
-        if seen[start]:
-            continue
-        orbit = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            orbit.append(x)
-            x = step[x]
-        out.append(orbit)
-    return out
+    started from 1..n and then -1..-n: the joint walk of one step table."""
+    return _joint_walk((_steps(image),), len(image))
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

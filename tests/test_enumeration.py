@@ -186,6 +186,13 @@ def test_zeta_at_two_builds_no_order(monkeypatch):
     assert poset.zeta(2) == 2
 
 
+def test_poset_needs_one_mask_per_element():
+    "Too few or too many masks are refused when the poset is built."
+    for masks in ([0], [0, 1, 3]):
+        with pytest.raises(ValueError, match="one mask per element required"):
+            FinitePoset(["a", "b"], [0, 1], masks=masks)
+
+
 def test_zeta_interpolated():
     "The strict-chain expansion extends the multichain counts to every integer."
     poset = nc_b_annulus(2, 1)
@@ -251,11 +258,15 @@ def b_group(n):
     ids=lambda sizes: ",".join(map(str, sizes)),
 )
 def test_interval_walk_matches_definition(sizes):
-    "The walk down from gamma finds exactly the elements of B_n below gamma."
+    """The walk down from gamma finds exactly the elements of B_n below gamma,
+    and the poset is exactly their adjusted orbits."""
     gamma = boundary_permutation(AnnulusShape(sizes))
     below = [g for g in b_group(gamma.n) if g.le(gamma)]
     below.sort(key=lambda g: g.image)
     assert interval_perms(gamma) == below
+    poset = nc_b_multi(sizes)
+    assert len(poset) == len(below)
+    assert set(poset.elements) == {adjusted_orbits(g) for g in below}
 
 
 @pytest.mark.parametrize(
@@ -296,7 +307,7 @@ def test_adjusted_orbits_inverse_rejects_foreign():
 def test_kreweras_maps_no_interval_again(monkeypatch):
     """Building a poset maps each permutation of its interval once; the
     preimages kreweras looks up come from that same map."""
-    for name in ("_preimages", "_poset_for_sizes"):  # fresh, unshared caches
+    for name in ("_interval", "_preimages", "_poset_for_sizes"):  # fresh caches
         fresh = lru_cache(getattr(enumeration, name).__wrapped__)
         monkeypatch.setattr(enumeration, name, fresh)
     real = enumeration.adjusted_orbits

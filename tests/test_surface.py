@@ -69,6 +69,7 @@ RETIRED = [
     "_boundary_tokens",
     "_check_token",
     "_circle_strings",
+    "_interval_images",
     "_left_shifts",
     "_orbit_stats",
     "_paren_flags",
