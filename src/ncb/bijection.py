@@ -23,11 +23,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect, bisect_left
 from functools import lru_cache
-from itertools import accumulate, cycle, islice
+from itertools import accumulate
 from operator import neg, sub
 from typing import Sequence
 
-from .partition import BPartition
+from .partition import BPartition, _places
 
 
 class AnnulusTuple:
@@ -219,57 +219,51 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
     assert len(starts) == 2 * t.c
     after = _inner_anchor(*inner)[1] + q + 1
     levels = _assemble(p, q, outer, starts[t.d - 1], inner, after, t.m)
-    return tuple(BPartition(p + q, blocks) for blocks in levels)
+    chain = [BPartition._from_owner(p + q, levels[0])]
+    for level, below in zip(levels[1:], levels):
+        chain.append(chain[-1] if level is below else BPartition._from_owner(p + q, level))
+    return tuple(chain)
 
 
 def _assemble(
     p: int, q: int, outer: tuple, start: int, inner: tuple, after: int, m: int
-) -> list[list]:
-    """The blocks of each level of the chain read off the outer string from
-    label index `start` followed by the inner one from label index `after`
-    (each in 1..2n, 2n standing for label 0): level j keeps the pairs closed
-    by types j and above, and a label belongs to its innermost kept pair.
+) -> list[list[int]]:
+    """The place tables of the levels of the chain read off the outer
+    string from label index `start` followed by the inner one from label
+    index `after` (each in 1..2n, 2n standing for label 0): level j keeps
+    the pairs closed by types j and above, and a label belongs to its
+    innermost kept pair, whose id is the label's entry at its place.
 
     The two rotations have surpluses c and -c, so the string matches.  One
     walk over the labels pushes a pair at each "(" and pops one per closer,
-    recording each pair's enclosing pair, closer type and directly enclosed
-    labels; pair 0 stands for the outside and is kept at every level.
-    Every pair is kept at level 1, and each later level moves the labels of
-    the pairs it drops into their nearest kept ancestor."""
-    order = _running_order(p, q)
-    parent, kind, stack, members = [0], [m], [0], [[]]
-    top = members[0]
-    for (opens, closers), labels, first in (
-        (outer, order[: 2 * p], start),
-        (inner, order[2 * p :], after),
-    ):
-        for x, opened, types in zip(
-            labels[first:] + labels[:first],
-            islice(cycle(opens), first, None),
-            islice(cycle(closers), first, None),
-        ):
-            if opened:
+    recording each pair's enclosing pair and closer type and each label's
+    pair; pair 0 stands for the outside and is kept at every level.  Every
+    pair is kept at level 1, and each later level moves the labels of the
+    pairs it drops into their nearest kept ancestor.  A level that drops no
+    pair is the previous level's list itself."""
+    parent, kind, stack = [0], [m], [0]
+    pair = [0] * (2 * (p + q))  # each label's pair, by running index
+    for (opens, closers), base, first in ((outer, 0, start), (inner, 2 * p, after)):
+        period = len(opens)
+        for i in itertools.chain(range(first, 2 * period), range(first)):
+            if opens[i % period]:
                 parent.append(stack[-1])
                 stack.append(len(kind))
                 kind.append(0)
-                top = [x]
-                members.append(top)
-            else:
-                top.append(x)
-            if types:
-                for k in types:
-                    kind[stack.pop()] = k
-                top = members[stack[-1]]
-    levels = [[block for block in members if block]]
+            pair[base + i] = stack[-1]
+            for k in closers[i % period]:
+                kind[stack.pop()] = k
+    level = [*map(pair.__getitem__, _place_maps(p, q)[1])]
+    levels = [level]
     kept = list(range(len(parent)))
     for j in range(2, m):
-        blocks: list[list] = [[] for _ in parent]
-        for i, labels in enumerate(members):
-            # Parents open first, so kept[parent[i]] is final before kept[i].
-            if kind[i] < j:
-                kept[i] = kept[parent[i]]
-            blocks[kept[i]] += labels
-        levels.append([block for block in blocks if block])
+        if j - 1 in kind:
+            for i, k in enumerate(kind):
+                # Parents open first, so kept[parent[i]] is final before kept[i].
+                if k < j:
+                    kept[i] = kept[parent[i]]
+            level = [*map(kept.__getitem__, levels[0])]
+        levels.append(level)
     return levels
 
 
@@ -290,31 +284,33 @@ def _running_order(p: int, q: int) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _circle_positions(p: int, q: int) -> dict[int, int]:
-    """Index of each signed label in running order (`_running_order`).  The
-    dict lists the labels in that order; it is shared, so read-only."""
-    return {x: i for i, x in enumerate(_running_order(p, q))}
+def _place_maps(p: int, q: int) -> tuple[list[int], list[int]]:
+    """The place of each running index (the partition's table order 1, -1,
+    2, -2, ...), and the running index of each place; shared, so
+    read-only."""
+    places = _places(p + q)
+    at = [places[x] for x in _running_order(p, q)]
+    return at, sorted(range(len(at)), key=at.__getitem__)
 
 
-def _block_ends(
-    partition: BPartition, p: int, position: dict[int, int]
-) -> dict[int, int]:
+def _block_ends(partition: BPartition, p: int, q: int) -> dict[int, int]:
     """Signed last element keyed by signed first element, for every block
-    but the zero block.
+    but the zero block, read off the partition's place table.
 
     A block read off a pair holds the label after its "(" first and the
     label before its closer last.  For a connecting block the pair opens
     on the outer circle and closes on the inner one, so its first is the
     first of its outer piece and its last the last of its inner piece.
     """
-    index = partition._block_of
-    spots: list[list[int]] = [[] for _ in partition.blocks]
-    for i, x in enumerate(position):  # each block's positions, ascending
-        spots[index[x]].append(i)
-    order = list(position)
+    table = partition._table
+    at = _place_maps(p, q)[0]
+    spots: list[list[int]] = [[] for _ in range(max(table, default=-1) + 1)]
+    for i, k in enumerate(at):  # each block's running indices, ascending
+        spots[table[k]].append(i)
+    order = _running_order(p, q)
     ends = {}
-    for block, own in zip(partition.blocks, spots):
-        mirror = spots[index[-block[0]]]
+    for own in spots:
+        mirror = spots[table[at[own[0]] ^ 1]]  # the block of -x, x in own
         if mirror is own:  # the zero block
             continue
         k = bisect_left(own, 2 * p)  # own[:k] lie on the outer circle
@@ -359,8 +355,9 @@ def decode_multichain(
         raise ValueError("empty chain")
     if any(pi.n != p + q for pi in chain):
         raise ValueError(f"chain members must partition a {p + q}-circle set")
-    position = _circle_positions(p, q)
-    ends = [_block_ends(pi, p, position) for pi in chain]
+    ends = [_block_ends(chain[0], p, q)]
+    for pi, below in zip(chain[1:], chain):  # a member shared by two levels
+        ends.append(ends[-1] if pi is below else _block_ends(pi, p, q))
     lefts = {abs(first) for first in ends[0]}
     rights = [
         {abs(last) for first, last in level.items() if first not in above}
@@ -380,22 +377,19 @@ def decode_multichain(
     first = next((f for f, end in ends[k - 1].items() if end == last), None)
     if first is None or abs(first) > p:
         raise _not_image(chain)
-    start = position[first] or 2 * p
+    start = _place_maps(p, q)[1][_places(p + q)[first]] or 2 * p
     starts = _left_starts(*outer)
     if start not in starts:
         raise _not_image(chain)
     result = AnnulusTuple(
         c, starts.index(start) + 1, left_outer, rights_outer, left_inner, rights_inner
     )
-    # Both sides cover the ground set once, so the levels equal the chain
-    # when each level has as many blocks as its member and no block of it
-    # meets two of the member's blocks.
+    # A level equals its member when the two tables name as many blocks
+    # as the pairs of their entries do.
     levels = _assemble(p, q, outer, start, inner, anchor + q + 1, result.m)
-    for blocks, pi in zip(levels, chain):
-        owner = pi._block_of.__getitem__
-        if len(blocks) != len(pi.blocks) or any(
-            len(set(map(owner, block))) > 1 for block in blocks
-        ):
+    for level, pi in zip(levels, chain):
+        table = pi._table
+        if not len(set(level)) == len(set(table)) == len(set(zip(level, table))):
             raise _not_image(chain)
     return result
 

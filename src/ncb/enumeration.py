@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .formulas import gbinom, poset_size
-from .partition import BPartition, adjusted_orbits
+from .partition import BPartition, _places, adjusted_orbits
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
@@ -200,23 +200,31 @@ class FinitePoset:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=64)
+def _reflections(n: int) -> list[tuple[int, int, int, int]]:
+    """The n^2 reflections r of B_n, each as the label pair (a, b) with
+    b = r(a): (a, -a) for a in 1..n, and (a, c), (a, -c) for a < c <= n,
+    followed by the places of a and b; shared, so read-only."""
+    pairs = [(a, -a) for a in range(1, n + 1)]
+    for a, c in itertools.combinations(range(1, n + 1), 2):
+        pairs += [(a, c), (a, -c)]
+    places = _places(n)
+    return [(a, b, places[a], places[b]) for a, b in pairs]
+
+
 @lru_cache(maxsize=None)
 def _interval(gamma: tuple[int, ...]) -> tuple[tuple[SignedPermutation, BPartition], ...]:
     """Each t <= gamma in absolute order with its adjusted orbits, by image.
 
-    Walks down from gamma, reading each of the n^2 reflections r of B_n as
-    the label pair (a, b) with b = r(a): (a, -a) for a in 1..n, and
-    (a, c), (a, -c) for a < c <= n.  x*r is covered by x exactly when a and
-    b lie in one block of adjusted_orbits(x), built once for each element
-    the walk meets; x*r is x with its entries at a and |b| replaced through
-    x's step table.  Every element of [e, gamma] lies on a chain of covers
-    down from gamma, so the walk reaches all of them.
+    Walks down from gamma through the reflections r of B_n, each read as
+    a label pair (a, b) with b = r(a).  x*r is covered by x exactly when a
+    and b lie in one block of adjusted_orbits(x), built once for each
+    element the walk meets and read at the places of a and b; x*r is x
+    with its entries at a and |b| replaced through x's step table.  Every
+    element of [e, gamma] lies on a chain of covers down from gamma, so the
+    walk reaches all of them.
     """
-    n = len(gamma)
-    pairs = [(a, -a) for a in range(1, n + 1)]
-    for a, c in itertools.combinations(range(1, n + 1), 2):
-        pairs += [(a, c), (a, -c)]
-    block = [0] * (2 * n + 1)  # block index of label x at x (x < 0 wraps)
+    reflections = _reflections(len(gamma))
     seen = {gamma}
     stack = [gamma]
     out = []
@@ -225,12 +233,10 @@ def _interval(gamma: tuple[int, ...]) -> tuple[tuple[SignedPermutation, BPartiti
         t = SignedPermutation(x)
         pi = adjusted_orbits(t)
         out.append((t, pi))
-        for k, labels in enumerate(pi.blocks):
-            for y in labels:
-                block[y] = k
+        table = pi._table
         step = _steps(x)
-        for a, b in pairs:
-            if block[a] == block[b]:
+        for a, b, i, j in reflections:
+            if table[i] == table[j]:
                 y = list(x)
                 y[a - 1] = step[b]
                 y[abs(b) - 1] = step[a if b > 0 else -a]

@@ -12,9 +12,9 @@ import json
 from functools import cached_property, lru_cache
 from itertools import chain, starmap
 from operator import eq, neg
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .signed_perm import AnnulusShape, SignedPermutation, boundary_permutation
+from .signed_perm import AnnulusShape, SignedPermutation, _orbits, boundary_permutation
 
 
 def _bad_block_list(n: int, blocks: list[tuple[int, ...]]) -> ValueError:
@@ -57,8 +57,11 @@ _JSON = json.JSONEncoder(separators=(",", ":"))
 class BPartition:
     """Negation-closed partition of {-n..-1, 1..n} in canonical form.
 
-    Blocks are stored sorted: elements by (absolute value, sign with the
-    positive one first), blocks by their first elements in that order.
+    It is held as its place table: entry k is the index of the block that
+    holds the label at place k of the order 1, -1, 2, -2, ..., the blocks
+    indexed in order of their first places.  Read off the table, blocks
+    come sorted: elements by (absolute value, sign with the positive one
+    first), blocks by their first elements in that order.
     """
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
@@ -73,44 +76,59 @@ class BPartition:
         size = sum(map(len, blocks))
         if size < 2 * n:  # before any table of 2n places is built
             raise _bad_block_list(n, blocks)
-        # owner[k]: the block holding the label at place k.  Reading the
-        # labels in place order sorts every block, and the blocks come out
-        # ordered by their first elements.
         places = _places(n)
-        owner = [-1] * (2 * n)
+        owner: list = [None] * (2 * n)
         try:
             for i, block in enumerate(blocks):
                 for x in block:
                     owner[places[x]] = i
         except KeyError:
             raise _bad_block_list(n, blocks) from None
-        # A label in no block leaves a -1 owner, an empty block owns no
-        # place, and a label in two blocks is counted twice.
-        firsts = dict.fromkeys(owner)
+        # A label in no block leaves a None owner, and with every label
+        # owned a label in two blocks is counted twice.
         if (
-            -1 in firsts
-            or len(firsts) != len(blocks)
+            None in owner
+            or not all(blocks)
             or size != 2 * n
             and sum(len(set(block)) for block in blocks) != 2 * n
         ):
             raise _bad_block_list(n, blocks)
-        members: list[list[int]] = [[] for _ in blocks]
-        for x, i in zip(places, owner):
-            members[i].append(x)
-        canon = tuple(map(tuple, map(members.__getitem__, firsts)))
+        self._canonize(n, owner)
+
+    @classmethod
+    def _from_owner(cls, n: int, owner: Sequence) -> "BPartition":
+        """The partition whose label at place k lies in the block named
+        owner[k], for names of any hashable kind, None marking a place in
+        no block.  The library's own partitions come through here, past
+        the checks __init__ makes on the form of outside input."""
+        return cls.__new__(cls)._canonize(n, owner)
+
+    def _canonize(self, n: int, owner: Sequence) -> "BPartition":
+        """The one canonical core: names the blocks 0, 1, ... in order of
+        their first places, which reading the labels in place order makes
+        the sorted blocks, and checks coverage and negation closure."""
+        firsts = dict.fromkeys(owner)
+        if None in firsts:
+            raise _bad_block_list(n, ())
+        ids = dict(zip(firsts, range(len(firsts))))
+        table = [*map(ids.__getitem__, owner)]
+        self.n = n
+        self._table = bytes(table) if len(ids) <= 256 else tuple(table)
         # Negation is closed when each block's negatives share one block:
         # the (block of x, block of -x) links then pair off the blocks.
-        mirror = owner[:]
-        mirror[::2], mirror[1::2] = owner[1::2], owner[::2]
-        links = set(zip(owner, mirror))
-        if len(links) != len(canon) or sum(starmap(eq, links)) > 1:
-            raise _bad_negation(canon)
-        self.n = n
-        self.blocks = canon
+        mirror = table[:]
+        mirror[::2], mirror[1::2] = table[1::2], table[::2]
+        links = set(zip(table, mirror))
+        if len(links) != len(ids) or sum(starmap(eq, links)) > 1:
+            raise _bad_negation(self.blocks)
+        return self
 
     @cached_property
-    def _block_of(self) -> dict[int, int]:
-        return {x: i for i, block in enumerate(self.blocks) for x in block}
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        members: list[list[int]] = [[] for _ in range(max(self._table, default=-1) + 1)]
+        for x, i in zip(_places(self.n), self._table):
+            members[i].append(x)
+        return tuple(map(tuple, members))
 
     @classmethod
     def singletons(cls, n: int) -> "BPartition":
@@ -131,7 +149,7 @@ class BPartition:
         return _JSON.encode({"n": self.n, "blocks": self.blocks})
 
     def block_containing(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self._block_of[x]]
+        return self.blocks[self._table[_places(self.n)[x]]]
 
     def zero_block(self) -> tuple[int, ...] | None:
         """The unique block equal to its own negative, if present."""
@@ -169,14 +187,10 @@ class BPartition:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
+        return isinstance(other, BPartition) and self._table == other._table
 
     def __hash__(self):
-        return hash((self.n, self.blocks))
+        return hash(self._table)  # bytes keep their hash once taken
 
     def __str__(self):
         return self.block_string()
@@ -194,17 +208,16 @@ class PairStats(NamedTuple):
 
 
 def adjusted_orbits(perm: SignedPermutation) -> BPartition:
-    """Orbit partition of perm with all inversion-invariant orbits merged."""
-    invariant: list[int] = []
-    blocks: list[list[int]] = []
-    for orbit in perm.orbits():
-        if -orbit[0] in orbit:
-            invariant.extend(orbit)
-        else:
-            blocks.append(orbit)
-    if invariant:
-        blocks.append(invariant)
-    return BPartition(perm.n, blocks)
+    """Orbit partition of perm with all inversion-invariant orbits merged:
+    each orbit names its places by its first label, and the invariant ones
+    all by 0."""
+    places = _places(perm.n)
+    owner: list = [None] * (2 * perm.n)
+    for orbit in _orbits(perm.image):
+        name = 0 if -orbit[0] in orbit else orbit[0]
+        for x in orbit:
+            owner[places[x]] = name
+    return BPartition._from_owner(perm.n, owner)
 
 
 def pair_stats(partition: BPartition, shape: AnnulusShape) -> PairStats:

@@ -14,6 +14,11 @@ symmetric closed form, which the sum over matchings must equal.
 Verify suite: `hypersum_check`, the `hypersum` family's record from every
 product tuple with sum <= 10, each heads tuple convolved from scratch.
 
+Partition map: `adjusted_orbits_by_blocks`, the orbits of a permutation as
+block lists, the inversion-invariant ones merged, through the validating
+constructor, which the place-table map `partition.adjusted_orbits` and the
+interval walk must equal.
+
 Decode: `block_ends_by_sorting`, each block's ends read off its positions
 and its mirror's, both sorted per block, which the walk over the running
 order in `bijection._block_ends` must equal.
@@ -43,15 +48,15 @@ from typing import Iterable, Sequence
 from ncb import bijection
 from ncb.bijection import (
     AnnulusTuple,
-    _circle_positions,
     _not_image,
+    _running_order,
     _validate_tuple_range,
 )
 from ncb.checks import Check, _annulus_pairs
 from ncb.enumeration import FinitePoset, nc_b_annulus
 from ncb.formulas import IntPolynomial, _exact_div, binom
 from ncb.partition import BPartition, connectivity
-from ncb.signed_perm import AnnulusShape
+from ncb.signed_perm import AnnulusShape, SignedPermutation
 
 
 class ClassicalPartition:
@@ -135,6 +140,21 @@ def abs_map(partition: BPartition) -> ClassicalPartition:
     """Forget signs: blocks A and -A collapse to the block |A| of {1..n}."""
     blocks = {tuple(sorted({abs(x) for x in block})) for block in partition.blocks}
     return ClassicalPartition(partition.n, blocks)
+
+
+def adjusted_orbits_by_blocks(perm: SignedPermutation) -> BPartition:
+    """Orbit partition of perm with all inversion-invariant orbits merged,
+    built from block lists by the validating constructor."""
+    invariant: list[int] = []
+    blocks: list[list[int]] = []
+    for orbit in perm.orbits():
+        if -orbit[0] in orbit:
+            invariant.extend(orbit)
+        else:
+            blocks.append(orbit)
+    if invariant:
+        blocks.append(invariant)
+    return BPartition(perm.n, blocks)
 
 
 def _set_partitions(n: int):
@@ -241,6 +261,14 @@ def hypersum_check() -> Check:
                 count += 1
                 bad += lhs != pascal[sum(caps)][last - b]
     return Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)
+
+
+@lru_cache(maxsize=64)
+def circle_positions(p: int, q: int) -> dict[int, int]:
+    """Index of each signed label in running order (outer labels 1..p, then
+    their negatives, then the inner ones likewise).  The dict lists the
+    labels in that order; it is shared, so read-only."""
+    return {x: i for i, x in enumerate(_running_order(p, q))}
 
 
 def block_ends_by_sorting(
@@ -605,7 +633,7 @@ def canonical_block_order(
     p, q = shape.p, shape.q
     if len({abs(x) <= p for x in part}) > 1:
         raise ValueError("piece spans both circles")
-    position = _circle_positions(p, q)
+    position = circle_positions(p, q)
     length = 2 * p if abs(part[0]) <= p else 2 * q
     anchor = min(position[-x] for x in part)
     return tuple(sorted(part, key=lambda x: (position[x] - anchor - 1) % length))
@@ -637,7 +665,7 @@ def decode_by_tokens(
         raise ValueError("empty chain")
     if any(pi.n != p + q for pi in chain):
         raise ValueError(f"chain members must partition a {p + q}-circle set")
-    position = _circle_positions(p, q)
+    position = circle_positions(p, q)
     ends = [block_ends_by_sorting(pi, p, position) for pi in chain]
     lefts = {abs(first) for first in ends[0]}
     rights = [
@@ -670,7 +698,7 @@ def decode_by_tokens(
     # when each level has as many blocks as its member and no block of it
     # meets two of the member's blocks.
     for blocks, pi in zip(_assemble(u, v, shift, anchor, result.m), chain):
-        owner = pi._block_of.__getitem__
+        owner = {x: i for i, block in enumerate(pi.blocks) for x in block}.__getitem__
         if len(blocks) != len(pi.blocks) or any(
             len(set(map(owner, block))) > 1 for block in blocks
         ):

@@ -25,6 +25,7 @@ from oracles import (
     ParenString,
     _paren_type,
     block_ends_by_sorting,
+    circle_positions,
     canonical_block_order,
     decode_by_tokens,
     encode_by_tokens,
@@ -775,11 +776,9 @@ def test_block_ends_match_the_sorting_oracle(p, q):
     """The walk over the running order reads the same ends as sorting each
     block and its mirror, on every element of the shape.  It reads one
     member at a time, so these are the members of every two-member chain."""
-    position = bijection._circle_positions(p, q)
+    position = circle_positions(p, q)
     for pi in nc_b_annulus(p, q).elements:
-        assert bijection._block_ends(pi, p, position) == block_ends_by_sorting(
-            pi, p, position
-        )
+        assert bijection._block_ends(pi, p, q) == block_ends_by_sorting(pi, p, position)
 
 
 @settings(deadline=None)
@@ -787,11 +786,9 @@ def test_block_ends_match_the_sorting_oracle(p, q):
 def test_block_ends_match_the_sorting_oracle_on_chains(case):
     "Every member of an encoded chain up to p + q = 12 and m = 6."
     p, q, t = case
-    position = bijection._circle_positions(p, q)
+    position = circle_positions(p, q)
     for pi in encode_multichain(t, p, q):
-        assert bijection._block_ends(pi, p, position) == block_ends_by_sorting(
-            pi, p, position
-        )
+        assert bijection._block_ends(pi, p, q) == block_ends_by_sorting(pi, p, position)
 
 
 def test_decode_builds_its_strings_once(monkeypatch):
@@ -815,3 +812,27 @@ def test_decode_builds_its_strings_once(monkeypatch):
     count("BPartition")
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
     assert calls == {"_circle": 2, "_left_starts": 1}
+
+
+def test_levels_that_drop_no_pair_share_one_member(monkeypatch):
+    """pi_j is pi_{j-1} itself exactly when no pair closes with type j - 1,
+    and a decode reads the ends of each member object once."""
+    calls = Counter()
+    real = bijection._block_ends
+
+    def counted(pi, p, q):
+        calls[id(pi)] += 1
+        return real(pi, p, q)
+
+    monkeypatch.setattr(bijection, "_block_ends", counted)
+    shared = 0
+    for t in annulus_tuples(2, 2, 5):
+        chain = encode_multichain(t, 2, 2)
+        for j in range(1, len(chain)):
+            drops = t.rights_outer[j - 1] or t.rights_inner[j - 1]
+            assert (chain[j] is chain[j - 1]) == (not drops)
+            shared += not drops
+        calls.clear()
+        assert decode_multichain(chain, 2, 2) == t
+        assert calls == Counter({id(pi): 1 for pi in chain})
+    assert shared

@@ -12,6 +12,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from ncb import (
     BPartition,
@@ -662,6 +664,28 @@ def test_count_prints_huge_values(capsys):
     assert time.perf_counter() - start < 1.0
     value = out.strip()
     assert len(value) > 4300 and value.isdigit()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@settings(max_examples=10, deadline=None)
+@example(bits=50_000, seed=0, negative=False)  # the last bits str prints
+@example(bits=50_001, seed=1, negative=True)
+@example(bits=1_025, seed=2, negative=False)  # the Decimal leaves' edge, past 50,000
+@example(bits=10**6, seed=3, negative=True)
+@example(bits=0, seed=4, negative=False)
+@given(st.integers(0, 10**6), st.integers(0, 2**32), st.booleans())
+def test_decimal_digits_match_str(bits, seed, negative):
+    "Answers print as str prints them, on both sides of the crossover."
+    value = Random(seed).getrandbits(bits) | (1 << bits >> 1)  # exactly `bits` bits
+    value = -value if negative else value
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli._decimal(value) == str(value)
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_large_binomials_skip_math_comb(capsys, monkeypatch):

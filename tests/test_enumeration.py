@@ -1,9 +1,11 @@
 from functools import lru_cache
 
 import pytest
-from oracles import nc_a
+from hypothesis import given
+import hypothesis.strategies as st
+from oracles import adjusted_orbits_by_blocks, nc_a
 from test_acceptance import size_tuples
-from test_signed_perm import all_perms, reflections
+from test_signed_perm import all_perms, reflections, signed_perms
 
 from ncb import (
     AnnulusShape,
@@ -238,12 +240,15 @@ def test_to_dot():
 
 
 def test_interval_perms():
-    "Permutations below the boundary match the poset size."
+    """Permutations below the boundary match the poset size, and the walk
+    maps each to its adjusted orbits."""
     gamma = boundary_permutation(AnnulusShape(2, 1))
     perms = interval_perms(gamma)
     assert len(perms) == 20
     assert all(g.le(gamma) for g in perms)
-    assert {adjusted_orbits(g) for g in perms} == set(nc_b_annulus(2, 1).elements)
+    walk = enumeration._interval(gamma.image)
+    assert all(pi == adjusted_orbits_by_blocks(t) for t, pi in walk)
+    assert {adjusted_orbits_by_blocks(g) for g in perms} == set(nc_b_annulus(2, 1).elements)
 
 
 @lru_cache(maxsize=None)
@@ -252,21 +257,58 @@ def b_group(n):
     return all_perms(n)
 
 
+@lru_cache(maxsize=None)
+def b_lengths(n):
+    "Each element of B_n's reflection length and inverse image, by image."
+    return {g.image: (g.length(), g.inverse().image) for g in b_group(n)}
+
+
 @pytest.mark.parametrize(
     "sizes",
     size_tuples(5) + [(3, 3), (6,), (3, 2, 1), (2, 2, 2), (1, 1, 1, 1, 1, 1)],
     ids=lambda sizes: ",".join(map(str, sizes)),
 )
 def test_interval_walk_matches_definition(sizes):
-    """The walk down from gamma finds exactly the elements of B_n below gamma,
-    and the poset is exactly their adjusted orbits."""
+    """The walk down from gamma finds exactly the t in B_n below gamma,
+    length(t) + length(t^-1 gamma) = length(gamma), and maps each to its
+    adjusted orbits; the poset is exactly those."""
     gamma = boundary_permutation(AnnulusShape(sizes))
-    below = [g for g in b_group(gamma.n) if g.le(gamma)]
-    below.sort(key=lambda g: g.image)
+    lengths, top = b_lengths(gamma.n), gamma.length()
+
+    def below_gamma(t):
+        length, inverse = lengths[t.image]
+        rest = tuple(inverse[v - 1] if v > 0 else -inverse[-v - 1] for v in gamma.image)
+        return length + lengths[rest][0] == top
+
+    below = sorted(filter(below_gamma, b_group(gamma.n)), key=lambda g: g.image)
     assert interval_perms(gamma) == below
+    images = [adjusted_orbits_by_blocks(t) for t in below]
+    assert [pi for _, pi in enumeration._interval(gamma.image)] == images
     poset = nc_b_multi(sizes)
     assert len(poset) == len(below)
-    assert set(poset.elements) == {adjusted_orbits(g) for g in below}
+    assert set(poset.elements) == set(images)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[s for s in size_tuples(6) if sum(s) == total] for total in range(1, 7)]
+    + [[(4, 4)], [(2, 2, 2, 1)]],
+    ids=["total1", "total2", "total3", "total4", "total5", "total6", "4,4", "2,2,2,1"],
+)
+def test_adjusted_orbits_match_the_block_list_oracle(shapes):
+    """The place-table map equals the block-list map on every element of
+    each shape's interval: equal, with the same blocks and hash."""
+    for sizes in shapes:
+        for t in interval_perms(boundary_permutation(AnnulusShape(sizes))):
+            pi, oracle = adjusted_orbits(t), adjusted_orbits_by_blocks(t)
+            assert pi == oracle and pi.blocks == oracle.blocks
+            assert hash(pi) == hash(oracle)
+
+
+@given(st.integers(1, 12).flatmap(signed_perms))
+def test_adjusted_orbits_match_the_block_list_oracle_anywhere(t):
+    "Also off the intervals, where several orbits can be inversion-invariant."
+    assert adjusted_orbits(t).blocks == adjusted_orbits_by_blocks(t).blocks
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,10 @@ def test_singletons():
     assert len(bot.blocks) == 6
     assert bot.rank() == 0
     assert bot.zero_block() is None
+    big = BPartition.singletons(200)  # more blocks than a byte can index
+    assert len(big.blocks) == 400 and big.rank() == 0
+    assert big == BPartition(200, reversed(big.blocks)) and big != BPartition.singletons(199)
+    assert big.block_containing(-7) == (-7,)
 
 
 def test_zero_block_and_rank():
@@ -383,3 +387,65 @@ def test_to_json_matches_json_dumps(case):
     "The shared encoder writes what json.dumps writes for the partition's dict."
     pi = BPartition(*case)
     assert pi.to_json() == json.dumps(pi.to_dict(), separators=(",", ":"))
+
+
+def _place(x):
+    "Place of label x in the order 1, -1, 2, -2, ..."
+    return 2 * abs(x) - 2 + (x < 0)
+
+
+@st.composite
+def owner_tables(draw):
+    """A negation-closed partition as blocks and as a place table under
+    random block names, with at most one fault: a block split off one of
+    its labels (negation not closed), a second inversion-invariant block
+    (a pair of blocks merged with each other), or a label dropped (its
+    place left uncovered, None in the table)."""
+    n, blocks = draw(negation_closed_blocks())
+    blocks = [list(block) for block in blocks]
+    invariant = [b for b in blocks if -b[0] in b]
+    pairs = [b for b in blocks if -b[0] not in b and min(b, key=abs) > 0]
+    split = [b for b in blocks if len(b) > (2 if -b[0] in b else 1)]
+    fault = draw(st.sampled_from([None, "split", "invariant", "uncover"]))
+    if fault == "split" and split:
+        block = draw(st.sampled_from(split))
+        blocks.append([block.pop()])
+    elif fault == "invariant" and len(invariant) + len(pairs) > 1 and pairs:
+        for block in draw(st.permutations(pairs))[: 2 - len(invariant)]:
+            mirror = next(b for b in blocks if -block[0] in b)
+            blocks.remove(mirror)
+            block += mirror
+    elif fault == "uncover":
+        block = draw(st.sampled_from(blocks))
+        block.pop(draw(st.integers(0, len(block) - 1)))
+        if not block:
+            blocks.remove(block)
+    else:
+        fault = None
+    names = draw(st.lists(st.integers(), min_size=len(blocks), max_size=len(blocks), unique=True))
+    owner = [None] * (2 * n)
+    for name, block in zip(names, blocks):
+        for x in block:
+            owner[_place(x)] = name
+    return n, blocks, owner, fault
+
+
+@settings(max_examples=200)
+@given(owner_tables())
+def test_from_owner_matches_the_constructor(case):
+    """The canonical core reached from a place table under any block names
+    gives the partition the validating constructor gives from the blocks,
+    or raises the constructor's message for the same fault."""
+    n, blocks, owner, fault = case
+    found = outcome(lambda: BPartition._from_owner(n, owner).blocks)
+    assert found == outcome(lambda: BPartition(n, blocks).blocks)
+    if fault is None:
+        pi = BPartition._from_owner(n, owner)
+        assert pi == BPartition(n, blocks) and hash(pi) == hash(BPartition(n, blocks))
+    else:
+        expected = {
+            "split": "ValueError: negation of block (",
+            "invariant": "ValueError: more than one inversion-invariant block",
+            "uncover": f"ValueError: blocks do not cover -{n}..-1, 1..{n}",
+        }[fault]
+        assert found.startswith(expected)
