@@ -7,11 +7,15 @@ every division is checked to land on an integer.
 Every closed form takes its binomials from `binom`: `math.comb` for small
 ones and, past a measured crossover (`_by_primes`), the prime powers of
 C(a, b), with Legendre's exponents, multiplied as a balanced tree.  The
-two-circle rank polynomial is two Kronecker products (`rank_gen_compact`).
+primes come from one table per process (`_primes_to`), sieved on the first
+factored binomial and grown when a larger one arrives.  The two-circle
+rank polynomial is two Kronecker products (`rank_gen_compact`).
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
 from math import comb, isqrt
@@ -20,46 +24,65 @@ from typing import NamedTuple
 
 def _by_primes(a: int, k: int) -> bool:
     """Whether C(a, k), k <= a/2, is faster from its prime factors than from
-    `math.comb`.  The factor path costs about a (it sieves to a), while
-    `math.comb` grows faster than k.  Timed on a 2-core host with Python
-    3.11 for k <= 5000 and a/k from 2 to 32, the factor path wins from about
-    k = 700 at a = 2k, k = 1200 at a = 4k and k = 3000 at a = 8k, and never
-    in the grid at a >= 12k.  The rule takes it only inside the timed cells
-    where it was faster by a fifth or more: a <= 8k and k * k >= 400 a.
-    Past a = 8k the sieve's cost in a would outgrow the answer, so
-    `math.comb` keeps every such row."""
-    return a <= 8 * k and k * k >= 400 * a
+    `math.comb`.  With the prime table built, the factor path costs about a
+    step per prime up to a, while `math.comb` grows faster than k.  Timed on
+    a 2-core host with Python 3.11 for a from 800 to 409,600 and a/k from 2
+    to 256, the factor path wins from about k = 440 at a = 1200, k = 600 at
+    a = 3200, k = 1000 at a = 12,800 and k = 1700 at a = 51,200.  The rule
+    takes it where it was faster by about a fifth or more: k >= 512,
+    k * k >= 160 a and a <= 8k.  Past a = 8k a process that factors one
+    binomial loses: building the table first (about 26 ns per odd number
+    below the power of two past a) made C(a, a/16) take 1.3 to 2.7 times
+    `math.comb`'s time for a from 12,800 to 51,200."""
+    return k >= 512 and k * k >= 160 * a and a <= 8 * k
 
 
-# With k <= a/2, k * k >= 400 a needs a >= 1600: `_by_primes` takes no row
-# below this but (0, 0), where both paths return 1.
-_COMB_ROWS = 1600
+# With k <= a/2, k >= 512 needs a >= 1024: `_by_primes` takes no row below this.
+_COMB_ROWS = 1024
+
+# (limit, every prime up to limit), limit a power of two.  Only the seed
+# prime until the first factored binomial; `_primes_to` replaces the pair
+# whole, so a reader holding the old one still sees a complete table.
+_prime_table: tuple[int, array] = (2, array("I", [2]))
+
+
+def _primes_to(a: int) -> array:
+    """A table of the primes in increasing order that holds every prime up
+    to a, grown to the power of two past a if a is past its limit."""
+    global _prime_table
+    limit, primes = _prime_table
+    if a > limit:
+        start, limit = limit, 1 << a.bit_length()
+        odd = bytearray([1]) * (limit >> 1)  # odd[i] stands for 2i + 1
+        for i in range(3, isqrt(limit) + 1, 2):
+            if odd[i >> 1]:
+                first = i * i >> 1
+                odd[first::i] = bytes((len(odd) - 1 - first) // i + 1)
+        # Sieving is cheap next to reading primes off the sieve, one int
+        # per odd number: only the odd numbers past the old limit are read.
+        fresh = compress(range(start + 1, limit, 2), odd[start >> 1 :])
+        primes = primes + array("I", fresh)
+        _prime_table = limit, primes
+    return primes
 
 
 def _prime_factor_binom(a: int, b: int) -> int:
     """C(a, b) as the product of its prime powers p^e, multiplied pairwise."""
-    sieve = bytearray([1]) * (a + 1)
-    sieve[:2] = b"\0\0"
-    root = isqrt(a)
-    for i in range(2, root + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes((a - i * i) // i + 1)
-    c = a - b
+    primes = _primes_to(a)
+    c, root = a - b, isqrt(a)
+    # Past the root e is 0 or 1, and 1 exactly when adding b and c carries
+    # in base p: a % p < b % p.  Every prime in (max(b, c), a] divides C(a, b)
+    # once; max(b, c) >= a/2 is never below the root.
+    low, middle, high = (bisect_right(primes, x) for x in (root, max(b, c), a))
     factors = []
-    for p in compress(range(root + 1), sieve[: root + 1]):
+    for p in primes[:low]:
         e, power = 0, p  # Legendre: e = sum over j of a//p^j - b//p^j - c//p^j
         while power <= a:
             e += a // power - b // power - c // power
             power *= p
         factors.append(p**e)
-    # Past the root e is 0 or 1, and 1 exactly when adding b and c carries
-    # in base p: a % p < b % p.  Every prime in (max(b, c), a] divides C(a, b)
-    # once; max(b, c) >= a/2 is never below the root.
-    top = max(b, c)
-    view = memoryview(sieve)  # slices of a view copy nothing
-    middle = compress(range(root + 1, top + 1), view[root + 1 : top + 1])
-    factors += [p for p in middle if a % p < b % p]
-    factors += compress(range(top + 1, a + 1), view[top + 1 :])
+    factors += [p for p in primes[low:middle] if a % p < b % p]
+    factors += primes[middle:high]
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [x * y for x, y in zip(factors[::2], factors[1::2])] + odd

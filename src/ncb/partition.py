@@ -9,7 +9,7 @@ of rho.
 from __future__ import annotations
 
 import json
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, starmap
 from operator import eq, neg
 from typing import Iterable, NamedTuple, Sequence
@@ -48,6 +48,22 @@ def _places(n: int) -> dict[int, int]:
     """Place of each label in canonical order 1, -1, 2, -2, ..., n, -n;
     the dict lists the labels in that order, and -x sits at place ^ 1."""
     return {x: i for i, x in enumerate(x for k in range(1, n + 1) for x in (k, -k))}
+
+
+class _filled:
+    """A property computed on its first read and stored in the instance's
+    __dict__, which later reads find first, as plain attribute reads.
+    `functools.cached_property` does the same but, before Python 3.12,
+    takes a lock on every first read."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 # json.dumps with non-default separators builds an encoder on every call.
@@ -123,7 +139,7 @@ class BPartition:
             raise _bad_negation(self.blocks)
         return self
 
-    @cached_property
+    @_filled
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         members: list[list[int]] = [[] for _ in range(max(self._table, default=-1) + 1)]
         for x, i in zip(_places(self.n), self._table):
@@ -163,7 +179,7 @@ class BPartition:
         noninv = len(self.blocks) - (1 if self.zero_block() is not None else 0)
         return self.n - noninv // 2
 
-    @cached_property
+    @_filled
     def pair_mask(self) -> int:
         """Bitmask of the same-block relation, for fast refinement tests."""
         n = self.n

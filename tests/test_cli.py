@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -686,6 +688,44 @@ def test_decimal_digits_match_str(bits, seed, negative):
         assert cli._decimal(value) == str(value)
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits", [0, 1, 3_999, 4_000, 4_001, 99_999, 100_000, 100_001])
+def test_decimal_matches_str_at_each_threshold(bits, sign):
+    "Both sides of the split and Decimal thresholds print as str, powers of ten too."
+    values = [Random(bits).getrandbits(bits) | (1 << bits >> 1)]  # exactly `bits` bits
+    digits = bits * 3 // 10  # 10^digits and its neighbours have about `bits` bits
+    values += [10**digits, 10**digits - 1, 10**digits + 1]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for value in values:
+            assert cli._decimal(sign * value) == str(sign * value)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_import_builds_no_prime_table():
+    "Importing the CLI sieves no primes: the table holds only 2 until a factored binomial."
+    code = (
+        "import ncb.cli\n"
+        "from ncb import formulas\n"
+        "limit, primes = formulas._prime_table\n"
+        "assert limit == 2 and primes.tolist() == [2]\n"
+        "formulas.binom(2000, 1000)\n"
+        "print(formulas._prime_table[0])\n"
+    )
+    path = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2048\n"
 
 
 def test_large_binomials_skip_math_comb(capsys, monkeypatch):

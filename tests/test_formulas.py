@@ -1,4 +1,5 @@
 import re
+from array import array
 from math import comb, factorial, prod
 from random import Random
 
@@ -70,22 +71,22 @@ def test_binom_matches_math_comb(a, anchor, offset):
 
 
 def test_binom_small_rows_are_those_the_rule_never_takes():
-    "Below _COMB_ROWS the rule takes only (0, 0), so the guard moves no row."
+    "Below _COMB_ROWS the rule takes no row, so the guard moves none."
     taken = [
         (a, k)
         for a in range(formulas._COMB_ROWS)
         for k in range(a // 2 + 1)
         if _by_primes(a, k)
     ]
-    assert taken == [(0, 0)]
-    assert formulas._COMB_ROWS == 1600
-    assert _by_primes(1600, 800) and not _by_primes(1600, 799)
+    assert taken == []
+    assert formulas._COMB_ROWS == 1024
+    assert _by_primes(1024, 512) and not _by_primes(1024, 511)
 
 
 def test_binom_far_from_the_middle_uses_math_comb(monkeypatch):
-    "Past a = 8k the sieve to a would outgrow the answer: math.comb keeps it."
+    "Past a = 8k one binomial would not pay for its prime table: math.comb keeps it."
     assert _by_primes(8 * 3200, 3200) and not _by_primes(8 * 3200 + 1, 3200)
-    assert not _by_primes(4_000_000, 40_000)  # k * k >= 400 a alone would take it
+    assert not _by_primes(4_000_000, 40_000)  # k * k >= 160 a alone would take it
     calls = []
 
     def spy(a, b):
@@ -104,6 +105,41 @@ def test_prime_factor_binom_on_small_rows():
         assert [_prime_factor_binom(a, b) for b in range(a + 1)] == [
             comb(a, b) for b in range(a + 1)
         ], a
+
+
+def plain_primes(limit):
+    "The primes up to limit, by a sieve of every number."
+    sieve = [True] * (limit + 1)
+    for i in range(2, limit + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, limit + 1, i))
+    return [p for p in range(2, limit + 1) if sieve[p]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 20_000), min_size=1, max_size=4), st.integers(-2, 2))
+@example([20_000, 1024, 5000], 0)
+@example([1023, 1024, 1025], -1)
+@example([3, 0, 1], 1)
+def test_prime_table_grows_to_a_plain_sieve(rows, offset):
+    "Grown in any order of rows, the table is a plain sieve; binom stays math.comb."
+    saved = formulas._prime_table
+    formulas._prime_table = (2, array("I", [2]))  # as at import
+    try:
+        for a in rows:
+            k = crossover(a)
+            for b in {k + offset, k - 1, a - k - offset, a // 2 + offset}:
+                assert binom(a, b) == (comb(a, b) if 0 <= b <= a else 0), (a, b)
+                if b >= 0:  # C(-(a - b + 1), b) = (-1)^b C(a, b)
+                    assert gbinom(b - a - 1, b) == (-1) ** b * comb(a, b), (a, b)
+            before = formulas._prime_table[0]
+            primes = formulas._primes_to(a)
+            limit = formulas._prime_table[0]
+            assert limit >= a and limit & (limit - 1) == 0 and limit >= before
+            assert primes is formulas._prime_table[1]
+            assert primes.tolist() == plain_primes(limit)
+    finally:
+        formulas._prime_table = saved
 
 
 def test_gbinom():

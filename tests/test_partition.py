@@ -449,3 +449,13 @@ def test_from_owner_matches_the_constructor(case):
             "uncover": f"ValueError: blocks do not cover -{n}..-1, 1..{n}",
         }[fault]
         assert found.startswith(expected)
+
+
+def test_blocks_and_pair_mask_are_filled_once_into_the_instance():
+    "The first read stores blocks and pair_mask in __dict__; later reads find them there."
+    pi = BPartition(WORKED.n, WORKED.blocks)
+    assert "blocks" not in vars(pi) and "pair_mask" not in vars(pi)
+    blocks, mask = pi.blocks, pi.pair_mask
+    assert vars(pi)["blocks"] is blocks and vars(pi)["pair_mask"] == mask
+    assert pi.blocks is blocks and blocks == WORKED.blocks
+    assert BPartition.pair_mask.__doc__.startswith("Bitmask")  # read on the class
