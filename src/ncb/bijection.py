@@ -12,11 +12,14 @@ outer string from its d-th legal left start with the inner string after
 its anchor (the last legal right group end among those ending with the
 highest closer type) gives a matchable string whose nesting structure is
 read off as a partition, one partition per closer type for multichains,
-in one walk over the labels of both rotations.  Decoding reads the
-subsets back off the first and last elements of the blocks, level by
-level, and the shift off the block whose closer ends the inner string;
-the blocks read off the arrays the decode already built, at the shift it
-found, must be the chain's blocks."""
+in one walk over the labels of both rotations.  Decoding fills the
+per-label arrays straight from the first and last elements of the
+blocks, level by level, and reads the shift off the block whose closer
+ends the inner string; the blocks read off those arrays, at the shift it
+found, must be the chain's blocks.  A poset has far more multichains
+than elements, so the members are memoised by their levels' pair-id
+tables and the block ends by the members' place tables, in bounded memos
+whose values are shared and so read-only."""
 
 from __future__ import annotations
 
@@ -60,12 +63,20 @@ class AnnulusTuple:
             raise ValueError("outer sizes violate |L| = sum|R| + c")
         if len(left_inner) != sum(map(len, rights_inner)) - c:
             raise ValueError("inner sizes violate |L| = sum|R| - c")
-        self.c = c
-        self.d = d
-        self.left_outer = left_outer
-        self.rights_outer = rights_outer
-        self.left_inner = left_inner
-        self.rights_inner = rights_inner
+        self._hold(c, d, left_outer, rights_outer, left_inner, rights_inner)
+
+    @classmethod
+    def _made(cls, *fields) -> "AnnulusTuple":
+        """The tuple of the library's own frozensets and tuples of them,
+        which meet the sizes and bounds: decode's result and the domain
+        come through here, past the checks __init__ makes on outside input."""
+        return cls.__new__(cls)._hold(*fields)
+
+    def _hold(self, c, d, left_outer, rights_outer, left_inner, rights_inner):
+        self.c, self.d = c, d
+        self.left_outer, self.rights_outer = left_outer, rights_outer
+        self.left_inner, self.rights_inner = left_inner, rights_inner
+        return self
 
     @property
     def m(self) -> int:
@@ -133,11 +144,10 @@ class AnnulusTuple:
 
 
 def _validate_tuple_range(t: AnnulusTuple, p: int, q: int) -> None:
-    outer = set(range(1, p + 1))
-    inner = set(range(p + 1, p + q + 1))
-    if not t.left_outer <= outer or not all(r <= outer for r in t.rights_outer):
+    outer, inner = (t.left_outer, *t.rights_outer), (t.left_inner, *t.rights_inner)
+    if any(min(s) < 1 or max(s) > p for s in outer if s):
         raise ValueError(f"outer subsets must lie in 1..{p}")
-    if not t.left_inner <= inner or not all(r <= inner for r in t.rights_inner):
+    if any(min(s) <= p or max(s) > p + q for s in inner if s):
         raise ValueError(f"inner subsets must lie in {p + 1}..{p + q}")
 
 
@@ -219,15 +229,29 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
     assert len(starts) == 2 * t.c
     after = _inner_anchor(*inner)[1] + q + 1
     levels = _assemble(p, q, outer, starts[t.d - 1], inner, after, t.m)
-    chain = [BPartition._from_owner(p + q, levels[0])]
-    for level, below in zip(levels[1:], levels):
-        chain.append(chain[-1] if level is below else BPartition._from_owner(p + q, level))
-    return tuple(chain)
+    # A level that drops no pair is the previous table itself, so its
+    # member is the previous member.
+    return tuple(map(_member, levels))
+
+
+# Bound of the codec's memos.  The largest posets whose multichains the
+# repo walks, NC^(B)(3, 2) and (2, 3), have 264 elements, and CI pins the
+# codec on their chains: their block ends fit with room to spare.  The
+# 11,088 chains at (2, 3), m = 4 have 1,853 distinct level tables, met in
+# runs, and 512 of them serve 90 % of the 33,264 member lookups.
+_MEMO = 512
+
+
+@lru_cache(maxsize=_MEMO)
+def _member(level: bytes | tuple) -> BPartition:
+    """The partition of a level's pair-id table, shared by every chain
+    whose level has that table, so read-only."""
+    return BPartition._from_owner(len(level) // 2, level)
 
 
 def _assemble(
     p: int, q: int, outer: tuple, start: int, inner: tuple, after: int, m: int
-) -> list[list[int]]:
+) -> list[bytes | tuple]:
     """The place tables of the levels of the chain read off the outer
     string from label index `start` followed by the inner one from label
     index `after` (each in 1..2n, 2n standing for label 0): level j keeps
@@ -240,7 +264,9 @@ def _assemble(
     pair; pair 0 stands for the outside and is kept at every level.  Every
     pair is kept at level 1, and each later level moves the labels of the
     pairs it drops into their nearest kept ancestor.  A level that drops no
-    pair is the previous level's list itself."""
+    pair is the previous level's table itself.  Tables are bytes while the
+    pair ids fit in one, as `BPartition` holds its own, and tuples past
+    that, so they key the memo `_member`."""
     parent, kind, stack = [0], [m], [0]
     pair = [0] * (2 * (p + q))  # each label's pair, by running index
     for (opens, closers), base, first in ((outer, 0, start), (inner, 2 * p, after)):
@@ -253,7 +279,8 @@ def _assemble(
             pair[base + i] = stack[-1]
             for k in closers[i % period]:
                 kind[stack.pop()] = k
-    level = [*map(pair.__getitem__, _place_maps(p, q)[1])]
+    form = bytes if len(kind) <= 256 else tuple
+    level = form(map(pair.__getitem__, _place_maps(p, q)[1]))
     levels = [level]
     kept = list(range(len(parent)))
     for j in range(2, m):
@@ -262,7 +289,7 @@ def _assemble(
                 # Parents open first, so kept[parent[i]] is final before kept[i].
                 if k < j:
                     kept[i] = kept[parent[i]]
-            level = [*map(kept.__getitem__, levels[0])]
+            level = form(map(kept.__getitem__, levels[0]))
         levels.append(level)
     return levels
 
@@ -295,14 +322,20 @@ def _place_maps(p: int, q: int) -> tuple[list[int], list[int]]:
 
 def _block_ends(partition: BPartition, p: int, q: int) -> dict[int, int]:
     """Signed last element keyed by signed first element, for every block
-    but the zero block, read off the partition's place table.
+    but the zero block, read off the partition's place table; shared by
+    every partition with that table, so read-only."""
+    return _ends(partition._table, p, q)
+
+
+@lru_cache(maxsize=_MEMO)
+def _ends(table: bytes | tuple, p: int, q: int) -> dict[int, int]:
+    """`_block_ends` of the partition with this place table.
 
     A block read off a pair holds the label after its "(" first and the
     label before its closer last.  For a connecting block the pair opens
     on the outer circle and closes on the inner one, so its first is the
     first of its outer piece and its last the last of its inner piece.
     """
-    table = partition._table
     at = _place_maps(p, q)[0]
     spots: list[list[int]] = [[] for _ in range(max(table, default=-1) + 1)]
     for i, k in enumerate(at):  # each block's running indices, ascending
@@ -358,20 +391,21 @@ def decode_multichain(
     ends = [_block_ends(chain[0], p, q)]
     for pi, below in zip(chain[1:], chain):  # a member shared by two levels
         ends.append(ends[-1] if pi is below else _block_ends(pi, p, q))
-    lefts = {abs(first) for first in ends[0]}
-    rights = [
-        {abs(last) for first, last in level.items() if first not in above}
-        for level, above in zip(ends, ends[1:] + [{}])
-    ]
-    left_outer = {x for x in lefts if x <= p}
-    rights_outer = [{x for x in r if x <= p} for r in rights]
-    left_inner = lefts - left_outer
-    rights_inner = [r - outer for r, outer in zip(rights, rights_outer)]
-    c = len(left_outer) - sum(map(len, rights_outer))
-    if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
+    # One period of each circle, outer labels then inner, label x at x - 1:
+    # a "(" before each block first of pi_1, and a type-j closer after the
+    # last of each block of pi_j whose first starts no block of pi_{j+1}.
+    # A block and its mirror end on x and -x, one label: its type goes once.
+    opens, closers = [False] * (p + q), [()] * (p + q)
+    for first in ends[0]:
+        opens[abs(first) - 1] = True
+    for j, (level, above) in enumerate(zip(ends, ends[1:] + [{}]), start=1):
+        for first, last in level.items():
+            if first not in above and closers[abs(last) - 1][-1:] != (j,):
+                closers[abs(last) - 1] += (j,)
+    outer, inner = (opens[:p], closers[:p]), (opens[p:], closers[p:])
+    c = sum(outer[0]) - sum(map(len, outer[1]))
+    if c < 1 or sum(inner[0]) != sum(map(len, inner[1])) - c:
         raise _not_image(chain)
-    outer = _circle(range(1, p + 1), left_outer, rights_outer)
-    inner = _circle(range(p + 1, p + q + 1), left_inner, rights_inner)
     k, anchor = _inner_anchor(*inner)
     last = -(p + 1 + anchor)  # the anchor's label, in the second turn
     first = next((f for f, end in ends[k - 1].items() if end == last), None)
@@ -381,17 +415,29 @@ def decode_multichain(
     starts = _left_starts(*outer)
     if start not in starts:
         raise _not_image(chain)
-    result = AnnulusTuple(
-        c, starts.index(start) + 1, left_outer, rights_outer, left_inner, rights_inner
-    )
     # A level equals its member when the two tables name as many blocks
     # as the pairs of their entries do.
-    levels = _assemble(p, q, outer, start, inner, anchor + q + 1, result.m)
+    levels = _assemble(p, q, outer, start, inner, anchor + q + 1, len(chain) + 1)
     for level, pi in zip(levels, chain):
         table = pi._table
         if not len(set(level)) == len(set(table)) == len(set(zip(level, table))):
             raise _not_image(chain)
-    return result
+    return AnnulusTuple._made(
+        c,
+        starts.index(start) + 1,
+        *_sets(range(1, p + 1), *outer, len(chain)),
+        *_sets(range(p + 1, p + q + 1), *inner, len(chain)),
+    )
+
+
+def _sets(labels: range, opens: list, closers: list, levels: int) -> tuple:
+    """The left set and the right sets of types 1..levels of one circle,
+    read back off its arrays: the inverse of `_circle`."""
+    rights: list[list[int]] = [[] for _ in range(levels)]
+    for x, types in zip(labels, closers):
+        for k in types:
+            rights[k - 1].append(x)
+    return frozenset(itertools.compress(labels, opens)), tuple(map(frozenset, rights))
 
 
 def _not_image(chain: tuple) -> ValueError:
@@ -424,6 +470,6 @@ def annulus_tuples(p: int, q: int, m: int = 2):
                     if len(left_inner) != need:
                         continue
                     for d in range(1, 2 * c + 1):
-                        yield AnnulusTuple(
+                        yield AnnulusTuple._made(
                             c, d, left_outer, rights_outer, left_inner, rights_inner
                         )

@@ -1,7 +1,9 @@
 import itertools
+import operator
 import re
 import time
 from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, assume, settings
@@ -792,26 +794,32 @@ def test_block_ends_match_the_sorting_oracle_on_chains(case):
 
 
 def test_decode_builds_its_strings_once(monkeypatch):
-    """One decode builds each circle's arrays once and runs the left cycle
-    lemma once: its confirm reuses them instead of re-encoding, and
+    """One decode fills each circle's arrays once, from the block ends, and
+    runs the left cycle lemma once: the anchor, the cycle lemma and the
+    confirm read the same arrays instead of re-encoding, and the confirm
     compares blocks with the chain without building a partition."""
     chain = encode_multichain(CHAIN_TUPLE, 6, 3)
-    calls = Counter()
+    calls, args = Counter(), {}
 
     def count(name):
         real = getattr(bijection, name)
 
-        def counted(*args, **kwargs):
+        def counted(*given):
             calls[name] += 1
-            return real(*args, **kwargs)
+            args[name] = given
+            return real(*given)
 
         monkeypatch.setattr(bijection, name, counted)
 
-    count("_circle")
-    count("_left_starts")
+    for name in ("_circle", "_left_starts", "_inner_anchor", "_assemble"):
+        count(name)
     count("BPartition")
+    count("_member")
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
-    assert calls == {"_circle": 2, "_left_starts": 1}
+    assert calls == {"_left_starts": 1, "_inner_anchor": 1, "_assemble": 1}
+    outer, inner = args["_assemble"][2], args["_assemble"][4]
+    assert all(map(operator.is_, args["_left_starts"], outer))
+    assert all(map(operator.is_, args["_inner_anchor"], inner))
 
 
 def test_levels_that_drop_no_pair_share_one_member(monkeypatch):
@@ -836,3 +844,149 @@ def test_levels_that_drop_no_pair_share_one_member(monkeypatch):
         assert decode_multichain(chain, 2, 2) == t
         assert calls == Counter({id(pi): 1 for pi in chain})
     assert shared
+
+
+def decode_copies(chain, p, q):
+    "Decode members equal to the chain's but distinct objects, as JSON gives."
+    copies = [BPartition.from_json(pi.to_json()) for pi in chain]
+    assert all(a == b and a is not b for a, b in zip(copies, chain))
+    return decode_multichain(copies, p, q)
+
+
+@pytest.mark.parametrize("p,q,m", [(2, 1, 4), (1, 2, 4), (3, 2, 3)])
+def test_decode_reads_copies_as_the_chain(p, q, m):
+    "The memos key on tables, so copies decode as the encoded members do."
+    for t in annulus_tuples(p, q, m):
+        chain = encode_multichain(t, p, q)
+        assert decode_copies(chain, p, q) == decode_multichain(chain, p, q) == t
+
+
+@pytest.mark.parametrize("p,q", DESK_PAIRS)
+def test_memoised_block_ends_match_the_sorting_oracle(p, q):
+    """A cold read and the shared warm one, made through a copy, both equal
+    sorting each block and its mirror."""
+    position = circle_positions(p, q)
+    bijection._ends.cache_clear()
+    for pi in nc_b_annulus(p, q).elements:
+        copy = BPartition.from_json(pi.to_json())
+        cold = bijection._block_ends(pi, p, q)
+        assert bijection._block_ends(copy, p, q) is cold
+        assert cold == block_ends_by_sorting(copy, p, position)
+
+
+def test_warm_memos_still_reject():
+    """With the memos warm from every valid (2, 1) chain at m = 4, its
+    chains with two distinct levels swapped or the top made the bottom
+    still raise, and so do the inputs of the test_decode_rejects tests,
+    each decoded twice, after its own image where it has one."""
+    chains = [encode_multichain(t, 2, 1) for t in annulus_tuples(2, 1, 4)]
+    for chain in chains:
+        decode_copies(chain, 2, 1)
+    bottom = BPartition.singletons(3)
+    bent = [chain[:-1] + (bottom,) for chain in chains]
+    for chain in chains:
+        for i, j in itertools.combinations(range(len(chain)), 2):
+            if chain[i] != chain[j]:
+                swapped = list(chain)
+                swapped[i], swapped[j] = chain[j], chain[i]
+                bent.append(swapped)
+    t = AnnulusTuple.from_text("c=1 d=2 LE=2,3,4 RE1=1,4 LI=6 RI1=5,6")
+    assert decode_annulus(encode_annulus(t, 4, 2), 4, 2) == t
+    coarser = BPartition(6, [[1, -3, 4], [-1, 3, -4], [2, 5], [-2, -5], [6], [-6]])
+    others = [
+        ([BPartition.singletons(2)], 1, 1),
+        ([BPartition.singletons(2)] * 2, 1, 1),
+        ([coarser], 4, 2),
+    ]
+    for members, p, q in [(chain, 2, 1) for chain in bent] + others * 2:
+        with pytest.raises(ValueError):
+            decode_multichain(members, p, q)
+
+
+@pytest.mark.parametrize("p,q,m", [(2, 1, 4), (1, 2, 4), (3, 2, 3), (2, 2, 3)])
+def test_cleared_memos_give_the_warm_results(p, q, m):
+    """Encoding and decoding after cache_clear() give what they gave with
+    the memos warm, and a warm encode hands out the members it made."""
+    domain = list(annulus_tuples(p, q, m))
+    warm = []
+    for t in domain:
+        warm.append(encode_multichain(t, p, q))
+        assert all(map(operator.is_, encode_multichain(t, p, q), warm[-1]))
+    assert [decode_multichain(chain, p, q) for chain in warm] == domain
+    bijection._member.cache_clear()
+    bijection._ends.cache_clear()
+    cold = [encode_multichain(t, p, q) for t in domain]
+    assert cold == warm
+    bijection._ends.cache_clear()
+    assert [decode_copies(chain, p, q) for chain in cold] == domain
+
+
+def assert_made_as_from_text(t):
+    "t equals the tuple the validating door reads off its text, field types too."
+    again = AnnulusTuple.from_text(t.to_text())
+    assert t == again and hash(t) == hash(again)
+    for side in (t, again):
+        assert type(side.c) is type(side.d) is int
+        assert type(side.left_outer) is type(side.left_inner) is frozenset
+        assert type(side.rights_outer) is type(side.rights_inner) is tuple
+        assert {frozenset} == set(map(type, side.rights_outer + side.rights_inner))
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(2, 6) for p in range(1, n)])
+def test_private_door_makes_what_the_public_door_accepts(p, q):
+    """Every tuple of the domain, and every decode of its encoding, on the
+    shapes with p + q <= 5 at m = 2, 3 (and 4 up to p + q = 4), is the
+    tuple __init__ builds from its text."""
+    for m in (2, 3, 4) if p + q <= 4 else (2, 3):
+        for t in annulus_tuples(p, q, m):
+            assert_made_as_from_text(t)
+            found = decode_multichain(encode_multichain(t, p, q), p, q)
+            assert found == t
+            assert_made_as_from_text(found)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_codec_past_one_byte_pair_ids(seed):
+    """With 128 or more "(" the pair ids pass 255, and the level tables
+    that key the member memo are tuples: the codec still agrees with the
+    token oracle and round-trips."""
+    rng = Random(seed)
+    p, q = 150, 120
+    outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
+    rights_outer = [rng.sample(outer, 60), rng.sample(outer, 40)]
+    rights_inner = [rng.sample(inner, 70), rng.sample(inner, 50)]
+    c = rng.randint(1, 20)
+    t = AnnulusTuple(
+        c,
+        rng.randint(1, 2 * c),
+        rng.sample(outer, 100 + c),
+        rights_outer,
+        rng.sample(inner, 120 - c),
+        rights_inner,
+    )
+    assert len(t.left_outer) + len(t.left_inner) >= 128
+    chain = encode_multichain(t, p, q)
+    assert chain == encode_by_tokens(t, p, q)
+    assert decode_multichain(chain, p, q) == decode_copies(chain, p, q) == t
+
+
+@pytest.mark.parametrize(
+    "fields,circle",
+    [
+        ({"left_outer": {0}}, "outer subsets must lie in 1..3"),
+        ({"left_outer": {4}}, "outer subsets must lie in 1..3"),
+        ({"left_outer": {1, 2}, "rights_outer": [{4}]}, "outer subsets must lie in 1..3"),
+        ({"left_inner": {3}}, "inner subsets must lie in 4..5"),
+        ({"rights_inner": [{4, 6}]}, "inner subsets must lie in 4..5"),
+        ({"rights_inner": [{3, 5}]}, "inner subsets must lie in 4..5"),
+    ],
+)
+def test_encode_rejects_a_label_off_its_circle(fields, circle):
+    "A label one past either end of its circle's range is named by its circle."
+    base = {
+        "c": 1, "d": 1, "left_outer": {1}, "rights_outer": [set()],
+        "left_inner": {4}, "rights_inner": [{4, 5}],
+    }
+    t = AnnulusTuple(**{**base, **fields})
+    with pytest.raises(ValueError, match=re.escape(circle)):
+        encode_multichain(t, 3, 2)

@@ -672,9 +672,11 @@ def test_count_prints_huge_values(capsys):
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
 )
 @settings(max_examples=10, deadline=None)
-@example(bits=50_000, seed=0, negative=False)  # the last bits str prints
-@example(bits=50_001, seed=1, negative=True)
-@example(bits=1_025, seed=2, negative=False)  # the Decimal leaves' edge, past 50,000
+@example(bits=4_000, seed=0, negative=False)  # the last bits str prints
+@example(bits=4_001, seed=1, negative=True)  # the first split on a power of ten
+@example(bits=1_025, seed=2, negative=False)  # past a Decimal leaf, which str prints
+@example(bits=100_000, seed=5, negative=False)  # the last split on a power of ten
+@example(bits=100_001, seed=6, negative=True)  # the first on the Decimal route
 @example(bits=10**6, seed=3, negative=True)
 @example(bits=0, seed=4, negative=False)
 @given(st.integers(0, 10**6), st.integers(0, 2**32), st.booleans())
