@@ -102,11 +102,13 @@ class AnnulusTuple:
             fields[key] = value
 
         def ints(key: str) -> frozenset[int]:
-            labels = [int(x) for x in fields.pop(key).split(",") if x]
-            if len(set(labels)) < len(labels):
-                twice = next(x for i, x in enumerate(labels) if x in labels[:i])
+            words = fields.pop(key).split(",")
+            labels = frozenset(map(int, filter(None, words)))
+            if len(labels) < len(words) - words.count(""):
+                seen = [int(x) for x in words if x]
+                twice = next(x for i, x in enumerate(seen) if x in seen[:i])
                 raise ValueError(f"field {key} repeats label {twice}")
-            return frozenset(labels)
+            return labels
 
         try:
             c = int(fields.pop("c"))
@@ -115,9 +117,13 @@ class AnnulusTuple:
             left_inner = ints("LI")
         except KeyError as missing:
             raise ValueError(f"missing field {missing}") from None
-        # keys are exactly RE1..REk and RI1..RIk, as to_text writes; checked first
+        # keys are exactly RE1..REk and RI1..RIk, as to_text writes; checked
+        # first.  Only such keys count as levels: RE0, RE01 or REx is unknown.
         sides = ("RE", "RI")
-        levels = max(sum(k.startswith(side) for k in fields) for side in sides)
+        named = [
+            k[:2] for k in fields if k[2:].isascii() and k[2:].isdigit() and k[2] != "0"
+        ]
+        levels = max(map(named.count, sides))
         for key in (f"{side}{k}" for side in sides for k in range(1, levels + 1)):
             if key not in fields:
                 raise ValueError(f"missing field {key!r}")

@@ -412,51 +412,57 @@ def _genus_defect(max_n: int) -> Iterable[Check]:
 
 @_family("chu-vandermonde")
 def _chu_vandermonde(max_n: int) -> Iterable[Check]:
-    bad = sum(
-        sum(binom(n, k) * binom(n, k + r) for k in range(n + 1))
-        != binom(2 * n, n - r)
-        for n in range(13)
-        for r in range(n + 1)
-    )
+    # Slot n + r of row n times row n reversed is sum_k C(n, k) C(n, k + r).
+    bad = 0
+    for n in range(13):
+        row = [binom(n, k) for k in range(n + 1)]
+        lhs = _pack(row) * _pack(row[::-1]) >> 64 * n
+        rhs = _pack(binom(2 * n, n - r) for r in range(n + 1))
+        bad += _differing_slots(lhs ^ rhs, n + 1)
     yield Check("chu-vandermonde", "n<=12", 0, bad)
 
 
-def _compositions(length: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of `length` nonnegative ints with sum <= budget, in
-    lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-    for x in range(budget + 1):
-        for rest in _compositions(length - 1, budget - x):
-            yield (x, *rest)
+def _pack(values: Iterable[int]) -> int:
+    """Ints in [0, 2^64) as one int, the k-th in 64-bit slot k."""
+    return int.from_bytes(b"".join(v.to_bytes(8, "little") for v in values), "little")
+
+
+def _differing_slots(diff: int, slots: int) -> int:
+    """How many of the low `slots` 64-bit slots of a xor of packs are nonzero."""
+    return sum(map(bool, memoryview(diff.to_bytes(8 * slots, "little")).cast("Q")))
 
 
 @_family("hypersum")
 def _hypersum(max_n: int) -> Iterable[Check]:
-    # Every binomial here is C(n, x) with n, x <= 10, read off one table.
-    pascal = [[comb(n, x) for x in range(11)] for n in range(11)]
-    # weights[heads][s] sums prod C(A, a) over the a with sum(a) = s.  It is
-    # convolved from the weights of heads[:-1], not taken as
-    # C(sum(heads), s): that equality is the Vandermonde identity this
-    # family checks.
-    weights: dict[tuple[int, ...], list[int]] = {(): [1]}
+    # Every binomial here is C(n, x) with n, x <= 10, read off one table; a
+    # packed row holds C(n, x) in 64-bit slot x.
+    pascal = [[comb(n, x) for x in range(n + 1)] for n in range(11)]
+    rows = [_pack(row) for row in pascal]
+    flipped = [_pack(row[::-1]) for row in pascal]
+    # weights[heads] packs in slot s the sum of prod C(A, a) over the a with
+    # sum(a) = s.  It is convolved from the weights of heads[:-1] by one
+    # product with packed row A, not taken as C(sum(heads), s): that equality
+    # is the Vandermonde identity this family checks.  No slot carries: each
+    # is at most the product of the factors' row sums, 2^(total + last) <= 2^10.
+    weights = {(): 1}
+    level = [()]
     bad = 0
     count = 0
-    for k in (1, 2, 3):
-        for heads in _compositions(k, 10):
-            weight, A = weights[heads[:-1]], heads[-1]
-            convolved = [0] * (len(weight) + A)
-            for x, c in enumerate(pascal[A][: A + 1]):
-                for s, w in enumerate(weight, x):
-                    convolved[s] += w * c
-            weights[heads] = weight = convolved
+    for _ in range(3):
+        # The heads tuples one longer, with sum <= 10, lexicographically.
+        level = [(*head, A) for head in level for A in range(11 - sum(head))]
+        for heads in level:
+            weights[heads] = weight = weights[heads[:-1]] * rows[heads[-1]]
             total = sum(heads)
             for last in range(11 - total):
-                for b in range(last + 1):
-                    lhs = sum(map(operator.mul, pascal[last][b:], weight))
-                    count += 1
-                    bad += lhs != pascal[total + last][last - b]
+                # Slot last - b, b <= last, of weight times row `last` reversed
+                # is lhs(b) = sum_s C(last, s + b) weight[s]; of row total + last
+                # it is C(total + last, last - b).
+                mask = (1 << 64 * (last + 1)) - 1
+                diff = (weight * flipped[last] ^ rows[total + last]) & mask
+                count += last + 1
+                if diff:
+                    bad += _differing_slots(diff, last + 1)
     yield Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)
 
 

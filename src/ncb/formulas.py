@@ -262,20 +262,23 @@ class IntPolynomial:
 def rank_gen_cells(p: int, q: int) -> IntPolynomial:
     """Rank generating polynomial of the (p, q) poset, summed cell by cell.
 
-    Cubic in the circle sizes; kept as the independent oracle for `rank_gen`.
+    Cubic in the circle sizes; kept as the independent oracle for `rank_gen`:
+    each circle's row is read once through `binom`, and each cell's count
+    (`annulus_cell_count`) is added with its outer factor out of the i loop.
     """
     if min(p, q) < 1:
         raise ValueError("circle sizes must be positive")
-    terms: dict[int, int] = {}
-    for i in range(p + 1):
-        for j in range(q + 1):
-            terms[i + j] = terms.get(i + j, 0) + binom(p, i) ** 2 * binom(q, j) ** 2
+    outer, inner = ([binom(n, k) for k in range(n + 1)] for n in (p, q))
+    terms = [0] * (p + q + 1)
+    for i, a in enumerate(outer):
+        for j, b in enumerate(inner):
+            terms[i + j] += a * a * b * b
     for c in range(1, min(p, q) + 1):
         for e in range(p - c + 1):
+            pairs = 2 * c * outer[e] * outer[e + c]
             for i in range(q - c + 1):
-                k = p + q - e - i - c
-                terms[k] = terms.get(k, 0) + annulus_cell_count(p, q, c, e, i)
-    return IntPolynomial.from_dict(terms)
+                terms[p + q - e - i - c] += pairs * inner[i] * inner[i + c]
+    return IntPolynomial(terms)
 
 
 def rank_gen_compact(p: int, q: int) -> IntPolynomial:

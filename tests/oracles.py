@@ -12,7 +12,13 @@ Three circles: `multi3_total`, the size of the three-circle poset as one
 symmetric closed form, which the sum over matchings must equal.
 
 Verify suite: `hypersum_check`, the `hypersum` family's record from every
-product tuple with sum <= 10, each heads tuple convolved from scratch.
+product tuple with sum <= 10, each heads tuple convolved from scratch, and
+`compositions`, the recursive generator of those tuples.
+`hypersum_by_convolution` and `chu_vandermonde_by_sums`, the two identity
+families summed term by term over one binomial function, which the packed
+products in `ncb.checks` must match failing case for failing case; and
+`rank_gen_by_cell_counts`, the rank polynomial with every cell counted by
+`annulus_cell_count`, which `formulas.rank_gen_cells` must equal.
 
 Partition map: `adjusted_orbits_by_blocks`, the orbits of a permutation as
 block lists, the inversion-invariant ones merged, through the validating
@@ -43,7 +49,7 @@ import operator
 from bisect import bisect, bisect_left
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ncb import bijection
 from ncb.bijection import (
@@ -54,7 +60,7 @@ from ncb.bijection import (
 )
 from ncb.checks import Check, _annulus_pairs
 from ncb.enumeration import FinitePoset, nc_b_annulus
-from ncb.formulas import IntPolynomial, _exact_div, binom
+from ncb.formulas import IntPolynomial, _exact_div, annulus_cell_count, binom
 from ncb.partition import BPartition, connectivity
 from ncb.signed_perm import AnnulusShape, SignedPermutation
 
@@ -231,6 +237,69 @@ def multi3_total(n1: int, n2: int, n3: int) -> int:
     )
     product = binom(2 * n1, n1) * binom(2 * n2, n2) * binom(2 * n3, n3)
     return _exact_div(numerator * product, d12 * d13 * d23)
+
+
+def compositions(length: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of `length` nonnegative ints with sum <= budget, in
+    lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for x in range(budget + 1):
+        for rest in compositions(length - 1, budget - x):
+            yield (x, *rest)
+
+
+def hypersum_by_convolution(choose=comb) -> Check:
+    """The `hypersum` record summed term by term over a table of `choose`:
+    each heads tuple's weights convolved from its prefix's by a nested loop,
+    and every lhs(b) one sum of products."""
+    pascal = [[choose(n, x) for x in range(11)] for n in range(11)]
+    weights: dict[tuple[int, ...], list[int]] = {(): [1]}
+    bad = 0
+    count = 0
+    for k in (1, 2, 3):
+        for heads in compositions(k, 10):
+            weight, A = weights[heads[:-1]], heads[-1]
+            convolved = [0] * (len(weight) + A)
+            for x, c in enumerate(pascal[A][: A + 1]):
+                for s, w in enumerate(weight, x):
+                    convolved[s] += w * c
+            weights[heads] = weight = convolved
+            total = sum(heads)
+            for last in range(11 - total):
+                for b in range(last + 1):
+                    lhs = sum(map(operator.mul, pascal[last][b:], weight))
+                    count += 1
+                    bad += lhs != pascal[total + last][last - b]
+    return Check("hypersum", f"sum<=10 ({count} cases)", 0, bad)
+
+
+def chu_vandermonde_by_sums(choose=binom) -> Check:
+    """The `chu-vandermonde` record with one sum over k per (n, r):
+    sum_k C(n, k) C(n, k + r) against C(2n, n - r), read through `choose`."""
+    bad = sum(
+        sum(choose(n, k) * choose(n, k + r) for k in range(n + 1))
+        != choose(2 * n, n - r)
+        for n in range(13)
+        for r in range(n + 1)
+    )
+    return Check("chu-vandermonde", "n<=12", 0, bad)
+
+
+def rank_gen_by_cell_counts(p: int, q: int) -> IntPolynomial:
+    """The rank polynomial of the (p, q) poset with one `annulus_cell_count`
+    call per connected cell, each added to its coefficient."""
+    terms: dict[int, int] = {}
+    for i in range(p + 1):
+        for j in range(q + 1):
+            terms[i + j] = terms.get(i + j, 0) + binom(p, i) ** 2 * binom(q, j) ** 2
+    for c in range(1, min(p, q) + 1):
+        for e in range(p - c + 1):
+            for i in range(q - c + 1):
+                k = p + q - e - i - c
+                terms[k] = terms.get(k, 0) + annulus_cell_count(p, q, c, e, i)
+    return IntPolynomial.from_dict(terms)
 
 
 def hypersum_check() -> Check:

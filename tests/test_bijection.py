@@ -297,7 +297,6 @@ def test_tuple_text_rejects(text):
         ("c=1 d=1 LE=1 RE0= LI= RI1=2", "RE1"),
         ("c=1 d=1 LE=1 RE01= LI= RI1=2", "RE1"),
         ("c=1 d=1 LE=1 REx= LI= RI1=2", "RE1"),
-        ("c=1 d=1 LE=1 RE1= RE01= LI= RI1=2", "RE2"),
         ("c=1 d=1 LE=1 RE1= LI= RI1=2 RI3=", "RE2"),
         ("c=1 d=1 LE=1 RE1= LI=", "RI1"),
         ("c=2 d=1 LE=1,2 RE1= RE2= LI= RI1=4 RI20=3", "RI2"),
@@ -306,6 +305,16 @@ def test_tuple_text_rejects(text):
 def test_tuple_text_needs_every_level(text, missing):
     "Right-set keys must run RE1..REk and RI1..RIk; the first gap is named."
     with pytest.raises(ValueError, match=f"missing field '{missing}'"):
+        AnnulusTuple.from_text(text)
+
+
+@pytest.mark.parametrize("key", ["RE0", "RE01", "REX", "RI0", "RI01", "RE\u0661", "RE+1"])
+def test_tuple_text_reports_a_malformed_level_key_as_unknown(key):
+    """A key that is not side + level from 1 up, written as to_text writes
+    it, is no level: it is reported as unknown, not as a missing level."""
+    text = f"c=1 d=1 LE=1 RE1= {key}= LI= RI1=2"
+    message = f"unknown fields {[key]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         AnnulusTuple.from_text(text)
 
 

@@ -25,13 +25,19 @@ from ncb import (
     nc_b_annulus,
     nc_b_multi,
 )
-from ncb.checks import FAMILIES, Check, _annulus_pairs, _compositions, _genus_rows
+from ncb.checks import FAMILIES, Check, _annulus_pairs, _genus_rows
 from ncb import bijection, checks, cli, enumeration, formulas
 from ncb.cli import main, verify_suite
 from ncb.enumeration import MAX_CIRCLES
 from ncb.formulas import binom
 
-from oracles import hypersum_check, roundtrip_multichain_by_pair_stats
+from oracles import (
+    chu_vandermonde_by_sums,
+    compositions,
+    hypersum_by_convolution,
+    hypersum_check,
+    roundtrip_multichain_by_pair_stats,
+)
 
 TESTS = Path(__file__).parent
 
@@ -337,13 +343,47 @@ def test_hypersum_matches_product_and_filter():
     assert verify_suite(max_n=3, only="hypersum") == [hypersum_check()]
 
 
+def off_by(entry, delta, exact):
+    "A binomial function with one entry (n, x) moved by delta."
+    return lambda n, x: exact(n, x) + delta * ((n, x) == entry)
+
+
+def test_identity_families_match_their_term_by_term_sums():
+    "With the true table the packed products yield the summed records."
+    assert verify_suite(max_n=3, only="hypersum") == [hypersum_by_convolution()]
+    assert verify_suite(max_n=3, only="chu-vandermonde") == [chu_vandermonde_by_sums()]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (3, 1), (6, 2), (9, 7), (10, 10)])
+def test_hypersum_counts_failures_as_the_convolution(monkeypatch, entry, delta):
+    """One table entry off (an asymmetric row, so a dropped reversal shows):
+    the packed family counts the failing cases the convolution counts."""
+    wrong = off_by(entry, delta, math.comb)
+    monkeypatch.setattr(checks, "comb", wrong)
+    (check,) = verify_suite(max_n=3, only="hypersum")
+    expected = hypersum_by_convolution(wrong)
+    assert check == expected and check.actual > 0
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("entry", [(1, 1), (2, 0), (5, 1), (12, 3), (20, 4), (24, 12)])
+def test_chu_vandermonde_counts_failures_as_the_sums(monkeypatch, entry, delta):
+    "One entry off: the row products count the (n, r) the sums count."
+    wrong = off_by(entry, delta, binom)
+    monkeypatch.setattr(checks, "binom", wrong)
+    (check,) = verify_suite(max_n=3, only="chu-vandermonde")
+    expected = chu_vandermonde_by_sums(wrong)
+    assert check == expected and check.actual > 0
+
+
 @pytest.mark.parametrize("length", range(5))
 @pytest.mark.parametrize("budget", [0, 1, 4, 10])
 def test_compositions_are_the_filtered_products(length, budget):
     "The generator yields the product tuples with sum <= budget, in order."
     products = itertools.product(range(budget + 1), repeat=length)
     expected = [caps for caps in products if sum(caps) <= budget]
-    assert list(_compositions(length, budget)) == expected
+    assert list(compositions(length, budget)) == expected
 
 
 def test_genus_defect_family_matches_direct_sum():

@@ -36,7 +36,14 @@ from ncb.formulas import (
     gbinom,
     over_matchings,
 )
-from oracles import catalan, mobius_a, multi3_total, narayana, schoolbook_mul
+from oracles import (
+    catalan,
+    mobius_a,
+    multi3_total,
+    narayana,
+    rank_gen_by_cell_counts,
+    schoolbook_mul,
+)
 from test_acceptance import size_tuples
 
 
@@ -535,6 +542,21 @@ def test_rank_coefficient_matches_cell_sum(p, q):
 def test_rank_gen_compact_matches_cell_sum(p, q):
     "The integer double sum equals the cell-by-cell sum."
     assert rank_gen_compact(p, q) == rank_gen_cells(p, q)
+
+
+def test_cell_sum_matches_per_cell_counts_exhaustive():
+    "Rows read once give the polynomial of one annulus_cell_count per cell."
+    for p in range(1, 13):
+        for q in range(1, 13):
+            assert rank_gen_cells(p, q) == rank_gen_by_cell_counts(p, q), (p, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes, sizes)
+@example(40, 40)
+def test_cell_sum_matches_per_cell_counts(p, q):
+    "The same on shapes up to 40."
+    assert rank_gen_cells(p, q) == rank_gen_by_cell_counts(p, q)
 
 
 @settings(max_examples=60, deadline=None)

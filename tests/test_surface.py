@@ -58,9 +58,9 @@ PUBLIC = [
 ]
 
 # The references now in tests/oracles.py (the type-A side, the term-by-term
-# polynomial product, the three-circle size, and the token-string codec with
-# the parenthesis strings that front it), and wrappers and copies that were
-# deleted.
+# polynomial product, the three-circle size, the token-string codec with
+# the parenthesis strings that front it, and the hypersum cap tuples'
+# generator), and wrappers and copies that were deleted.
 RETIRED = [
     "ClassicalPartition",
     "DiscCounts",
@@ -69,6 +69,7 @@ RETIRED = [
     "_boundary_tokens",
     "_check_token",
     "_circle_strings",
+    "_compositions",
     "_interval_images",
     "_left_shifts",
     "_orbit_stats",
