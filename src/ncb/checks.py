@@ -27,7 +27,7 @@ from .enumeration import (
     nc_b_multi,
     on_desk,
 )
-from .formulas import binom
+from .formulas import _pack, binom
 from .partition import pair_stats
 from .signed_perm import (
     AnnulusShape,
@@ -416,15 +416,10 @@ def _chu_vandermonde(max_n: int) -> Iterable[Check]:
     bad = 0
     for n in range(13):
         row = [binom(n, k) for k in range(n + 1)]
-        lhs = _pack(row) * _pack(row[::-1]) >> 64 * n
-        rhs = _pack(binom(2 * n, n - r) for r in range(n + 1))
+        lhs = _pack(row, 8) * _pack(row[::-1], 8) >> 64 * n
+        rhs = _pack([binom(2 * n, n - r) for r in range(n + 1)], 8)
         bad += _differing_slots(lhs ^ rhs, n + 1)
     yield Check("chu-vandermonde", "n<=12", 0, bad)
-
-
-def _pack(values: Iterable[int]) -> int:
-    """Ints in [0, 2^64) as one int, the k-th in 64-bit slot k."""
-    return int.from_bytes(b"".join(v.to_bytes(8, "little") for v in values), "little")
 
 
 def _differing_slots(diff: int, slots: int) -> int:
@@ -437,8 +432,8 @@ def _hypersum(max_n: int) -> Iterable[Check]:
     # Every binomial here is C(n, x) with n, x <= 10, read off one table; a
     # packed row holds C(n, x) in 64-bit slot x.
     pascal = [[comb(n, x) for x in range(n + 1)] for n in range(11)]
-    rows = [_pack(row) for row in pascal]
-    flipped = [_pack(row[::-1]) for row in pascal]
+    rows = [_pack(row, 8) for row in pascal]
+    flipped = [_pack(row[::-1], 8) for row in pascal]
     # weights[heads] packs in slot s the sum of prod C(A, a) over the a with
     # sum(a) = s.  It is convolved from the weights of heads[:-1] by one
     # product with packed row A, not taken as C(sum(heads), s): that equality

@@ -9,7 +9,7 @@ ones and, past a measured crossover (`_by_primes`), the prime powers of
 C(a, b), with Legendre's exponents, multiplied as a balanced tree.  The
 primes come from one table per process (`_primes_to`), sieved on the first
 factored binomial and grown when a larger one arrives.  The two-circle
-rank polynomial is two Kronecker products (`rank_gen_compact`).
+rank polynomial is one packed pass of two products (`rank_gen_compact`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
 from math import comb, isqrt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 def _by_primes(a: int, k: int) -> bool:
@@ -110,12 +110,30 @@ def _exact_div(num: int, den: int) -> int:
     return value
 
 
-def _binom_row(a: int, k: int) -> list[int]:
-    """[C(a, 0), ..., C(a, k)] for any integer a, by C(a, t+1) = C(a, t)(a-t)/(t+1)."""
+def _binom_row(n: int) -> list[int]:
+    """[C(n, 0), ..., C(n, n)] for n >= 0: half the row by C(n, t+1) =
+    C(n, t)(n-t)/(t+1), the other half mirrored."""
     row = [1]
-    for t in range(k):
-        row.append(_exact_div(row[-1] * (a - t), t + 1))
-    return row
+    for t in range(n // 2):
+        row.append(_exact_div(row[-1] * (n - t), t + 1))
+    return row + row[-2 + n % 2 :: -1]
+
+
+def _pack(values: Iterable[int], size: int) -> int:
+    """Ints in [0, 2^(8 size)) as one int, the k-th in byte slot k of `size` bytes."""
+    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+
+
+def _exact_slots(packed: int, divisor: int, size: int, count: int) -> list[int]:
+    """The `count` slots of `size` bytes of packed / divisor.  Each quotient
+    slot times the divisor must fit a slot: then those products are packed's
+    slots, so each slot divided exactly, not only the total.  A negative or
+    too long quotient raises OverflowError, which is an ArithmeticError."""
+    raw = _exact_div(packed, divisor).to_bytes(size * count, "little")
+    slots = [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
+    if max(slots, default=0) > ((1 << 8 * size) - 1) // divisor:
+        raise ArithmeticError(f"a slot is not a multiple of {divisor}")
+    return slots
 
 
 def gbinom(a: int, k: int) -> int:
@@ -222,14 +240,10 @@ class IntPolynomial:
         size = (bits + min(len(a), len(b)).bit_length()) // 8 + 1
         half = 1 << (8 * size - 1)  # above every |coefficient| of the product
         bias = lambda m: int.from_bytes(half.to_bytes(size, "little") * m, "little")
-        pack = lambda cs: int.from_bytes(
-            b"".join([(c + half).to_bytes(size, "little") for c in cs]), "little"
-        ) - bias(len(cs))
+        pack = lambda cs: _pack([c + half for c in cs], size) - bias(len(cs))
         n = len(a) + len(b) - 1
-        raw = (pack(a) * pack(b) + bias(n)).to_bytes(size * n, "little")
-        starts = range(0, size * n, size)
-        out = [int.from_bytes(raw[k : k + size], "little") - half for k in starts]
-        return IntPolynomial(out)
+        out = _exact_slots(pack(a) * pack(b) + bias(n), 1, size, n)  # a plain read
+        return IntPolynomial([c - half for c in out])
 
     def __eq__(self, other):
         return (
@@ -282,7 +296,7 @@ def rank_gen_cells(p: int, q: int) -> IntPolynomial:
 
 
 def rank_gen_compact(p: int, q: int) -> IntPolynomial:
-    """Rank generating polynomial R(x) of the (p, q) poset in two products.
+    """Rank generating polynomial R(x) of the (p, q) poset in one packed pass.
 
     R(x) is sum C(p,i)^2 C(q,j)^2 x^(i+j) (the disconnected part) plus
     2pq/(p+q) times sum (H_p[i] L_q[j] + L_p[i] H_q[j]) x^(i+j+1) (the
@@ -296,21 +310,21 @@ def rank_gen_compact(p: int, q: int) -> IntPolynomial:
     d = p + q
     u = d + 2 * p * q
 
-    def circle(n: int) -> tuple[IntPolynomial, IntPolynomial]:
-        """d L_n + u x H_n, and H_n."""
-        row, inner = _binom_row(n, n), _binom_row(n - 1, n - 1)
-        low = [a * b for a, b in zip(row, inner)] + [0]
-        high = [a * b for a, b in zip(row[1:], inner)]
-        mixed = [d * x + u * y for x, y in zip(low, [0] + high)]
-        return IntPolynomial(mixed), IntPolynomial(high)
+    def circle(n: int) -> tuple[list[int], list[int]]:
+        """d L_n + u x H_n, and H_n, from C(n-1, .) and by Pascal C(n, .)."""
+        inner = _binom_row(n - 1)
+        row = [1, *map(int.__add__, inner, inner[1:]), 1]
+        mixed = [c * (d * a + u * b) for c, a, b in zip(row[1:], inner[1:], inner)]
+        return [d, *mixed, u], [a * b for a, b in zip(row[1:], inner)]
 
-    mixed_p, high_p = circle(p)
-    mixed_q, high_q = circle(q)
-    coeffs = list((mixed_p * mixed_q).coefficients)
-    linked = 4 * p * q * (p * q + d)
-    for k, c in enumerate((high_p * high_q).coefficients, start=2):
-        coeffs[k] -= linked * c
-    return IntPolynomial([_exact_div(c, d * d) for c in coeffs])
+    (mixed_p, high_p), (mixed_q, high_q) = circle(p), circle(q)
+    bits = max(mixed_p).bit_length() + max(mixed_q).bit_length()
+    size = (bits + (min(p, q) + 1).bit_length()) // 8 + 1  # as `__mul__` sizes it
+    # No bias: every coefficient is >= 0.  Slot k of the difference, d^2 R_k,
+    # lies in [0, slot k of the first product], so no slot borrows or carries.
+    linked = 4 * p * q * (p * q + d) * _pack(high_p, size) * _pack(high_q, size)
+    packed = _pack(mixed_p, size) * _pack(mixed_q, size) - (linked << 16 * size)
+    return IntPolynomial(_exact_slots(packed, d * d, size, p + q + 1))
 
 
 # The CLI and the README call the fast form by this name.
@@ -322,7 +336,7 @@ def rank_gen_disc(n: int) -> IntPolynomial:
     C(n, k)^2 at x^k."""
     if n < 1:
         raise ValueError("n must be positive")
-    return IntPolynomial([c * c for c in _binom_row(n, n)])
+    return IntPolynomial([c * c for c in _binom_row(n)])
 
 
 def rank_coefficient(p: int, q: int, k: int) -> int:

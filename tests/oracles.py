@@ -20,6 +20,10 @@ products in `ncb.checks` must match failing case for failing case; and
 `rank_gen_by_cell_counts`, the rank polynomial with every cell counted by
 `annulus_cell_count`, which `formulas.rank_gen_cells` must equal.
 
+Two-circle rank polynomial: `rank_gen_by_products`, d^2 R(x) as two
+`IntPolynomial` products and a per-coefficient exact division, which the
+single packed pass `formulas.rank_gen_compact` must equal.
+
 Partition map: `adjusted_orbits_by_blocks`, the orbits of a permutation as
 block lists, the inversion-invariant ones merged, through the validating
 constructor, which the place-table map `partition.adjusted_orbits` and the
@@ -285,6 +289,29 @@ def chu_vandermonde_by_sums(choose=binom) -> Check:
         for r in range(n + 1)
     )
     return Check("chu-vandermonde", "n<=12", 0, bad)
+
+
+def rank_gen_by_products(p: int, q: int) -> IntPolynomial:
+    """d^2 R(x) = (d L_p + u x H_p)(d L_q + u x H_q) - 4pq(pq+d) x^2 H_p H_q
+    through `IntPolynomial.__mul__`, each coefficient divided by d^2 alone."""
+    d = p + q
+    u = d + 2 * p * q
+
+    def circle(n: int) -> tuple[IntPolynomial, IntPolynomial]:
+        row = [binom(n, k) for k in range(n + 1)]
+        inner = [binom(n - 1, k) for k in range(n)]
+        low = [a * b for a, b in zip(row, inner)] + [0]
+        high = [a * b for a, b in zip(row[1:], inner)]
+        mixed = [d * x + u * y for x, y in zip(low, [0] + high)]
+        return IntPolynomial(mixed), IntPolynomial(high)
+
+    mixed_p, high_p = circle(p)
+    mixed_q, high_q = circle(q)
+    coeffs = list((mixed_p * mixed_q).coefficients)
+    linked = 4 * p * q * (p * q + d)
+    for k, c in enumerate((high_p * high_q).coefficients, start=2):
+        coeffs[k] -= linked * c
+    return IntPolynomial([_exact_div(c, d * d) for c in coeffs])
 
 
 def rank_gen_by_cell_counts(p: int, q: int) -> IntPolynomial:

@@ -29,7 +29,10 @@ from ncb import (
 from ncb import formulas
 from ncb.formulas import (
     GradedChains,
+    _binom_row,
     _by_primes,
+    _exact_slots,
+    _pack,
     _prime_factor_binom,
     annulus_positive_total,
     binom,
@@ -42,6 +45,7 @@ from oracles import (
     multi3_total,
     narayana,
     rank_gen_by_cell_counts,
+    rank_gen_by_products,
     schoolbook_mul,
 )
 from test_acceptance import size_tuples
@@ -312,13 +316,63 @@ def test_rank_gen_matches_rank_coefficient_at_scale():
 
 
 def test_two_circle_rank_gen_is_two_products(monkeypatch):
-    "One two-circle rank polynomial costs two polynomial products."
-    calls = []
-    mul = IntPolynomial.__mul__
-    counted = lambda a, b: calls.append((a, b)) or mul(a, b)
-    monkeypatch.setattr(IntPolynomial, "__mul__", counted)
-    rank_gen(81, 70)
-    assert len(calls) == 2
+    """One two-circle rank polynomial is two big-integer products in one
+    packed pass: no polynomial product, and one exact division by d^2 for
+    the whole pack besides the half-row steps of C(80, .) and C(69, .)."""
+    muls, divs = [], []
+    mul, div = IntPolynomial.__mul__, formulas._exact_div
+    monkeypatch.setattr(IntPolynomial, "__mul__", lambda a, b: muls.append(a) or mul(a, b))
+    monkeypatch.setattr(formulas, "_exact_div", lambda n, d: divs.append((n, d)) or div(n, d))
+    poly = rank_gen(81, 70)
+    assert muls == []
+    by_square = [n for n, d in divs if d == 151 * 151]
+    assert len(by_square) == 1 and by_square[0].bit_length() > 151 * 64
+    assert len(divs) == 80 // 2 + 69 // 2 + 1
+    assert poly == rank_gen_by_products(81, 70)
+
+
+BENCH_SHAPES = [(p, q) for p in range(80, 83) for q in range(69, 72)]
+
+
+@pytest.mark.parametrize("p,q", BENCH_SHAPES + [(q, p) for p, q in BENCH_SHAPES])
+def test_packed_rank_gen_matches_products_and_cells(p, q):
+    "The packed pass equals the two-product form and the cell sum on the bench's shapes."
+    assert rank_gen_compact(p, q) == rank_gen_by_products(p, q) == rank_gen_cells(p, q)
+
+
+def test_packed_rank_gen_matches_products_at_scale():
+    "The packed pass equals the two-product form at (300, 200)."
+    assert rank_gen_compact(300, 200) == rank_gen_by_products(300, 200)
+
+
+def test_exact_slots_rejects_a_slot_that_does_not_divide():
+    """A pack whose total divides by 3 but whose low slot does not, a negative
+    pack and one slot too long are refused."""
+    packed = _pack([1, 2], 1)  # 1 + 2 * 256 = 513 = 3 * 171
+    assert packed % 3 == 0
+    with pytest.raises(ArithmeticError):
+        _exact_slots(packed, 3, 1, 2)
+    with pytest.raises(ArithmeticError):
+        _exact_slots(-_pack([3, 6], 1), 3, 1, 2)
+    with pytest.raises(ArithmeticError):
+        _exact_slots(_pack([3, 6, 3], 1), 3, 1, 2)
+    assert _exact_slots(_pack([3, 6], 1), 3, 1, 2) == [1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**70), st.integers(1, 12), st.data())
+def test_exact_slots_reads_multiplied_slots(divisor, size, data):
+    "Slots multiplied by the divisor and packed read back as the slots."
+    top = ((1 << 8 * size) - 1) // divisor
+    slots = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=20))
+    packed = _pack([s * divisor for s in slots], size)
+    assert _exact_slots(packed, divisor, size, len(slots)) == slots
+
+
+def test_binom_row_matches_comb():
+    "Half a row by exact steps, mirrored, is the whole row of binomials."
+    for n in range(70):
+        assert _binom_row(n) == [comb(n, k) for k in range(n + 1)], n
 
 
 def test_rank_gen_spot():
