@@ -19,7 +19,8 @@ ends the inner string; the blocks read off those arrays, at the shift it
 found, must be the chain's blocks.  A poset has far more multichains
 than elements, so the members are memoised by their levels' pair-id
 tables and the block ends by the members' place tables, in bounded memos
-whose values are shared and so read-only."""
+whose values are shared and so read-only.  A subset tuple is an immutable
+value, a named tuple whose constructor checks outside input."""
 
 from __future__ import annotations
 
@@ -28,20 +29,34 @@ from bisect import bisect, bisect_left
 from functools import lru_cache
 from itertools import accumulate
 from operator import neg, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partition import BPartition, _places
 
 
-class AnnulusTuple:
-    """Subset data (c, d; lefts and typed rights on both circles).
+class _Fields(NamedTuple):  # NamedTuple forbids a __new__ of its own
+    c: int
+    d: int
+    left_outer: frozenset[int]
+    rights_outer: tuple[frozenset[int], ...]
+    left_inner: frozenset[int]
+    rights_inner: tuple[frozenset[int], ...]
+
+
+class AnnulusTuple(_Fields):
+    """Subset data (c, d; lefts and typed rights on both circles), an
+    immutable value.
 
     `rights_outer` and `rights_inner` hold one set per paren type 1..m-1;
     sizes must satisfy |left_outer| = sum |rights_outer| + c and
-    |left_inner| = sum |rights_inner| - c, with 1 <= d <= 2c.
+    |left_inner| = sum |rights_inner| - c, with 1 <= d <= 2c.  The
+    constructor checks outside input; the library's own tuples, which meet
+    the sizes and bounds, are made past it by `_make`.
     """
 
-    def __init__(self, c, d, left_outer, rights_outer, left_inner, rights_inner):
+    __slots__ = ()
+
+    def __new__(cls, c, d, left_outer, rights_outer, left_inner, rights_inner):
         rights_outer = tuple(frozenset(r) for r in rights_outer)
         rights_inner = tuple(frozenset(r) for r in rights_inner)
         left_outer = frozenset(left_outer)
@@ -63,20 +78,8 @@ class AnnulusTuple:
             raise ValueError("outer sizes violate |L| = sum|R| + c")
         if len(left_inner) != sum(map(len, rights_inner)) - c:
             raise ValueError("inner sizes violate |L| = sum|R| - c")
-        self._hold(c, d, left_outer, rights_outer, left_inner, rights_inner)
-
-    @classmethod
-    def _made(cls, *fields) -> "AnnulusTuple":
-        """The tuple of the library's own frozensets and tuples of them,
-        which meet the sizes and bounds: decode's result and the domain
-        come through here, past the checks __init__ makes on outside input."""
-        return cls.__new__(cls)._hold(*fields)
-
-    def _hold(self, c, d, left_outer, rights_outer, left_inner, rights_inner):
-        self.c, self.d = c, d
-        self.left_outer, self.rights_outer = left_outer, rights_outer
-        self.left_inner, self.rights_inner = left_inner, rights_inner
-        return self
+        fields = c, d, left_outer, rights_outer, left_inner, rights_inner
+        return super().__new__(cls, *fields)
 
     @property
     def m(self) -> int:
@@ -132,18 +135,6 @@ class AnnulusTuple:
         if fields:
             raise ValueError(f"unknown fields {sorted(fields)}")
         return cls(c, d, left_outer, rights_outer, left_inner, rights_inner)
-
-    def __eq__(self, other):
-        return isinstance(other, AnnulusTuple) and (
-            (self.c, self.d, self.left_outer, self.rights_outer,
-             self.left_inner, self.rights_inner)
-            == (other.c, other.d, other.left_outer, other.rights_outer,
-                other.left_inner, other.rights_inner)
-        )
-
-    def __hash__(self):
-        return hash((self.c, self.d, self.left_outer, self.rights_outer,
-                     self.left_inner, self.rights_inner))
 
     def __repr__(self):
         return f"AnnulusTuple.from_text({self.to_text()!r})"
@@ -244,7 +235,8 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
 # repo walks, NC^(B)(3, 2) and (2, 3), have 264 elements, and CI pins the
 # codec on their chains: their block ends fit with room to spare.  The
 # 11,088 chains at (2, 3), m = 4 have 1,853 distinct level tables, met in
-# runs, and 512 of them serve 90 % of the 33,264 member lookups.
+# runs, and 512 of them serve 90 % of the 33,264 member lookups.  The memos'
+# gain comes from verify's roundtrip-multichain, where chains repeat.
 _MEMO = 512
 
 
@@ -326,16 +318,11 @@ def _place_maps(p: int, q: int) -> tuple[list[int], list[int]]:
     return at, sorted(range(len(at)), key=at.__getitem__)
 
 
-def _block_ends(partition: BPartition, p: int, q: int) -> dict[int, int]:
-    """Signed last element keyed by signed first element, for every block
-    but the zero block, read off the partition's place table; shared by
-    every partition with that table, so read-only."""
-    return _ends(partition._table, p, q)
-
-
 @lru_cache(maxsize=_MEMO)
 def _ends(table: bytes | tuple, p: int, q: int) -> dict[int, int]:
-    """`_block_ends` of the partition with this place table.
+    """Signed last element keyed by signed first element, for every block
+    but the zero block of the partition with this place table; shared by
+    every partition with that table, so read-only.
 
     A block read off a pair holds the label after its "(" first and the
     label before its closer last.  For a connecting block the pair opens
@@ -394,9 +381,9 @@ def decode_multichain(
         raise ValueError("empty chain")
     if any(pi.n != p + q for pi in chain):
         raise ValueError(f"chain members must partition a {p + q}-circle set")
-    ends = [_block_ends(chain[0], p, q)]
+    ends = [_ends(chain[0]._table, p, q)]
     for pi, below in zip(chain[1:], chain):  # a member shared by two levels
-        ends.append(ends[-1] if pi is below else _block_ends(pi, p, q))
+        ends.append(ends[-1] if pi is below else _ends(pi._table, p, q))
     # One period of each circle, outer labels then inner, label x at x - 1:
     # a "(" before each block first of pi_1, and a type-j closer after the
     # last of each block of pi_j whose first starts no block of pi_{j+1}.
@@ -428,12 +415,9 @@ def decode_multichain(
         table = pi._table
         if not len(set(level)) == len(set(table)) == len(set(zip(level, table))):
             raise _not_image(chain)
-    return AnnulusTuple._made(
-        c,
-        starts.index(start) + 1,
-        *_sets(range(1, p + 1), *outer, len(chain)),
-        *_sets(range(p + 1, p + q + 1), *inner, len(chain)),
-    )
+    outer_sets = _sets(range(1, p + 1), *outer, len(chain))
+    inner_sets = _sets(range(p + 1, p + q + 1), *inner, len(chain))
+    return AnnulusTuple._make((c, starts.index(start) + 1, *outer_sets, *inner_sets))
 
 
 def _sets(labels: range, opens: list, closers: list, levels: int) -> tuple:
@@ -476,6 +460,6 @@ def annulus_tuples(p: int, q: int, m: int = 2):
                     if len(left_inner) != need:
                         continue
                     for d in range(1, 2 * c + 1):
-                        yield AnnulusTuple._made(
-                            c, d, left_outer, rights_outer, left_inner, rights_inner
+                        yield AnnulusTuple._make(
+                            (c, d, left_outer, rights_outer, left_inner, rights_inner)
                         )

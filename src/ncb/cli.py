@@ -161,63 +161,60 @@ def _read_lines(path: str | None) -> list[str]:
         return handle.read().splitlines()
 
 
-def _cmd_encode(args) -> int:
+def _read_chain(line: str) -> list[BPartition]:
+    data = json.loads(line)
+    if isinstance(data, dict):
+        return [BPartition.from_dict(data)]
+    return [BPartition.from_dict(d) for d in data]
+
+
+def _chain_json(chain: tuple[BPartition, ...]) -> str:
+    if len(chain) == 1:
+        return chain[0].to_json()
+    return "[" + ",".join(pi.to_json() for pi in chain) + "]"
+
+
+# verb: (what each line must be, its reader, the codec, the writer)
+_CODECS = {
+    "encode": (
+        "a tuple",
+        bijection.AnnulusTuple.from_text,
+        bijection.encode_multichain,
+        _chain_json,
+    ),
+    "decode": (
+        "a partition or a list of them",
+        _read_chain,
+        bijection.decode_multichain,
+        bijection.AnnulusTuple.to_text,
+    ),
+}
+
+
+def _cmd_codec(args) -> int:
+    """The encode and decode verbs: one line in, one line out, and an
+    error naming the first line that cannot be read or coded."""
     if len(args.shape) != 2:
-        raise ValueError("encode needs a two-circle shape")
+        raise ValueError(f"{args.verb} needs a two-circle shape")
     p, q = args.shape
+    what, read, code, write = _CODECS[args.verb]
     lines = []
     for number, line in enumerate(_read_lines(args.infile), start=1):
         if not line.strip():
             continue
         try:
-            t = bijection.AnnulusTuple.from_text(line)
-        except ValueError as exc:
-            raise ValueError(
-                f"line {number} is not a tuple: "
-                f"{line.strip()} ({type(exc).__name__}: {exc})"
-            ) from None
-        try:
-            chain = bijection.encode_multichain(t, p, q)
-        except ValueError as exc:
-            raise ValueError(
-                f"line {number} does not encode: {line.strip()} ({exc})"
-            ) from None
-        if len(chain) == 1:
-            lines.append(chain[0].to_json())
-        else:
-            lines.append(
-                json.dumps([pi.to_dict() for pi in chain], separators=(",", ":"))
-            )
-    _emit("\n".join(lines), args.out)
-    return 0
-
-
-def _cmd_decode(args) -> int:
-    if len(args.shape) != 2:
-        raise ValueError("decode needs a two-circle shape")
-    p, q = args.shape
-    lines = []
-    for number, line in enumerate(_read_lines(args.infile), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-            if isinstance(data, dict):
-                chain = [BPartition.from_dict(data)]
-            else:
-                chain = [BPartition.from_dict(d) for d in data]
+            value = read(line)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(
-                f"line {number} is not a partition or a list of them: "
+                f"line {number} is not {what}: "
                 f"{line.strip()} ({type(exc).__name__}: {exc})"
             ) from None
         try:
-            t = bijection.decode_multichain(chain, p, q)
+            lines.append(write(code(value, p, q)))
         except ValueError as exc:
             raise ValueError(
-                f"line {number} does not decode: {line.strip()} ({exc})"
+                f"line {number} does not {args.verb}: {line.strip()} ({exc})"
             ) from None
-        lines.append(t.to_text())
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -284,10 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
     command("mobius", _cmd_mobius, "Mobius function between bottom and top")
     command("max-chains", _cmd_max_chains, "number of maximal chains")
 
-    cmd = command("encode", _cmd_encode, "tuples (text lines) to partitions (JSON)")
+    cmd = command("encode", _cmd_codec, "tuples (text lines) to partitions (JSON)")
     cmd.add_argument("--in", dest="infile", metavar="FILE", help="read from FILE")
 
-    cmd = command("decode", _cmd_decode, "partitions (JSON lines) to tuple text")
+    cmd = command("decode", _cmd_codec, "partitions (JSON lines) to tuple text")
     cmd.add_argument("--in", dest="infile", metavar="FILE", help="read from FILE")
 
     cmd = command("verify", _cmd_verify, "run formula-vs-oracle checks", shape=False)

@@ -197,17 +197,6 @@ class IntPolynomial:
             coefficients.pop()
         self.coefficients = tuple(coefficients)
 
-    @classmethod
-    def from_dict(cls, terms: dict[int, int]) -> "IntPolynomial":
-        if not terms:
-            return cls()
-        if min(terms) < 0:
-            raise ValueError(f"negative degree {min(terms)}")
-        coeffs = [0] * (max(terms) + 1)
-        for k, c in terms.items():
-            coeffs[k] = c
-        return cls(coeffs)
-
     def coefficient(self, k: int) -> int:
         if 0 <= k < len(self.coefficients):
             return self.coefficients[k]

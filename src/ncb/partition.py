@@ -9,7 +9,7 @@ of rho.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, starmap
 from operator import eq, neg
 from typing import Iterable, NamedTuple, Sequence
@@ -50,22 +50,6 @@ def _places(n: int) -> dict[int, int]:
     return {x: i for i, x in enumerate(x for k in range(1, n + 1) for x in (k, -k))}
 
 
-class _filled:
-    """A property computed on its first read and stored in the instance's
-    __dict__, which later reads find first, as plain attribute reads.
-    `functools.cached_property` does the same but, before Python 3.12,
-    takes a lock on every first read."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 # json.dumps with non-default separators builds an encoder on every call.
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -77,7 +61,9 @@ class BPartition:
     holds the label at place k of the order 1, -1, 2, -2, ..., the blocks
     indexed in order of their first places.  Read off the table, blocks
     come sorted: elements by (absolute value, sign with the positive one
-    first), blocks by their first elements in that order.
+    first), blocks by their first elements in that order.  The blocks and
+    the pair mask are read off the table on first use and kept, as
+    `functools.cached_property` values.
     """
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
@@ -139,7 +125,7 @@ class BPartition:
             raise _bad_negation(self.blocks)
         return self
 
-    @_filled
+    @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         members: list[list[int]] = [[] for _ in range(max(self._table, default=-1) + 1)]
         for x, i in zip(_places(self.n), self._table):
@@ -179,7 +165,7 @@ class BPartition:
         noninv = len(self.blocks) - (1 if self.zero_block() is not None else 0)
         return self.n - noninv // 2
 
-    @_filled
+    @cached_property
     def pair_mask(self) -> int:
         """Bitmask of the same-block relation, for fast refinement tests."""
         n = self.n

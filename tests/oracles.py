@@ -31,7 +31,7 @@ interval walk must equal.
 
 Decode: `block_ends_by_sorting`, each block's ends read off its positions
 and its mirror's, both sorted per block, which the walk over the running
-order in `bijection._block_ends` must equal.
+order in `bijection._ends` must equal.
 
 Round trips: `roundtrip_multichain_by_pair_stats`, the `roundtrip-multichain`
 family with each chain checked by hashing, pair masks and pair statistics
@@ -317,16 +317,15 @@ def rank_gen_by_products(p: int, q: int) -> IntPolynomial:
 def rank_gen_by_cell_counts(p: int, q: int) -> IntPolynomial:
     """The rank polynomial of the (p, q) poset with one `annulus_cell_count`
     call per connected cell, each added to its coefficient."""
-    terms: dict[int, int] = {}
+    coeffs = [0] * (p + q + 1)
     for i in range(p + 1):
         for j in range(q + 1):
-            terms[i + j] = terms.get(i + j, 0) + binom(p, i) ** 2 * binom(q, j) ** 2
+            coeffs[i + j] += binom(p, i) ** 2 * binom(q, j) ** 2
     for c in range(1, min(p, q) + 1):
         for e in range(p - c + 1):
             for i in range(q - c + 1):
-                k = p + q - e - i - c
-                terms[k] = terms.get(k, 0) + annulus_cell_count(p, q, c, e, i)
-    return IntPolynomial.from_dict(terms)
+                coeffs[p + q - e - i - c] += annulus_cell_count(p, q, c, e, i)
+    return IntPolynomial(coeffs)
 
 
 def hypersum_check() -> Check:

@@ -272,6 +272,15 @@ def test_tuple_text_round_trip():
     assert CHAIN_TUPLE.m == 3
 
 
+def test_tuple_is_an_immutable_value():
+    "A tuple's fields cannot be reassigned, and equal tuples hash alike."
+    with pytest.raises(AttributeError):
+        WORKED_TUPLE.d = 1
+    assert WORKED_TUPLE.d == 2
+    again = AnnulusTuple.from_text(WORKED_TUPLE.to_text())
+    assert again == WORKED_TUPLE and len({again, WORKED_TUPLE}) == 1
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -789,7 +798,7 @@ def test_block_ends_match_the_sorting_oracle(p, q):
     member at a time, so these are the members of every two-member chain."""
     position = circle_positions(p, q)
     for pi in nc_b_annulus(p, q).elements:
-        assert bijection._block_ends(pi, p, q) == block_ends_by_sorting(pi, p, position)
+        assert bijection._ends(pi._table, p, q) == block_ends_by_sorting(pi, p, position)
 
 
 @settings(deadline=None)
@@ -799,7 +808,7 @@ def test_block_ends_match_the_sorting_oracle_on_chains(case):
     p, q, t = case
     position = circle_positions(p, q)
     for pi in encode_multichain(t, p, q):
-        assert bijection._block_ends(pi, p, q) == block_ends_by_sorting(pi, p, position)
+        assert bijection._ends(pi._table, p, q) == block_ends_by_sorting(pi, p, position)
 
 
 def test_decode_builds_its_strings_once(monkeypatch):
@@ -833,15 +842,15 @@ def test_decode_builds_its_strings_once(monkeypatch):
 
 def test_levels_that_drop_no_pair_share_one_member(monkeypatch):
     """pi_j is pi_{j-1} itself exactly when no pair closes with type j - 1,
-    and a decode reads the ends of each member object once."""
+    and a decode reads the ends of each member's table once."""
     calls = Counter()
-    real = bijection._block_ends
+    real = bijection._ends
 
-    def counted(pi, p, q):
-        calls[id(pi)] += 1
-        return real(pi, p, q)
+    def counted(table, p, q):
+        calls[id(table)] += 1
+        return real(table, p, q)
 
-    monkeypatch.setattr(bijection, "_block_ends", counted)
+    monkeypatch.setattr(bijection, "_ends", counted)
     shared = 0
     for t in annulus_tuples(2, 2, 5):
         chain = encode_multichain(t, 2, 2)
@@ -851,7 +860,7 @@ def test_levels_that_drop_no_pair_share_one_member(monkeypatch):
             shared += not drops
         calls.clear()
         assert decode_multichain(chain, 2, 2) == t
-        assert calls == Counter({id(pi): 1 for pi in chain})
+        assert calls == Counter({id(pi._table): 1 for pi in chain})
     assert shared
 
 
@@ -878,8 +887,8 @@ def test_memoised_block_ends_match_the_sorting_oracle(p, q):
     bijection._ends.cache_clear()
     for pi in nc_b_annulus(p, q).elements:
         copy = BPartition.from_json(pi.to_json())
-        cold = bijection._block_ends(pi, p, q)
-        assert bijection._block_ends(copy, p, q) is cold
+        cold = bijection._ends(pi._table, p, q)
+        assert bijection._ends(copy._table, p, q) is cold
         assert cold == block_ends_by_sorting(copy, p, position)
 
 

@@ -555,6 +555,15 @@ def test_many_circle_errors(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("shape", ["3", "2,1,1"])
+@pytest.mark.parametrize("verb", ["encode", "decode"])
+def test_codec_verbs_need_two_circles(capsys, monkeypatch, verb, shape):
+    "Encode and decode on one or three circles exit 2 before reading a line."
+    monkeypatch.setattr("sys.stdin", io.StringIO("not a line\n"))
+    code, out, err = run(capsys, verb, "--shape", shape)
+    assert (code, out, err) == (2, "", f"error: {verb} needs a two-circle shape\n")
+
+
 def test_out_file(tmp_path, capsys):
     "Any verb can write to a file instead of standard output."
     target = tmp_path / "count.txt"

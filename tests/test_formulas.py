@@ -259,15 +259,7 @@ def test_polynomial_basics():
     assert IntPolynomial([1]) + IntPolynomial([0, 1]) == IntPolynomial([1, 1])
     assert p - IntPolynomial([1, 1]) == IntPolynomial([0, 1, 1])
     assert p - p == zero
-    assert IntPolynomial.from_dict({2: -3, 0: 2}) == IntPolynomial([2, 0, -3])
     assert hash(IntPolynomial([1, 1])) == hash(IntPolynomial((1, 1)))
-
-
-def test_from_dict_rejects_negative_degrees():
-    "A negative degree is named in an error, not wrapped onto the top term."
-    for terms in ({2: 1, -1: 5}, {-1: 3}):
-        with pytest.raises(ValueError, match="negative degree -1"):
-            IntPolynomial.from_dict(terms)
 
 
 @pytest.mark.parametrize(
@@ -278,8 +270,6 @@ def test_polynomial_rejects_coefficients_that_are_not_ints(coefficients, bad):
     "Only exact ints are coefficients: nothing is truncated or converted."
     with pytest.raises(ValueError, match=re.escape(f"coefficient {bad!r} is not an int")):
         IntPolynomial(coefficients)
-    with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        IntPolynomial.from_dict(dict(enumerate(coefficients)))
 
 
 @st.composite

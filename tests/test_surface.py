@@ -66,12 +66,16 @@ RETIRED = [
     "DiscCounts",
     "OrbitStats",
     "ParenString",
+    "_block_ends",
     "_boundary_tokens",
     "_check_token",
     "_circle_strings",
     "_compositions",
+    "_filled",
+    "_hold",
     "_interval_images",
     "_left_shifts",
+    "_made",
     "_orbit_stats",
     "_paren_flags",
     "_paren_type",
