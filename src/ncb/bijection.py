@@ -81,6 +81,10 @@ class AnnulusTuple(_Fields):
         fields = c, d, left_outer, rights_outer, left_inner, rights_inner
         return super().__new__(cls, *fields)
 
+    def _replace(self, **changes) -> "AnnulusTuple":
+        """A copy with some fields changed, checked as the constructor checks."""
+        return type(self)(**(self._asdict() | changes))
+
     @property
     def m(self) -> int:
         return len(self.rights_outer) + 1

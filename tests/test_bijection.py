@@ -281,6 +281,16 @@ def test_tuple_is_an_immutable_value():
     assert again == WORKED_TUPLE and len({again, WORKED_TUPLE}) == 1
 
 
+def test_tuple_replace_checks_like_the_constructor():
+    "A changed copy is checked as a new tuple is, and equals one built directly."
+    t = AnnulusTuple.from_text("c=1 d=2 LE=2,4,5 RE1=1,2 LI=7 RI1=6,7")
+    with pytest.raises(ValueError, match=r"^d must be in 1\.\.2$"):
+        t._replace(d=9)
+    changed = t._replace(d=1, left_inner=[6])
+    assert changed == AnnulusTuple(1, 1, {2, 4, 5}, [{1, 2}], {6}, [{6, 7}])
+    assert type(changed) is AnnulusTuple
+
+
 @pytest.mark.parametrize(
     "text",
     [

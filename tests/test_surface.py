@@ -1,19 +1,22 @@
-"""The public surface of ncb: what it exports, what it no longer has, and
-that its modules import nothing from the tests and nothing they leave
-unused."""
+"""The public surface of ncb: what it exports, what it no longer has, the
+names the benchmark calls, and that its modules import nothing from the
+tests and nothing they leave unused."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import ncb
+from ncb import checks, formulas
 
 PACKAGE = Path(ncb.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 TESTS = Path(__file__).parent
+BENCH = TESTS.parent / "bench"
 
 PUBLIC = [
     "AnnulusShape",
@@ -140,3 +143,23 @@ def test_no_test_imports_and_no_unused_imports(module):
     for source, name in imports(tree):
         assert source.split(".")[0] not in test_modules, (module, source)
         assert name in used | exported, f"{module}.py imports {name} unused"
+
+
+def assigned(path, name):
+    "The literal a module assigns to name at top level, read without importing it."
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_the_benchmark_finds_the_names_it_calls():
+    """The package still has every name `bench/` calls. A rename there fails
+    bench operations, not a test, so ROADMAP items 2 and 13, which remove
+    `masks=` and `pair_mask`, must change `bench/worker.py` first."""
+    families = assigned(BENCH / "workloads.py", "VERIFY_FAMILIES")
+    assert families and families == [n for n in checks.FAMILIES if n in families]
+    closed_forms = assigned(BENCH / "worker.py", "_CLOSED_FORMS")
+    assert closed_forms and [n for n in closed_forms if not hasattr(formulas, n)] == []
+    assert "masks" in inspect.signature(ncb.FinitePoset).parameters
+    assert hasattr(ncb.BPartition, "pair_mask")
