@@ -167,17 +167,15 @@ class BPartition:
 
     @cached_property
     def pair_mask(self) -> int:
-        """Bitmask of the same-block relation, for fast refinement tests."""
-        n = self.n
-        mask = 0
-        for block in self.blocks:
-            bits = 0
-            ids = [x - 1 if x > 0 else n - x - 1 for x in block]
-            for i in ids:
-                bits |= 1 << i
-            for i in ids:
-                mask |= bits << (i * 2 * n)
-        return mask
+        """Bitmask of the same-block relation, read off the place table:
+        bit 2n*k + l for places k < l in one block, k even.  Negation puts
+        the mirror pair (k ^ 1, l ^ 1) in one block exactly when (k, l)."""
+        table, width = self._table, 2 * self.n
+        bits: dict[int, int] = {}  # block id -> its places as bits
+        for k, i in enumerate(table):
+            bits[i] = bits.get(i, 0) | 1 << k
+        # Row k holds bits k+1.. of its block's places: the rows are disjoint.
+        return sum(bits[table[k]] >> k + 1 << width * k + k + 1 for k in range(0, width, 2))
 
     def le(self, other: "BPartition") -> bool:
         """Reverse refinement: every block of self lies inside a block of other."""
@@ -223,26 +221,19 @@ def adjusted_orbits(perm: SignedPermutation) -> BPartition:
 
 
 def pair_stats(partition: BPartition, shape: AnnulusShape) -> PairStats:
-    """Classify non-invariant block pairs of a two-circle partition."""
+    """Classify non-invariant block pairs of a two-circle partition, read
+    off its place table: the block ids on the outer circle's places (the
+    first 2p) and on the inner circle's, the zero block's id dropped from
+    both.  Each pair {A, -A} gives two ids on the same circles."""
     if shape.k != 2:
         raise ValueError("pair statistics need a two-circle shape")
     if shape.n != partition.n:
         raise ValueError("shape size does not match the partition")
-    p = shape.p
-    connecting = exterior = interior = 0
-    for block in partition.blocks:
-        if -block[0] in block:
-            continue  # the zero-block is not counted
-        outer = any(abs(x) <= p for x in block)
-        inner = any(abs(x) > p for x in block)
-        if outer and inner:
-            connecting += 1
-        elif outer:
-            exterior += 1
-        else:
-            interior += 1
-    assert connecting % 2 == 0 and exterior % 2 == 0 and interior % 2 == 0
-    return PairStats(connecting // 2, exterior // 2, interior // 2)
+    table, cut = partition._table, 2 * shape.p
+    zero = {i for i, j in zip(table[::2], table[1::2]) if i == j}
+    outer = set(table[:cut]) - zero
+    inner = set(table[cut:]) - zero
+    return PairStats(*(len(ids) // 2 for ids in (outer & inner, outer - inner, inner - outer)))
 
 
 def connectivity(partition: BPartition, shape: AnnulusShape) -> int:
@@ -260,16 +251,10 @@ def kreweras(partition: BPartition, shape: AnnulusShape) -> BPartition:
 
 def meet_q1(a: BPartition, b: BPartition, shape: AnnulusShape) -> BPartition:
     """Lattice meet by blockwise intersection; valid when the inner circle
-    carries a single positive label."""
+    carries a single positive label.  Read off the place tables: the
+    places with one pair (block of a, block of b) form one block."""
     if shape.k != 2 or shape.q != 1:
         raise ValueError("intersection meet needs shape (p, 1)")
     if a.n != shape.n or b.n != shape.n:
         raise ValueError("shape size does not match the partitions")
-    blocks = []
-    for x in a.blocks:
-        sx = set(x)
-        for y in b.blocks:
-            common = sx.intersection(y)
-            if common:
-                blocks.append(common)
-    return BPartition(a.n, blocks)
+    return BPartition._from_owner(a.n, [*zip(a._table, b._table)])

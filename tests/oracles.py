@@ -29,6 +29,13 @@ block lists, the inversion-invariant ones merged, through the validating
 constructor, which the place-table map `partition.adjusted_orbits` and the
 interval walk must equal.
 
+Place-table readings: `refines_by_blocks`, reverse refinement as blocks
+inside blocks, which `BPartition.le` and `FinitePoset.le` (both read pair
+masks) must equal; `pair_stats_by_blocks`, each block classed by the
+circles its labels meet, which `partition.pair_stats` must equal; and
+`meet_by_blocks`, the blockwise intersections through the validating
+constructor, which `partition.meet_q1` must equal.
+
 Decode: `block_ends_by_sorting`, each block's ends read off its positions
 and its mirror's, both sorted per block, which the walk over the running
 order in `bijection._ends` must equal.
@@ -65,7 +72,7 @@ from ncb.bijection import (
 from ncb.checks import Check, _annulus_pairs
 from ncb.enumeration import FinitePoset, nc_b_annulus
 from ncb.formulas import IntPolynomial, _exact_div, annulus_cell_count, binom
-from ncb.partition import BPartition, connectivity
+from ncb.partition import BPartition, PairStats, connectivity
 from ncb.signed_perm import AnnulusShape, SignedPermutation
 
 
@@ -165,6 +172,45 @@ def adjusted_orbits_by_blocks(perm: SignedPermutation) -> BPartition:
     if invariant:
         blocks.append(invariant)
     return BPartition(perm.n, blocks)
+
+
+def refines_by_blocks(a, b) -> bool:
+    """Reverse refinement from block lists: every block of a lies inside a
+    block of b."""
+    return all(any(set(block) <= set(other) for other in b.blocks) for block in a.blocks)
+
+
+def pair_stats_by_blocks(partition: BPartition, shape: AnnulusShape) -> PairStats:
+    """Connecting, exterior and interior block pairs, each block classed by
+    the circles its labels meet, the zero block skipped."""
+    p = shape.p
+    connecting = exterior = interior = 0
+    for block in partition.blocks:
+        if -block[0] in block:
+            continue  # the zero-block is not counted
+        outer = any(abs(x) <= p for x in block)
+        inner = any(abs(x) > p for x in block)
+        if outer and inner:
+            connecting += 1
+        elif outer:
+            exterior += 1
+        else:
+            interior += 1
+    assert connecting % 2 == 0 and exterior % 2 == 0 and interior % 2 == 0
+    return PairStats(connecting // 2, exterior // 2, interior // 2)
+
+
+def meet_by_blocks(a: BPartition, b: BPartition) -> BPartition:
+    """The nonempty intersections of a block of a with a block of b,
+    through the validating constructor."""
+    blocks = []
+    for x in a.blocks:
+        sx = set(x)
+        for y in b.blocks:
+            common = sx.intersection(y)
+            if common:
+                blocks.append(common)
+    return BPartition(a.n, blocks)
 
 
 def _set_partitions(n: int):

@@ -44,6 +44,7 @@ def tuples(name: str, p: int, q: int, m: int, timeout: float, **expect) -> Pin:
 
 VERIFY_MAX_N_3 = "tests/verify_max_n_3.txt"
 ENUMERATED_2221 = 3456
+CONNECTIVITY_2_AT_4_4 = 3136
 
 PINS = [
     ncb("verify-all", "verify --all", 10,
@@ -90,6 +91,11 @@ PINS = [
         sha256="da6759527f3d64e47f2a44c3322204e32e1aa1491a638d68ecb6987364474980"),
     ncb("enumerate-4-4-json", "enumerate --shape 4,4 --json", 60, lines=14700,
         sha256="11209e7b3d478c2c839862cd47c91165efd863e5d116567cef3f37940baca757"),
+    ncb("enumerate-4-4-connectivity-2", "enumerate --shape 4,4 --connectivity 2", 30,
+        lines=CONNECTIVITY_2_AT_4_4,
+        sha256="36847ade00b89e8646a20cd378ba500a6ee64012c17495be302f18c38c76501a"),
+    ncb("count-4-4-connectivity-2", "count --shape 4,4 --connectivity 2", 5,
+        stdout=f"{CONNECTIVITY_2_AT_4_4}\n"),
     ncb("hasse-3-2-1", "hasse-dot --shape 3,2,1", 60,
         sha256="9473556501910e3ff053f92bdeac7165dfe74a3a67722d3456de5947771f0b82"),
     ncb("hasse-8", "hasse-dot --shape 8", 60,

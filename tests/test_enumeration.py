@@ -3,7 +3,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
-from oracles import adjusted_orbits_by_blocks, nc_a
+from oracles import adjusted_orbits_by_blocks, nc_a, refines_by_blocks
 from test_acceptance import size_tuples
 from test_signed_perm import all_perms, reflections, signed_perms
 
@@ -112,10 +112,24 @@ def test_hasse_edge_counts(poset, count):
 
 @pytest.mark.parametrize("poset", definition_posets())
 def test_order_matches_element_le(poset):
-    "The down-set rows and the Hasse diagram follow the pair-mask order."
+    """The down-set rows and the Hasse diagram follow the pair-mask order,
+    and each cover is a strict refinement of block lists."""
     elements = poset.elements
     assert all(poset.le(x, y) == x.le(y) for x in elements for y in elements)
-    assert sorted(poset.hasse_edges(), key=str) == sorted(slow_covers(poset), key=str)
+    edges = poset.hasse_edges()
+    assert sorted(edges, key=str) == sorted(slow_covers(poset), key=str)
+    assert all(refines_by_blocks(x, y) and not refines_by_blocks(y, x) for x, y in edges)
+
+
+@pytest.mark.parametrize(
+    "sizes", size_tuples(4), ids=lambda s: ",".join(map(str, s))
+)
+def test_le_matches_block_refinement(sizes):
+    "Element le and the down-set rows equal blocks inside blocks on every pair."
+    poset = nc_b_multi(sizes)
+    for x in poset.elements:
+        for y in poset.elements:
+            assert x.le(y) == poset.le(x, y) == refines_by_blocks(x, y)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,15 @@ from ncb import (
     nc_b_disc,
     pair_stats,
 )
-from oracles import ClassicalPartition, abs_map, nc_a
+from oracles import (
+    ClassicalPartition,
+    abs_map,
+    meet_by_blocks,
+    nc_a,
+    pair_stats_by_blocks,
+    refines_by_blocks,
+)
+from test_signed_perm import signed_perms
 
 TOP3 = BPartition(3, [[1, -1, 2, -2, 3, -3]])
 
@@ -231,6 +239,53 @@ def test_meet_requires_single_inner_point():
     bot = BPartition.singletons(4)
     with pytest.raises(ValueError):
         meet_q1(bot, bot, shape)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(p, t - p) for t in range(2, 7) for p in range(1, t)], ids=str
+)
+def test_pair_stats_match_the_block_oracle(p, q):
+    "The place-table statistics equal the block-list ones on every element."
+    shape = AnnulusShape(p, q)
+    for pi in nc_b_annulus(p, q).elements:
+        assert pair_stats(pi, shape) == pair_stats_by_blocks(pi, shape)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_meet_q1_matches_the_block_oracle(p):
+    "The place-table meet equals the blockwise intersections on every pair."
+    shape = AnnulusShape(p, 1)
+    elements = nc_b_annulus(p, 1).elements
+    for a in elements:
+        for b in elements:
+            assert meet_q1(a, b, shape) == meet_by_blocks(a, b)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(signed_perms(n), signed_perms(n))))
+def test_table_readings_match_the_block_oracles_on_random_partitions(perms):
+    """Order, pair statistics and meet of adjusted orbits of random signed
+    permutations, whose invariant orbits merge, equal the block-list ones."""
+    a, b = map(adjusted_orbits, perms)
+    shape = AnnulusShape(a.n - 1, 1)
+    m = meet_q1(a, b, shape)
+    assert m == meet_by_blocks(a, b)
+    for x, y in [(a, b), (b, a), (m, a), (m, b), (a, m)]:
+        assert x.le(y) == refines_by_blocks(x, y)
+    for p in range(1, a.n):
+        shape = AnnulusShape(p, a.n - p)
+        assert pair_stats(a, shape) == pair_stats_by_blocks(a, shape)
+
+
+def test_pair_mask_keeps_one_bit_per_mirrored_pair_of_places():
+    """The mask holds one bit per mirrored pair of places in one block, in
+    even rows: none for the singletons, n^2 for the one-block top."""
+    for n in range(1, 9):
+        top = BPartition(n, [[x for a in range(1, n + 1) for x in (a, -a)]])
+        assert BPartition.singletons(n).pair_mask == 0
+        assert top.pair_mask.bit_count() == n * n
+        bits = [b for b in range(4 * n * n) if top.pair_mask >> b & 1]
+        assert all(b // (2 * n) % 2 == 0 for b in bits)
 
 
 @given(st.integers(1, 4))

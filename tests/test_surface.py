@@ -155,8 +155,9 @@ def assigned(path, name):
 
 def test_the_benchmark_finds_the_names_it_calls():
     """The package still has every name `bench/` calls. A rename there fails
-    bench operations, not a test, so ROADMAP items 2 and 13, which remove
-    `masks=` and `pair_mask`, must change `bench/worker.py` first."""
+    bench operations, not a test, so ROADMAP item 2's walk-cover step,
+    which would remove `masks=` and `pair_mask` (item 13), must change
+    `bench/worker.py` first."""
     families = assigned(BENCH / "workloads.py", "VERIFY_FAMILIES")
     assert families and families == [n for n in checks.FAMILIES if n in families]
     closed_forms = assigned(BENCH / "worker.py", "_CLOSED_FORMS")
