@@ -8,18 +8,24 @@ Every closed form takes its binomials from `binom`: `math.comb` for small
 ones and, past a measured crossover (`_by_primes`), the prime powers of
 C(a, b), with Legendre's exponents, multiplied as a balanced tree.  The
 primes come from one table per process (`_primes_to`), sieved on the first
-factored binomial and grown when a larger one arrives.  The two-circle
-rank polynomial is one packed pass of two products (`rank_gen_compact`).
+factored binomial and grown when a larger one arrives.
+
+`IntPolynomial.__mul__` and the two-circle rank polynomial's packed pass
+(`rank_gen_compact`) are two-point Kronecker substitutions (D. Harvey,
+2009): the factors are evaluated at x = y and x = -y, y half a byte slot
+(`_at_plus_minus_y`), so each product is two half-length ones, and the
+even and odd coefficients are read off their sum and difference (`_recombine`).
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
 from math import comb, isqrt
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 def _by_primes(a: int, k: int) -> bool:
@@ -53,6 +59,8 @@ def _primes_to(a: int) -> array:
     limit, primes = _prime_table
     if a > limit:
         start, limit = limit, 1 << a.bit_length()
+        if limit >> 1 > sys.maxsize:  # past any bytearray's length
+            raise ValueError(f"C({a}, k) is too large: its prime sieve needs {limit >> 1} bytes")
         odd = bytearray([1]) * (limit >> 1)  # odd[i] stands for 2i + 1
         for i in range(3, isqrt(limit) + 1, 2):
             if odd[i >> 1]:
@@ -133,6 +141,26 @@ def _exact_slots(packed: int, divisor: int, size: int, count: int) -> list[int]:
     slots = [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
     if max(slots, default=0) > ((1 << 8 * size) - 1) // divisor:
         raise ArithmeticError(f"a slot is not a multiple of {divisor}")
+    return slots
+
+
+def _at_plus_minus_y(pack: Callable, values: Sequence[int], size: int) -> tuple[int, int]:
+    """The polynomial with these coefficients at x = y and x = -y, y = 2^(4 size):
+    `pack` puts its even and its odd coefficients apart into `size`-byte
+    slots, at x = y^2, and the odd pack times y is added or taken away."""
+    even, odd = pack(values[::2]), pack(values[1::2]) << 4 * size
+    return even + odd, even - odd
+
+
+def _recombine(plus: int, minus: int, size: int, count: int, divisor: int, bias: int) -> list[int]:
+    """The `count` coefficients of h from plus = h(y) and minus = h(-y): the
+    even ones are the slots of (plus + minus)/2 and the odd ones those of
+    (plus - minus)/2y, both exact.  Side by side, plus `bias`, they are read
+    once by `_exact_slots` with `divisor`, then interleaved."""
+    evens = (count + 1) // 2
+    even, odd = (plus + minus) >> 1, (plus - minus) >> (4 * size + 1)
+    slots = _exact_slots(even + (odd << 8 * size * evens) + bias, divisor, size, count)
+    slots[::2], slots[1::2] = slots[:evens], slots[evens:]
     return slots
 
 
@@ -220,8 +248,10 @@ class IntPolynomial:
         return self + IntPolynomial(-c for c in other.coefficients)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Kronecker substitution: evaluate both factors at x = 2^(8 size), multiply
-        once, and read each product coefficient plus `half` from its slot."""
+        """Two-point Kronecker substitution: evaluate both factors at x = y and
+        x = -y, y = 2^(4 size), multiply twice at half the length of one
+        product at y^2, and read each product coefficient plus `half` from
+        its slot of the recombined pack."""
         a, b = self.coefficients, other.coefficients
         if not a or not b:
             return IntPolynomial()
@@ -230,8 +260,10 @@ class IntPolynomial:
         half = 1 << (8 * size - 1)  # above every |coefficient| of the product
         bias = lambda m: int.from_bytes(half.to_bytes(size, "little") * m, "little")
         pack = lambda cs: _pack([c + half for c in cs], size) - bias(len(cs))
+        at = lambda cs: _at_plus_minus_y(pack, cs, size)
+        plus, minus = (x * y for x, y in zip(at(a), at(b)))
         n = len(a) + len(b) - 1
-        out = _exact_slots(pack(a) * pack(b) + bias(n), 1, size, n)  # a plain read
+        out = _recombine(plus, minus, size, n, 1, bias(n))  # a plain read
         return IntPolynomial([c - half for c in out])
 
     def __eq__(self, other):
@@ -309,11 +341,18 @@ def rank_gen_compact(p: int, q: int) -> IntPolynomial:
     (mixed_p, high_p), (mixed_q, high_q) = circle(p), circle(q)
     bits = max(mixed_p).bit_length() + max(mixed_q).bit_length()
     size = (bits + (min(p, q) + 1).bit_length()) // 8 + 1  # as `__mul__` sizes it
-    # No bias: every coefficient is >= 0.  Slot k of the difference, d^2 R_k,
-    # lies in [0, slot k of the first product], so no slot borrows or carries.
-    linked = 4 * p * q * (p * q + d) * _pack(high_p, size) * _pack(high_q, size)
-    packed = _pack(mixed_p, size) * _pack(mixed_q, size) - (linked << 16 * size)
-    return IntPolynomial(_exact_slots(packed, d * d, size, p + q + 1))
+    pack = lambda cs: _pack(cs, size)
+    at = lambda cs: _at_plus_minus_y(pack, cs, size)
+    linked = 4 * p * q * (p * q + d)
+    # The right side at x = y and at x = -y, four half-length products: x^2 is
+    # y^2 = 2^(8 size) at both.  No bias: every coefficient is >= 0.  Each
+    # slot of the recombined pack, d^2 R_k, lies in [0, coefficient k of
+    # M_p M_q], so no slot borrows or carries.
+    plus, minus = (
+        m_p * m_q - (linked * h_p * h_q << 8 * size)
+        for m_p, m_q, h_p, h_q in zip(at(mixed_p), at(mixed_q), at(high_p), at(high_q))
+    )
+    return IntPolynomial(_recombine(plus, minus, size, p + q + 1, d * d, 0))
 
 
 # The CLI and the README call the fast form by this name.

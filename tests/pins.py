@@ -87,6 +87,8 @@ PINS = [
         sha256="27de6bdb390b6e9d4d781b9c5dd25204c5bc1372d347ffe5660bb7cf9d1000d0"),
     ncb("rank-poly-1000-700", "rank-poly --shape 1000,700", 20,
         sha256="bc16e285dbc5f093ee1d12871271f75bfd47446f632e1ab30dc7755b2fb65950"),
+    ncb("rank-poly-20-to-31", "rank-poly --shape " + ",".join(map(str, range(20, 32))), 20,
+        sha256="5959fe53c87cee70fddbb7c52e2a921d65e6c3554220db06f67432b3b08090b0"),
     ncb("hasse-4-4", "hasse-dot --shape 4,4", 60,
         sha256="da6759527f3d64e47f2a44c3322204e32e1aa1491a638d68ecb6987364474980"),
     ncb("enumerate-4-4-json", "enumerate --shape 4,4 --json", 60, lines=14700,

@@ -1,6 +1,6 @@
 import re
 from array import array
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 from random import Random
 
 import pytest
@@ -29,11 +29,13 @@ from ncb import (
 from ncb import formulas
 from ncb.formulas import (
     GradedChains,
+    _at_plus_minus_y,
     _binom_row,
     _by_primes,
     _exact_slots,
     _pack,
     _prime_factor_binom,
+    _recombine,
     annulus_positive_total,
     binom,
     gbinom,
@@ -305,10 +307,11 @@ def test_rank_gen_matches_rank_coefficient_at_scale():
         assert poly.coefficient(k) == rank_coefficient(300, 200, k), k
 
 
-def test_two_circle_rank_gen_is_two_products(monkeypatch):
-    """One two-circle rank polynomial is two big-integer products in one
-    packed pass: no polynomial product, and one exact division by d^2 for
-    the whole pack besides the half-row steps of C(80, .) and C(69, .)."""
+def test_two_circle_rank_gen_is_four_half_width_products(monkeypatch):
+    """One two-circle rank polynomial is four half-width big-integer products
+    in one packed pass, its two sides at x = y and x = -y: no polynomial
+    product, and one exact division by d^2 for the recombined pack besides
+    the half-row steps of C(80, .) and C(69, .)."""
     muls, divs = [], []
     mul, div = IntPolynomial.__mul__, formulas._exact_div
     monkeypatch.setattr(IntPolynomial, "__mul__", lambda a, b: muls.append(a) or mul(a, b))
@@ -328,6 +331,12 @@ BENCH_SHAPES = [(p, q) for p in range(80, 83) for q in range(69, 72)]
 def test_packed_rank_gen_matches_products_and_cells(p, q):
     "The packed pass equals the two-product form and the cell sum on the bench's shapes."
     assert rank_gen_compact(p, q) == rank_gen_by_products(p, q) == rank_gen_cells(p, q)
+
+
+@pytest.mark.parametrize("p,q", [(1, 200), (200, 1), (2, 97), (97, 2)])
+def test_packed_rank_gen_matches_products_on_lopsided_shapes(p, q):
+    "The packed pass equals the two-product form when one circle is tiny."
+    assert rank_gen_compact(p, q) == rank_gen_by_products(p, q)
 
 
 def test_packed_rank_gen_matches_products_at_scale():
@@ -357,6 +366,45 @@ def test_exact_slots_reads_multiplied_slots(divisor, size, data):
     slots = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=20))
     packed = _pack([s * divisor for s in slots], size)
     assert _exact_slots(packed, divisor, size, len(slots)) == slots
+
+
+@st.composite
+def two_point_factors(draw):
+    """A slot size, a divisor and two factors of lengths 1 to 40 whose product
+    times the divisor fits the slots: signed factors, read through a bias of
+    half a slot, or non-negative ones with no bias, as `rank_gen_compact`
+    reads them.  A coefficient is 0, +-top or any value in range, and top is
+    the largest bound at which every product coefficient still fits."""
+    size, signed = draw(st.integers(1, 9)), draw(st.booleans())
+    a_len, b_len = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    divisor = 1 if signed else draw(st.sampled_from([1, 3, 151 * 151]))
+    limit = 1 << (8 * size - 1 if signed else 8 * size)
+    top = isqrt((limit - 1) // divisor // min(a_len, b_len))
+    low = -top if signed else 0
+    value = st.sampled_from([0, low, top]) | st.integers(low, top)
+    a, b = (draw(st.lists(value, min_size=n, max_size=n)) for n in (a_len, b_len))
+    return size, signed, divisor, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_point_factors())
+@example((2, True, 1, [-28] * 40, [28] * 40))  # 40 * 28^2 = 31,360 < 2^15
+@example((2, False, 1, [40] * 40, [40] * 39))  # 40 * 40^2 = 64,000 < 2^16
+@example((3, False, 151 * 151, [1], [0, 0, 0, 27]))
+@example((1, True, 1, [0], [0]))
+def test_two_point_helpers_multiply_like_schoolbook(factors):
+    """Both factors at x = y and x = -y, the two products recombined and read
+    once, give the term-by-term product, for odd and even lengths."""
+    size, signed, divisor, a, b = factors
+    n = len(a) + len(b) - 1
+    half = 1 << (8 * size - 1) if signed else 0
+    bias = lambda m: _pack([half] * m, size)
+    pack = lambda cs: _pack([c + half for c in cs], size) - bias(len(cs))
+    at = lambda cs: _at_plus_minus_y(pack, cs, size)
+    plus, minus = (x * y for x, y in zip(at(a), at([divisor * c for c in b])))
+    slots = _recombine(plus, minus, size, n, divisor, bias(n))
+    expect = schoolbook_mul(IntPolynomial(a), IntPolynomial(b))
+    assert IntPolynomial([s - half for s in slots]) == expect
 
 
 def test_binom_row_matches_comb():
