@@ -12,15 +12,16 @@ outer string from its d-th legal left start with the inner string after
 its anchor (the last legal right group end among those ending with the
 highest closer type) gives a matchable string whose nesting structure is
 read off as a partition, one partition per closer type for multichains,
-in one walk over the labels of both rotations.  Decoding fills the
-per-label arrays straight from the first and last elements of the
-blocks, level by level, and reads the shift off the block whose closer
-ends the inner string; the blocks read off those arrays, at the shift it
-found, must be the chain's blocks.  A poset has far more multichains
-than elements, so the members are memoised by their levels' pair-id
-tables and the block ends by the members' place tables, in bounded memos
-whose values are shared and so read-only.  A subset tuple is an immutable
-value, a named tuple whose constructor checks outside input."""
+in one walk over the labels of both rotations.  Decoding reads the
+tuple's sets straight off the first and last elements of the blocks,
+level by level, builds the per-label arrays from them as encoding does,
+and reads the shift off the block whose closer ends the inner string;
+the levels read off those arrays, at the shift it found, must be the
+chain's members.  A poset has far more multichains than elements, so the
+members are memoised by their levels' pair-id tables and the block ends
+by the members' place tables, in bounded memos whose values are shared
+and so read-only.  A subset tuple is an immutable value, a named tuple
+whose constructor checks outside input."""
 
 from __future__ import annotations
 
@@ -375,10 +376,11 @@ def decode_multichain(
       the rank of the shift starting at that "(": the first of the block
       of pi_k whose last is the anchor's label.
 
-    The circle arrays built for the anchor, read from the shift found,
-    give the blocks of the result's encoding, level by level, which must
-    be the blocks of the chain; a chain outside the image raises
-    ValueError.
+    Each set is split by circle at p.  The circle arrays, built from the
+    sets by encoding's `_circle`, give the anchor and the legal shifts,
+    and read from the shift found they give the levels of the result's
+    encoding, which must be the chain's members; a chain outside the
+    image raises ValueError.  No partition is built.
     """
     chain = tuple(chain)
     if not chain:
@@ -388,27 +390,26 @@ def decode_multichain(
     ends = [_ends(chain[0]._table, p, q)]
     for pi, below in zip(chain[1:], chain):  # a member shared by two levels
         ends.append(ends[-1] if pi is below else _ends(pi._table, p, q))
-    # One period of each circle, outer labels then inner, label x at x - 1:
-    # a "(" before each block first of pi_1, and a type-j closer after the
-    # last of each block of pi_j whose first starts no block of pi_{j+1}.
-    # A block and its mirror end on x and -x, one label: its type goes once.
-    opens, closers = [False] * (p + q), [()] * (p + q)
-    for first in ends[0]:
-        opens[abs(first) - 1] = True
-    for j, (level, above) in enumerate(zip(ends, ends[1:] + [{}]), start=1):
-        for first, last in level.items():
-            if first not in above and closers[abs(last) - 1][-1:] != (j,):
-                closers[abs(last) - 1] += (j,)
-    outer, inner = (opens[:p], closers[:p]), (opens[p:], closers[p:])
-    c = sum(outer[0]) - sum(map(len, outer[1]))
-    if c < 1 or sum(inner[0]) != sum(map(len, inner[1])) - c:
+    # The left set, then the right sets of types 1..m-1, each split by
+    # circle.  A block and its mirror end on x and -x: one label.
+    sets = [{abs(first) for first in ends[0]}]
+    sets += (
+        {abs(last) for first, last in level.items() if first not in above}
+        for level, above in zip(ends, ends[1:] + [{}])
+    )
+    left_outer, *rights_outer = [frozenset(x for x in s if x <= p) for s in sets]
+    left_inner, *rights_inner = [frozenset(x for x in s if x > p) for s in sets]
+    c = len(left_outer) - sum(map(len, rights_outer))
+    if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
         raise _not_image(chain)
+    outer = _circle(range(1, p + 1), left_outer, rights_outer)
+    inner = _circle(range(p + 1, p + q + 1), left_inner, rights_inner)
     k, anchor = _inner_anchor(*inner)
     last = -(p + 1 + anchor)  # the anchor's label, in the second turn
     first = next((f for f, end in ends[k - 1].items() if end == last), None)
     if first is None or abs(first) > p:
         raise _not_image(chain)
-    start = _place_maps(p, q)[1][_places(p + q)[first]] or 2 * p
+    start = _running_order(p, q).index(first) or 2 * p
     starts = _left_starts(*outer)
     if start not in starts:
         raise _not_image(chain)
@@ -419,19 +420,9 @@ def decode_multichain(
         table = pi._table
         if not len(set(level)) == len(set(table)) == len(set(zip(level, table))):
             raise _not_image(chain)
-    outer_sets = _sets(range(1, p + 1), *outer, len(chain))
-    inner_sets = _sets(range(p + 1, p + q + 1), *inner, len(chain))
-    return AnnulusTuple._make((c, starts.index(start) + 1, *outer_sets, *inner_sets))
-
-
-def _sets(labels: range, opens: list, closers: list, levels: int) -> tuple:
-    """The left set and the right sets of types 1..levels of one circle,
-    read back off its arrays: the inverse of `_circle`."""
-    rights: list[list[int]] = [[] for _ in range(levels)]
-    for x, types in zip(labels, closers):
-        for k in types:
-            rights[k - 1].append(x)
-    return frozenset(itertools.compress(labels, opens)), tuple(map(frozenset, rights))
+    d = starts.index(start) + 1
+    fields = c, d, left_outer, tuple(rights_outer), left_inner, tuple(rights_inner)
+    return AnnulusTuple._make(fields)
 
 
 def _not_image(chain: tuple) -> ValueError:

@@ -19,7 +19,6 @@ even and odd coefficients are read off their sum and difference (`_recombine`).
 
 from __future__ import annotations
 
-import sys
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
@@ -54,12 +53,13 @@ _prime_table: tuple[int, array] = (2, array("I", [2]))
 
 def _primes_to(a: int) -> array:
     """A table of the primes in increasing order that holds every prime up
-    to a, grown to the power of two past a if a is past its limit."""
+    to a, grown to the power of two past a if a is past its limit.  A limit
+    past 2^32 raises ValueError before anything is allocated."""
     global _prime_table
     limit, primes = _prime_table
     if a > limit:
         start, limit = limit, 1 << a.bit_length()
-        if limit >> 1 > sys.maxsize:  # past any bytearray's length
+        if limit > 1 << 32:  # past what the table's array("I") holds
             raise ValueError(f"C({a}, k) is too large: its prime sieve needs {limit >> 1} bytes")
         odd = bytearray([1]) * (limit >> 1)  # odd[i] stands for 2i + 1
         for i in range(3, isqrt(limit) + 1, 2):

@@ -679,6 +679,27 @@ def test_decode_matches_the_token_oracle_on_all_pairs(p, q):
             )
 
 
+@pytest.mark.parametrize(
+    "p,q,chains,images", [(2, 1, 224, 112), (1, 2, 224, 112), (2, 2, 1960, 1176)]
+)
+def test_decode_matches_the_token_oracle_on_all_three_member_chains(p, q, chains, images):
+    """On every three-member multichain a <= b <= c of poset elements, image
+    or not, the decode on label arrays and the token-string decode give the
+    same tuple or raise the same message."""
+    elements = nc_b_annulus(p, q).elements
+    above = {a: [b for b in elements if a.le(b)] for a in elements}
+    results = []
+    for a in elements:
+        for b in above[a]:
+            for c in above[b]:
+                chain = [a, b, c]
+                result = outcome(decode_multichain, chain, p, q)
+                assert result == outcome(decode_by_tokens, chain, p, q)
+                results.append(result)
+    assert len(results) == chains
+    assert sum(isinstance(r, AnnulusTuple) for r in results) == images
+
+
 @pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 3, 4, 5) for p in range(1, n)])
 def test_encode_matches_the_token_oracle_exhaustive(p, q):
     "Every tuple of the shape at m = 2..4 encodes as the token-string codec does."
@@ -822,12 +843,12 @@ def test_block_ends_match_the_sorting_oracle_on_chains(case):
 
 
 def test_decode_builds_its_strings_once(monkeypatch):
-    """One decode fills each circle's arrays once, from the block ends, and
-    runs the left cycle lemma once: the anchor, the cycle lemma and the
-    confirm read the same arrays instead of re-encoding, and the confirm
-    compares blocks with the chain without building a partition."""
+    """One decode builds each circle's arrays once, with encode's `_circle`,
+    and runs the left cycle lemma once: the anchor, the cycle lemma and the
+    confirm read those same arrays instead of re-encoding, and the confirm
+    compares levels with the chain without building a partition."""
     chain = encode_multichain(CHAIN_TUPLE, 6, 3)
-    calls, args = Counter(), {}
+    calls, args, results = Counter(), {}, []
 
     def count(name):
         real = getattr(bijection, name)
@@ -835,7 +856,10 @@ def test_decode_builds_its_strings_once(monkeypatch):
         def counted(*given):
             calls[name] += 1
             args[name] = given
-            return real(*given)
+            result = real(*given)
+            if name == "_circle":
+                results.append(result)
+            return result
 
         monkeypatch.setattr(bijection, name, counted)
 
@@ -844,8 +868,9 @@ def test_decode_builds_its_strings_once(monkeypatch):
     count("BPartition")
     count("_member")
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
-    assert calls == {"_left_starts": 1, "_inner_anchor": 1, "_assemble": 1}
-    outer, inner = args["_assemble"][2], args["_assemble"][4]
+    assert calls == {"_circle": 2, "_left_starts": 1, "_inner_anchor": 1, "_assemble": 1}
+    outer, inner = results
+    assert args["_assemble"][2] is outer and args["_assemble"][4] is inner
     assert all(map(operator.is_, args["_left_starts"], outer))
     assert all(map(operator.is_, args["_inner_anchor"], inner))
 

@@ -555,15 +555,17 @@ def test_many_circle_errors(capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n", [10**20, 10**30])
+@pytest.mark.parametrize("n", [2**31 + 1, 10**20, 10**30])
 @pytest.mark.parametrize(
     "argv, row", [(["count"], 2), (["zeta", "-m", "3"], 3), (["mobius"], 2)]
 )
 def test_an_oversize_circle_exits_2_naming_the_binomial(capsys, n, argv, row):
-    """A circle whose binomial's prime sieve is past any bytearray's length is
-    refused before anything is allocated: exit 2, no stdout, and an error
-    naming the binomial's upper argument, C(2n, n) for count, C(3n, n) for
-    zeta at m = 3 and C(2n-1, n) for mobius.  The prime table is unchanged."""
+    """A circle whose binomial's primes run past 2^32, more than the prime
+    table's entries hold, is refused before its sieve is allocated: exit 2,
+    no stdout, and an error naming the binomial's upper argument, C(2n, n)
+    for count, C(3n, n) for zeta at m = 3 and C(2n-1, n) for mobius.  At
+    n = 2^31 + 1 the least of these, 2n - 1, just passes 2^32.  The prime
+    table is unchanged."""
     table = formulas._prime_table
     code, out, err = run(capsys, *argv, "--shape", str(n))
     assert code == 2 and out == ""
