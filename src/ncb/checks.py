@@ -358,7 +358,10 @@ def _split_orbits(*sizes: int) -> int:
 
 _sweep("multi-split", _many_circle_shapes, lambda *sizes: 0, _split_orbits)
 _sweep(
-    "multi-total", _many_circle_shapes, lambda *s: formulas.poset_size(s), _oracle(len)
+    "multi-total",
+    _many_circle_shapes,
+    lambda *s: formulas.poset_size(s),
+    lambda *s: len(interval_perms(boundary_permutation(AnnulusShape(s)))),
 )
 
 

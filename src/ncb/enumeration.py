@@ -7,14 +7,14 @@ pass goes from the boundary permutation to the partitions: the interval
 below it is walked down one cover at a time, each a reflection read as
 the label pair it exchanges, and each element met is mapped to its
 adjusted orbits, whose blocks decide the covers below it.  A poset
-builds its down-set rows once, on first use, and reads covers, Moebius
-values and chain counts off those rows and the ranks.
+builds its down-set rows and its rank table once each, on first use, and
+reads covers, Moebius values and chain counts off those two.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .formulas import gbinom, poset_size
@@ -46,8 +46,8 @@ class FinitePoset:
     ``masks[i]`` is the pair bitmask of element i, and element j lies below
     element i exactly when ``masks[j]`` has no bit that ``masks[i]`` lacks.
     ``ranks`` must grade the order: every cover raises the rank by one.
-    The down-set rows are the one cached structure, built on first use;
-    size queries and rank vectors never touch them.
+    The down-set rows and the levels (a bitmask per rank) are each cached
+    on first use; size queries and rank vectors never build rows.
     """
 
     def __init__(
@@ -103,36 +103,37 @@ class FinitePoset:
         i, j = self._index[x], self._index[y]
         return (self._down_rows()[j] >> i) & 1 == 1
 
+    @cached_property
+    def _levels(self) -> tuple[int, ...]:
+        """Level r is the bitmask of the indices of rank r, from rank 0 up."""
+        levels = [0] * (max(self.ranks) + 1)
+        for i, r in enumerate(self.ranks):
+            levels[r] |= 1 << i
+        return tuple(levels)
+
     def bottom(self):
-        return self._extreme(min, "minimal")
+        return self._extreme(self._levels[0], "minimal")
 
     def top(self):
-        return self._extreme(max, "maximal")
+        return self._extreme(self._levels[-1], "maximal")
 
-    def _extreme(self, pick, word: str):
-        rank = pick(self.ranks)
-        idx = [i for i, r in enumerate(self.ranks) if r == rank]
-        if len(idx) != 1:
+    def _extreme(self, row: int, word: str):
+        if row.bit_count() != 1:
             raise ValueError(f"no unique {word}-rank element")
-        return self.elements[idx[0]]
+        return self.elements[row.bit_length() - 1]
 
     def rank_vector(self) -> tuple[int, ...]:
         """Element counts per rank, from rank 0 upward."""
-        counts = [0] * (max(self.ranks) + 1)
-        for r in self.ranks:
-            counts[r] += 1
-        return tuple(counts)
+        return tuple(level.bit_count() for level in self._levels)
 
     def _cover_pairs(self) -> list[tuple[int, int]]:
         """(i, j) with j covering i: i below j and one rank lower."""
-        down = self._down_rows()
-        level: dict[int, int] = {}
-        for i, r in enumerate(self.ranks):
-            level[r] = level.get(r, 0) | 1 << i
+        down, levels = self._down_rows(), self._levels
         return [
             (i, j)
             for j, r in enumerate(self.ranks)
-            for i in _bits(down[j] & level.get(r - 1, 0))
+            if r
+            for i in _bits(down[j] & levels[r - 1])
         ]
 
     def hasse_edges(self) -> list[tuple]:
@@ -140,16 +141,17 @@ class FinitePoset:
         return [(self.elements[i], self.elements[j]) for i, j in self._cover_pairs()]
 
     def mobius(self, x, y) -> int:
-        """Moebius function by the interval recursion, swept in rank order."""
+        """Moebius function by the interval recursion, swept level by level."""
         down = self._down_rows()
         ix, iy = self._index[x], self._index[y]
         if (down[iy] >> ix) & 1 == 0:
             raise ValueError("mobius needs x <= y")
         mu = [0] * len(self.elements)  # zero outside [x, y]
         mu[ix] = 1
-        for j in sorted(_bits(down[iy]), key=self.ranks.__getitem__):
-            if j != ix and (down[j] >> ix) & 1:
-                mu[j] = -sum(mu[w] for w in _bits(down[j] ^ (1 << j)))
+        for level in self._levels[self.ranks[ix] + 1 : self.ranks[iy] + 1]:
+            for j in _bits(down[iy] & level):
+                if (down[j] >> ix) & 1:
+                    mu[j] = -sum(mu[w] for w in _bits(down[j] ^ (1 << j)))
         return mu[iy]
 
     def zeta(self, m: int) -> int:
@@ -190,10 +192,9 @@ class FinitePoset:
         for i, e in enumerate(self.elements):
             label = str(e).replace('"', '\\"')
             lines.append(f'  n{i} [label="{label}"];')
-        for r in range(max(self.ranks) + 1):
-            same = [f"n{i}" for i, rk in enumerate(self.ranks) if rk == r]
-            if same:
-                lines.append("  { rank=same; " + "; ".join(same) + "; }")
+        for level in filter(None, self._levels):
+            same = "; ".join(f"n{i}" for i in _bits(level))
+            lines.append(f"  {{ rank=same; {same}; }}")
         for i, j in self._cover_pairs():
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")

@@ -311,6 +311,14 @@ def test_pair_count_families_tally_each_shape_once(monkeypatch):
     assert calls == tallied
 
 
+def test_multi_total_counts_the_walk_without_a_poset(monkeypatch):
+    """multi-total counts the interval walk below the boundary permutation:
+    no many-circle poset is built, and every check still holds."""
+    monkeypatch.setattr(checks, "nc_b_multi", lambda sizes: pytest.fail(f"poset {sizes}"))
+    lines = verify_suite(max_n=6, only="multi-total")
+    assert lines and all(c.ok for c in lines)
+
+
 def slow_hypersum():
     "The hypersum check by brute force: one product of binomials per a-tuple."
     bad = 0
@@ -555,17 +563,17 @@ def test_many_circle_errors(capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n", [2**31 + 1, 10**20, 10**30])
+@pytest.mark.parametrize("n", [2**28 + 1, 2**31 + 1, 10**20, 10**30])
 @pytest.mark.parametrize(
     "argv, row", [(["count"], 2), (["zeta", "-m", "3"], 3), (["mobius"], 2)]
 )
 def test_an_oversize_circle_exits_2_naming_the_binomial(capsys, n, argv, row):
-    """A circle whose binomial's primes run past 2^32, more than the prime
-    table's entries hold, is refused before its sieve is allocated: exit 2,
-    no stdout, and an error naming the binomial's upper argument, C(2n, n)
-    for count, C(3n, n) for zeta at m = 3 and C(2n-1, n) for mobius.  At
-    n = 2^31 + 1 the least of these, 2n - 1, just passes 2^32.  The prime
-    table is unchanged."""
+    """A circle whose binomial's primes run past 2^29, a sieve past 256 MiB,
+    is refused before its sieve is allocated: exit 2, no stdout, and an
+    error naming the binomial's upper argument, C(2n, n) for count, C(3n, n)
+    for zeta at m = 3 and C(2n-1, n) for mobius.  At n = 2^28 + 1 the least
+    of these, 2n - 1, just passes 2^29; at n = 2^31 + 1 it passes 2^32, more
+    than the prime table's entries hold.  The prime table is unchanged."""
     table = formulas._prime_table
     code, out, err = run(capsys, *argv, "--shape", str(n))
     assert code == 2 and out == ""

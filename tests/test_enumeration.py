@@ -202,6 +202,31 @@ def test_zeta_at_two_builds_no_order(monkeypatch):
     assert poset.zeta(2) == 2
 
 
+def test_a_single_element_has_no_covers():
+    "Rank 0 has no level below it: the one element covers nothing, itself included."
+    poset = FinitePoset(["a"], [0], masks=[0])
+    assert poset.hasse_edges() == [] and poset.maximal_chains() == 1
+    assert "->" not in poset.to_dot()
+
+
+def test_an_antichain_of_rank_zero_has_no_covers_and_no_extremes():
+    "Two elements of rank 0 cover nothing, and neither is a unique bottom or top."
+    poset = FinitePoset(["a", "b"], [0, 0], masks=[1, 2])
+    assert poset.hasse_edges() == [] and poset.rank_vector() == (2,)
+    with pytest.raises(ValueError, match="no unique minimal-rank element"):
+        poset.bottom()
+    with pytest.raises(ValueError, match="no unique maximal-rank element"):
+        poset.top()
+
+
+def test_an_empty_rank_counts_zero_and_gets_no_dot_row():
+    "Ranks 0 and 2 on two incomparable elements: rank 1 is empty."
+    poset = FinitePoset(["a", "b"], [0, 2], masks=[1, 2])
+    assert poset.rank_vector() == (1, 0, 1) and poset.hasse_edges() == []
+    dot = poset.to_dot()
+    assert dot.count("rank=same") == 2 and "{ rank=same; n1; }" in dot
+
+
 def test_poset_needs_one_mask_per_element():
     "Too few or too many masks are refused when the poset is built."
     for masks in ([0], [0, 1, 3]):
@@ -277,6 +302,20 @@ def b_lengths(n):
     return {g.image: (g.length(), g.inverse().image) for g in b_group(n)}
 
 
+def below_by_definition(w):
+    """The t in B_n below w by the definition of absolute order,
+    length(t) + length(t^-1 w) = length(w), sorted by image."""
+    lengths = b_lengths(w.n)
+    top = lengths[w.image][0]
+
+    def below_w(t):
+        length, inverse = lengths[t.image]
+        rest = tuple(inverse[v - 1] if v > 0 else -inverse[-v - 1] for v in w.image)
+        return length + lengths[rest][0] == top
+
+    return sorted(filter(below_w, b_group(w.n)), key=lambda g: g.image)
+
+
 @pytest.mark.parametrize(
     "sizes",
     size_tuples(5) + [(3, 3), (6,), (3, 2, 1), (2, 2, 2), (1, 1, 1, 1, 1, 1)],
@@ -287,20 +326,20 @@ def test_interval_walk_matches_definition(sizes):
     length(t) + length(t^-1 gamma) = length(gamma), and maps each to its
     adjusted orbits; the poset is exactly those."""
     gamma = boundary_permutation(AnnulusShape(sizes))
-    lengths, top = b_lengths(gamma.n), gamma.length()
-
-    def below_gamma(t):
-        length, inverse = lengths[t.image]
-        rest = tuple(inverse[v - 1] if v > 0 else -inverse[-v - 1] for v in gamma.image)
-        return length + lengths[rest][0] == top
-
-    below = sorted(filter(below_gamma, b_group(gamma.n)), key=lambda g: g.image)
+    below = below_by_definition(gamma)
     assert interval_perms(gamma) == below
     images = [adjusted_orbits_by_blocks(t) for t in below]
     assert [pi for _, pi in enumeration._interval(gamma.image)] == images
     poset = nc_b_multi(sizes)
     assert len(poset) == len(below)
     assert set(poset.elements) == set(images)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_interval_perms_below_any_bound_match_definition(n):
+    "The walk takes any bound w in B_n, not only a boundary permutation."
+    for w in b_group(n):
+        assert interval_perms(w) == below_by_definition(w), w
 
 
 @pytest.mark.parametrize(
