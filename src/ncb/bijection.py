@@ -12,16 +12,19 @@ outer string from its d-th legal left start with the inner string after
 its anchor (the last legal right group end among those ending with the
 highest closer type) gives a matchable string whose nesting structure is
 read off as a partition, one partition per closer type for multichains,
-in one walk over the labels of both rotations.  Decoding reads the
-tuple's sets straight off the first and last elements of the blocks,
-level by level, builds the per-label arrays from them as encoding does,
-and reads the shift off the block whose closer ends the inner string;
-the levels read off those arrays, at the shift it found, must be the
+in one walk over the labels of both rotations.  A tuple's sets fix both
+strings, and d only picks one of the 2c legal shifts, so the per-label
+arrays, the legal left starts and the inner anchor form one layout,
+memoised by the four sets and shared by every d and by decoding.
+Decoding reads the tuple's sets straight off the first and last elements
+of the blocks, level by level, takes their layout as encoding does, and
+reads the shift off the block whose closer ends the inner string; the
+levels read off the layout's arrays, at the shift it found, must be the
 chain's members.  A poset has far more multichains than elements, so the
 members are memoised by their levels' pair-id tables and the block ends
-by the members' place tables, in bounded memos whose values are shared
-and so read-only.  A subset tuple is an immutable value, a named tuple
-whose constructor checks outside input."""
+by the members' place tables.  Every memo is bounded, and its values are
+shared and so read-only.  A subset tuple is an immutable value, a named
+tuple whose constructor checks outside input."""
 
 from __future__ import annotations
 
@@ -217,6 +220,20 @@ def _inner_anchor(opens: list, closers: list) -> tuple[int, int]:
     return max((closers[last - i][-1], last - i) for i in _legal_starts(steps))
 
 
+# Bound of the layout memo.  A tuple's encode and decode, and the 2c tuples
+# of one run of d, look their layout up back to back, so a few entries catch
+# every repeat; tuples drawn at random never repeat, and a 512-entry bound
+# only kept dead layouts, adding 7 % to the codec benchmark's peak RSS.
+@lru_cache(maxsize=16)
+def _layout(p: int, q: int, left_outer, rights_outer, left_inner, rights_inner):
+    """The circle arrays of a subset tuple's two circles, the outer legal
+    left starts and the inner anchor: everything but d, so shared by every
+    shift d, by encode and by decode, and read-only."""
+    outer = _circle(range(1, p + 1), left_outer, rights_outer)
+    inner = _circle(range(p + 1, p + q + 1), left_inner, rights_inner)
+    return outer, inner, _left_starts(*outer), _inner_anchor(*inner)
+
+
 def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]:
     """Chain (pi_1 <= ... <= pi_{m-1}) encoded by the tuple t.
 
@@ -225,12 +242,9 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
     concatenation after erasing the pairs closed by types below j.
     """
     _validate_tuple_range(t, p, q)
-    outer = _circle(range(1, p + 1), t.left_outer, t.rights_outer)
-    inner = _circle(range(p + 1, p + q + 1), t.left_inner, t.rights_inner)
-    starts = _left_starts(*outer)
+    outer, inner, starts, (_, anchor) = _layout(p, q, *t[2:])  # t's four sets
     assert len(starts) == 2 * t.c
-    after = _inner_anchor(*inner)[1] + q + 1
-    levels = _assemble(p, q, outer, starts[t.d - 1], inner, after, t.m)
+    levels = _assemble(p, q, outer, starts[t.d - 1], inner, anchor + q + 1, t.m)
     # A level that drops no pair is the previous table itself, so its
     # member is the previous member.
     return tuple(map(_member, levels))
@@ -241,7 +255,9 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
 # codec on their chains: their block ends fit with room to spare.  The
 # 11,088 chains at (2, 3), m = 4 have 1,853 distinct level tables, met in
 # runs, and 512 of them serve 90 % of the 33,264 member lookups.  The memos'
-# gain comes from verify's roundtrip-multichain, where chains repeat.
+# gain comes from verify's roundtrip-multichain, where chains repeat.  Their
+# keys are tables, which a chain revisits far apart; a layout is met only
+# within one run of d, so `_layout` holds few.
 _MEMO = 512
 
 
@@ -378,11 +394,12 @@ def decode_multichain(
       the rank of the shift starting at that "(": the first of the block
       of pi_k whose last is the anchor's label.
 
-    Each set is split by circle at p.  The circle arrays, built from the
-    sets by encoding's `_circle`, give the anchor and the legal shifts,
-    and read from the shift found they give the levels of the result's
+    Each set is split by circle at p.  The sets' layout, the one encoding
+    reads (`_layout`), gives the anchor and the legal shifts, and its
+    arrays read from the shift found give the levels of the result's
     encoding, which must be the chain's members; a chain outside the
-    image raises ValueError.  No partition is built.
+    image raises ValueError.  That confirm is the image check, so it is
+    never memoised.  No partition is built.
     """
     chain = tuple(chain)
     if not chain:
@@ -394,25 +411,23 @@ def decode_multichain(
         ends.append(ends[-1] if pi is below else _ends(pi._table, p, q))
     # The left set, then the right sets of types 1..m-1, each split by
     # circle.  A block and its mirror end on x and -x: one label.
-    sets = [{abs(first) for first in ends[0]}]
+    sets = [frozenset(map(abs, ends[0]))]
     sets += (
-        {abs(last) for first, last in level.items() if first not in above}
+        frozenset(map(abs, map(level.get, level.keys() - above.keys())))
         for level, above in zip(ends, ends[1:] + [{}])
     )
-    left_outer, *rights_outer = [frozenset(x for x in s if x <= p) for s in sets]
-    left_inner, *rights_inner = [frozenset(x for x in s if x > p) for s in sets]
+    left_outer, *rights_outer = [s.intersection(range(1, p + 1)) for s in sets]
+    left_inner, *rights_inner = [s.intersection(range(p + 1, p + q + 1)) for s in sets]
     c = len(left_outer) - sum(map(len, rights_outer))
     if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
         raise _not_image(chain)
-    outer = _circle(range(1, p + 1), left_outer, rights_outer)
-    inner = _circle(range(p + 1, p + q + 1), left_inner, rights_inner)
-    k, anchor = _inner_anchor(*inner)
+    fields = left_outer, tuple(rights_outer), left_inner, tuple(rights_inner)
+    outer, inner, starts, (k, anchor) = _layout(p, q, *fields)
     last = -(p + 1 + anchor)  # the anchor's label, in the second turn
     first = next((f for f, end in ends[k - 1].items() if end == last), None)
     if first is None or abs(first) > p:
         raise _not_image(chain)
     start = _running_order(p, q).index(first) or 2 * p
-    starts = _left_starts(*outer)
     if start not in starts:
         raise _not_image(chain)
     # A level equals its member when the two tables name as many blocks
@@ -422,9 +437,7 @@ def decode_multichain(
         table = pi._table
         if not len(set(level)) == len(set(table)) == len(set(zip(level, table))):
             raise _not_image(chain)
-    d = starts.index(start) + 1
-    fields = c, d, left_outer, tuple(rights_outer), left_inner, tuple(rights_inner)
-    return AnnulusTuple._make(fields)
+    return AnnulusTuple._make((c, starts.index(start) + 1, *fields))
 
 
 def _not_image(chain: tuple) -> ValueError:

@@ -126,19 +126,21 @@ class FinitePoset:
         """Element counts per rank, from rank 0 upward."""
         return tuple(level.bit_count() for level in self._levels)
 
-    def _cover_pairs(self) -> list[tuple[int, int]]:
-        """(i, j) with j covering i: i below j and one rank lower."""
-        down, levels = self._down_rows(), self._levels
+    def _cover_pairs(self, uppers: Iterable[int]) -> list[tuple[int, int]]:
+        """(i, j) with j covering i: i below j and one rank lower, for each
+        index j of uppers in turn."""
+        down, levels, ranks = self._down_rows(), self._levels, self.ranks
         return [
             (i, j)
-            for j, r in enumerate(self.ranks)
-            if r
+            for j in uppers
+            if (r := ranks[j])
             for i in _bits(down[j] & levels[r - 1])
         ]
 
     def hasse_edges(self) -> list[tuple]:
         """Cover relations as (lower, upper) element pairs."""
-        return [(self.elements[i], self.elements[j]) for i, j in self._cover_pairs()]
+        pairs = self._cover_pairs(range(len(self)))
+        return [(self.elements[i], self.elements[j]) for i, j in pairs]
 
     def mobius(self, x, y) -> int:
         """Moebius function by the interval recursion, swept level by level."""
@@ -181,7 +183,9 @@ class FinitePoset:
         """Number of maximal chains from the unique bottom to the unique top."""
         ways = [0] * len(self.elements)
         ways[self._index[self.bottom()]] = 1
-        for i, j in sorted(self._cover_pairs(), key=lambda c: self.ranks[c[0]]):
+        # Rank by rank, so each count is complete before a cover above reads it.
+        by_rank = sorted(range(len(self)), key=self.ranks.__getitem__)
+        for i, j in self._cover_pairs(by_rank):
             ways[j] += ways[i]
         return ways[self._index[self.top()]]
 
@@ -195,7 +199,7 @@ class FinitePoset:
         for level in filter(None, self._levels):
             same = "; ".join(f"n{i}" for i in _bits(level))
             lines.append(f"  {{ rank=same; {same}; }}")
-        for i, j in self._cover_pairs():
+        for i, j in self._cover_pairs(range(len(self))):
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines)

@@ -679,6 +679,13 @@ def test_decode_matches_the_token_oracle_on_all_pairs(p, q):
             )
 
 
+def three_member_chains(p, q):
+    "Every multichain a <= b <= c of the shape's poset elements."
+    elements = nc_b_annulus(p, q).elements
+    above = {a: [b for b in elements if a.le(b)] for a in elements}
+    return [[a, b, c] for a in elements for b in above[a] for c in above[b]]
+
+
 @pytest.mark.parametrize(
     "p,q,chains,images", [(2, 1, 224, 112), (1, 2, 224, 112), (2, 2, 1960, 1176)]
 )
@@ -686,18 +693,29 @@ def test_decode_matches_the_token_oracle_on_all_three_member_chains(p, q, chains
     """On every three-member multichain a <= b <= c of poset elements, image
     or not, the decode on label arrays and the token-string decode give the
     same tuple or raise the same message."""
-    elements = nc_b_annulus(p, q).elements
-    above = {a: [b for b in elements if a.le(b)] for a in elements}
     results = []
-    for a in elements:
-        for b in above[a]:
-            for c in above[b]:
-                chain = [a, b, c]
-                result = outcome(decode_multichain, chain, p, q)
-                assert result == outcome(decode_by_tokens, chain, p, q)
-                results.append(result)
+    for chain in three_member_chains(p, q):
+        result = outcome(decode_multichain, chain, p, q)
+        assert result == outcome(decode_by_tokens, chain, p, q)
+        results.append(result)
     assert len(results) == chains
     assert sum(isinstance(r, AnnulusTuple) for r in results) == images
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (2, 2)])
+def test_three_member_chains_decode_alike_cold_and_warm(p, q):
+    """Every three-member multichain, image or not, decodes to the same
+    tuple or raises the same message with the layout memo cleared before
+    each decode as with it warm from that cold decode.  Every image's warm
+    decode reads the layout its cold decode built."""
+    cold, warm, hits = [], [], []
+    for chain in three_member_chains(p, q):
+        bijection._layout.cache_clear()
+        cold.append(outcome(decode_multichain, chain, p, q))
+        warm.append(outcome(decode_multichain, chain, p, q))
+        hits.append(bijection._layout.cache_info().hits)
+    assert cold == warm
+    assert {h for h, r in zip(hits, warm) if isinstance(r, AnnulusTuple)} == {1}
 
 
 @pytest.mark.parametrize("p,q", [(p, n - p) for n in (2, 3, 4, 5) for p in range(1, n)])
@@ -843,10 +861,12 @@ def test_block_ends_match_the_sorting_oracle_on_chains(case):
 
 
 def test_decode_builds_its_strings_once(monkeypatch):
-    """One decode builds each circle's arrays once, with encode's `_circle`,
-    and runs the left cycle lemma once: the anchor, the cycle lemma and the
-    confirm read those same arrays instead of re-encoding, and the confirm
-    compares levels with the chain without building a partition."""
+    """A cold decode builds each circle's arrays once, with encode's
+    `_circle`, and runs the left cycle lemma once: the anchor, the cycle
+    lemma and the confirm read those same arrays instead of re-encoding,
+    and the confirm compares levels with the chain without building a
+    partition.  A decode right after its encode builds nothing: it reads
+    the layout encode made, and only confirms."""
     chain = encode_multichain(CHAIN_TUPLE, 6, 3)
     calls, args, results = Counter(), {}, []
 
@@ -867,12 +887,36 @@ def test_decode_builds_its_strings_once(monkeypatch):
         count(name)
     count("BPartition")
     count("_member")
+    bijection._layout.cache_clear()
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
     assert calls == {"_circle": 2, "_left_starts": 1, "_inner_anchor": 1, "_assemble": 1}
     outer, inner = results
     assert args["_assemble"][2] is outer and args["_assemble"][4] is inner
     assert all(map(operator.is_, args["_left_starts"], outer))
     assert all(map(operator.is_, args["_inner_anchor"], inner))
+
+    bijection._layout.cache_clear()
+    assert encode_multichain(CHAIN_TUPLE, 6, 3) == chain
+    encoded = args["_assemble"]
+    calls.clear()
+    assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
+    assert calls == {"_assemble": 1}
+    assert args["_assemble"][2] is encoded[2] and args["_assemble"][4] is encoded[4]
+
+
+def test_the_tuples_of_one_run_of_d_share_one_layout():
+    """The 2c tuples that differ only in d have one layout, which encode
+    and decode share: the 170 tuples of `roundtrip-multichain` at max-n 3
+    make 80 layouts, and each of their 340 lookups but those 80 is a hit."""
+    bijection._layout.cache_clear()
+    tuples = 0
+    for p, q in [(1, 1), (2, 1)]:  # the shapes the family walks at max-n 3
+        for m in (3, 4):
+            for t in annulus_tuples(p, q, m):
+                assert decode_multichain(encode_multichain(t, p, q), p, q) == t
+                tuples += 1
+    info = bijection._layout.cache_info()
+    assert (tuples, info.misses, info.hits) == (170, 80, 260)
 
 
 def test_levels_that_drop_no_pair_share_one_member(monkeypatch):
@@ -932,6 +976,8 @@ def test_warm_memos_still_reject():
     chains with two distinct levels swapped or the top made the bottom
     still raise, and so do the inputs of the test_decode_rejects tests,
     each decoded twice, after its own image where it has one."""
+    for memo in (bijection._layout, bijection._member, bijection._ends):
+        memo.cache_clear()
     chains = [encode_multichain(t, 2, 1) for t in annulus_tuples(2, 1, 4)]
     for chain in chains:
         decode_copies(chain, 2, 1)
@@ -966,10 +1012,12 @@ def test_cleared_memos_give_the_warm_results(p, q, m):
         warm.append(encode_multichain(t, p, q))
         assert all(map(operator.is_, encode_multichain(t, p, q), warm[-1]))
     assert [decode_multichain(chain, p, q) for chain in warm] == domain
+    bijection._layout.cache_clear()
     bijection._member.cache_clear()
     bijection._ends.cache_clear()
     cold = [encode_multichain(t, p, q) for t in domain]
     assert cold == warm
+    bijection._layout.cache_clear()
     bijection._ends.cache_clear()
     assert [decode_copies(chain, p, q) for chain in cold] == domain
 

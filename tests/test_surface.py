@@ -1,6 +1,6 @@
 """The public surface of ncb: what it exports, what it no longer has, the
-names the benchmark calls, and that its modules import nothing from the
-tests and nothing they leave unused."""
+names the benchmark calls, that its modules import nothing from the
+tests and nothing they leave unused, and the bounds of its memos."""
 
 import ast
 import importlib
@@ -164,3 +164,58 @@ def test_the_benchmark_finds_the_names_it_calls():
     assert closed_forms and [n for n in closed_forms if not hasattr(formulas, n)] == []
     assert "masks" in inspect.signature(ncb.FinitePoset).parameters
     assert hasattr(ncb.BPartition, "pair_mask")
+
+
+# The memos allowed no bound: the shape-keyed caches that DESK_BOUND
+# limits, and the argument parser, built once.
+UNBOUNDED = {
+    "checks._pair_tallies",
+    "cli._build_parser",
+    "enumeration._interval",
+    "enumeration._poset_for_sizes",
+    "enumeration._preimages",
+}
+
+
+MEMO_MAKERS = {"lru_cache", "functools.lru_cache", "cache", "functools.cache"}
+
+
+def makes_memo(node):
+    "Whether a decorator or an assigned value is a memo maker or its call."
+    while isinstance(node, ast.Call):
+        node = node.func
+    return ast.unparse(node) in MEMO_MAKERS
+
+
+def memos():
+    """Every memo a package module makes at module or class level, found by
+    an AST scan (decorated functions and assigned calls), with the bound the
+    live object reports."""
+    found = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"ncb.{module}")
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            owner, nodes = mod, [node]
+            if isinstance(node, ast.ClassDef):
+                owner, nodes = getattr(mod, node.name), node.body
+            for n in nodes:
+                if isinstance(n, ast.FunctionDef) and any(map(makes_memo, n.decorator_list)):
+                    name = n.name
+                elif isinstance(n, ast.Assign) and makes_memo(n.value):
+                    name = ast.unparse(n.targets[0])
+                else:
+                    continue
+                memo = inspect.getattr_static(owner, name)
+                found[f"{module}.{name}"] = memo.cache_parameters()["maxsize"]
+    return found
+
+
+def test_every_unbounded_memo_is_a_shape_cache_or_the_parser():
+    """A memo with no bound grows with its traffic and shows in peak RSS; only
+    the shape-keyed caches and the parser may have none, and the codec's
+    layout memo stays small."""
+    inventory = memos()
+    unbounded = {name for name, bound in inventory.items() if bound is None}
+    assert unbounded == UNBOUNDED, inventory
+    assert max(b for b in inventory.values() if b is not None) <= 512, inventory
+    assert inventory["bijection._layout"] == 16
