@@ -299,7 +299,7 @@ def _assemble(
             for k in closers[i % period]:
                 kind[stack.pop()] = k
     form = bytes if len(kind) <= 256 else tuple
-    level = form(map(pair.__getitem__, _place_maps(p, q)[1]))
+    level = form(map(pair.__getitem__, _running(p, q)[2]))
     levels = [level]
     kept = list(range(len(parent)))
     for j in range(2, m):
@@ -320,25 +320,19 @@ def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
     return encode_multichain(t, p, q)[0]
 
 
-# Both layout caches hold the 184 distinct (p, q), over 22 values of p + q,
-# that one full-size pass of the benchmark's codec workload draws.
+# The label-order memo holds the 184 distinct (p, q), over 22 values of
+# p + q, that one full-size pass of the benchmark's codec workload draws.
 @lru_cache(maxsize=256)
-def _running_order(p: int, q: int) -> list[int]:
-    """The signed labels in running order, circle after circle: 1..p then
-    -1..-p outside, then p+1..p+q and their negatives inside.  The list is
-    shared, so read-only."""
+def _running(p: int, q: int) -> tuple[list[int], list[int], list[int]]:
+    """The signed labels in running order, circle after circle (1..p then
+    -1..-p outside, then p+1..p+q and their negatives inside), the place of
+    each running index (the partition's table order 1, -1, 2, -2, ...), and
+    the running index of each place; shared, so read-only."""
     outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
-    return [*outer, *map(neg, outer), *inner, *map(neg, inner)]
-
-
-@lru_cache(maxsize=256)
-def _place_maps(p: int, q: int) -> tuple[list[int], list[int]]:
-    """The place of each running index (the partition's table order 1, -1,
-    2, -2, ...), and the running index of each place; shared, so
-    read-only."""
+    order = [*outer, *map(neg, outer), *inner, *map(neg, inner)]
     places = _places(p + q)
-    at = [places[x] for x in _running_order(p, q)]
-    return at, sorted(range(len(at)), key=at.__getitem__)
+    at = [places[x] for x in order]
+    return order, at, sorted(range(len(at)), key=at.__getitem__)
 
 
 @lru_cache(maxsize=_MEMO)
@@ -352,11 +346,10 @@ def _ends(table: bytes | tuple, p: int, q: int) -> dict[int, int]:
     on the outer circle and closes on the inner one, so its first is the
     first of its outer piece and its last the last of its inner piece.
     """
-    at = _place_maps(p, q)[0]
+    order, at, _ = _running(p, q)
     spots: list[list[int]] = [[] for _ in range(max(table, default=-1) + 1)]
     for i, k in enumerate(at):  # each block's running indices, ascending
         spots[table[k]].append(i)
-    order = _running_order(p, q)
     ends = {}
     for own in spots:
         mirror = spots[table[at[own[0]] ^ 1]]  # the block of -x, x in own
@@ -427,7 +420,7 @@ def decode_multichain(
     first = next((f for f, end in ends[k - 1].items() if end == last), None)
     if first is None or abs(first) > p:
         raise _not_image(chain)
-    start = _running_order(p, q).index(first) or 2 * p
+    start = _running(p, q)[0].index(first) or 2 * p
     if start not in starts:
         raise _not_image(chain)
     # A level equals its member when the two tables name as many blocks

@@ -7,8 +7,8 @@ pass goes from the boundary permutation to the partitions: the interval
 below it is walked down one cover at a time, each a reflection read as
 the label pair it exchanges, and each element met is mapped to its
 adjusted orbits, whose blocks decide the covers below it.  A poset
-builds its down-set rows and its rank table once each, on first use, and
-reads covers, Moebius values and chain counts off those two.
+caches three tables, each built once on first use: its down-set rows, its
+levels (a rank table) and its covers, and reads every oracle off them.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ class FinitePoset:
     ``masks[i]`` is the pair bitmask of element i, and element j lies below
     element i exactly when ``masks[j]`` has no bit that ``masks[i]`` lacks.
     ``ranks`` must grade the order: every cover raises the rank by one.
-    The down-set rows and the levels (a bitmask per rank) are each cached
-    on first use; size queries and rank vectors never build rows.
+    The down-set rows, the levels (a bitmask per rank) and the covers (the
+    indices each element covers) are each cached on first use; size
+    queries and rank vectors never build rows.
     """
 
     def __init__(
@@ -66,7 +67,6 @@ class FinitePoset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
-        self._down: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -77,31 +77,30 @@ class FinitePoset:
     def __contains__(self, x) -> bool:
         return x in self._index
 
-    def _down_rows(self) -> list[int]:
+    @cached_property
+    def _down(self) -> list[int]:
         """Row i is the bitmask of indices j with elements[j] <= elements[i].
 
         Column b holds the indices whose mask carries pair bit b; row i is
         every index minus the columns of the bits that masks[i] lacks.
         """
-        if self._down is None:
-            columns: dict[int, int] = {}
-            for i, mask in enumerate(self._masks):
-                for b in _bits(mask):
-                    columns[b] = columns.get(b, 0) | 1 << i
-            everyone = (1 << len(self._masks)) - 1
-            down = []
-            for mask in self._masks:
-                above = 0
-                for b, column in columns.items():
-                    if not mask >> b & 1:
-                        above |= column
-                down.append(everyone & ~above)
-            self._down = down
-        return self._down
+        columns: dict[int, int] = {}
+        for i, mask in enumerate(self._masks):
+            for b in _bits(mask):
+                columns[b] = columns.get(b, 0) | 1 << i
+        everyone = (1 << len(self._masks)) - 1
+        down = []
+        for mask in self._masks:
+            above = 0
+            for b, column in columns.items():
+                if not mask >> b & 1:
+                    above |= column
+            down.append(everyone & ~above)
+        return down
 
     def le(self, x, y) -> bool:
         i, j = self._index[x], self._index[y]
-        return (self._down_rows()[j] >> i) & 1 == 1
+        return (self._down[j] >> i) & 1 == 1
 
     @cached_property
     def _levels(self) -> tuple[int, ...]:
@@ -126,25 +125,21 @@ class FinitePoset:
         """Element counts per rank, from rank 0 upward."""
         return tuple(level.bit_count() for level in self._levels)
 
-    def _cover_pairs(self, uppers: Iterable[int]) -> list[tuple[int, int]]:
-        """(i, j) with j covering i: i below j and one rank lower, for each
-        index j of uppers in turn."""
-        down, levels, ranks = self._down_rows(), self._levels, self.ranks
-        return [
-            (i, j)
-            for j in uppers
-            if (r := ranks[j])
-            for i in _bits(down[j] & levels[r - 1])
-        ]
+    @cached_property
+    def _lowers(self) -> list[list[int]]:
+        """Entry j is the indices that element j covers, ascending: those
+        below it and one rank lower."""
+        down, levels = self._down, self._levels
+        return [_bits(down[j] & levels[r - 1]) if r else [] for j, r in enumerate(self.ranks)]
 
     def hasse_edges(self) -> list[tuple]:
         """Cover relations as (lower, upper) element pairs."""
-        pairs = self._cover_pairs(range(len(self)))
-        return [(self.elements[i], self.elements[j]) for i, j in pairs]
+        e = self.elements
+        return [(e[i], e[j]) for j, lowers in enumerate(self._lowers) for i in lowers]
 
     def mobius(self, x, y) -> int:
         """Moebius function by the interval recursion, swept level by level."""
-        down = self._down_rows()
+        down = self._down
         ix, iy = self._index[x], self._index[y]
         if (down[iy] >> ix) & 1 == 0:
             raise ValueError("mobius needs x <= y")
@@ -171,7 +166,7 @@ class FinitePoset:
         if m >= 2:
             longest = min(longest, m - 1)
         if longest >= 2:
-            below = [_bits(row ^ 1 << j) for j, row in enumerate(self._down_rows())]
+            below = [_bits(row ^ 1 << j) for j, row in enumerate(self._down)]
         counts = [1] * len(self.elements)
         total = sum(counts)
         for k in range(2, longest + 1):
@@ -184,9 +179,9 @@ class FinitePoset:
         ways = [0] * len(self.elements)
         ways[self._index[self.bottom()]] = 1
         # Rank by rank, so each count is complete before a cover above reads it.
-        by_rank = sorted(range(len(self)), key=self.ranks.__getitem__)
-        for i, j in self._cover_pairs(by_rank):
-            ways[j] += ways[i]
+        lowers = self._lowers
+        for j in sorted(range(len(self)), key=self.ranks.__getitem__):
+            ways[j] += sum(map(ways.__getitem__, lowers[j]))
         return ways[self._index[self.top()]]
 
     def to_dot(self, name: str = "poset") -> str:
@@ -199,8 +194,8 @@ class FinitePoset:
         for level in filter(None, self._levels):
             same = "; ".join(f"n{i}" for i in _bits(level))
             lines.append(f"  {{ rank=same; {same}; }}")
-        for i, j in self._cover_pairs(range(len(self))):
-            lines.append(f"  n{i} -> n{j};")
+        for j, lowers in enumerate(self._lowers):
+            lines += (f"  n{i} -> n{j};" for i in lowers)
         lines.append("}")
         return "\n".join(lines)
 

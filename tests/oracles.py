@@ -66,7 +66,6 @@ from ncb import bijection
 from ncb.bijection import (
     AnnulusTuple,
     _not_image,
-    _running_order,
     _validate_tuple_range,
 )
 from ncb.checks import Check, _annulus_pairs
@@ -409,7 +408,9 @@ def circle_positions(p: int, q: int) -> dict[int, int]:
     """Index of each signed label in running order (outer labels 1..p, then
     their negatives, then the inner ones likewise).  The dict lists the
     labels in that order; it is shared, so read-only."""
-    return {x: i for i, x in enumerate(_running_order(p, q))}
+    outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
+    order = [*outer, *(-x for x in outer), *inner, *(-x for x in inner)]
+    return {x: i for i, x in enumerate(order)}
 
 
 def block_ends_by_sorting(

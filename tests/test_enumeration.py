@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -195,11 +196,41 @@ def test_zeta_spots(poset, m, value):
     assert poset.zeta(m) == value
 
 
-def test_zeta_at_two_builds_no_order(monkeypatch):
+def test_zeta_at_two_builds_no_order():
     "zeta(2) counts single elements, so no down-set is built."
     poset = FinitePoset(["a", "b"], [0, 1], masks=[0, 1])
-    monkeypatch.setattr(poset, "_down_rows", lambda: pytest.fail("down-sets built"))
     assert poset.zeta(2) == 2
+    assert "_down" not in vars(poset)
+
+
+def test_the_cover_oracles_share_one_cover_table(monkeypatch):
+    """hasse_edges, maximal_chains and to_dot read each cover row once
+    between them; past the down rows, the only other rows read are to_dot's
+    rank rows."""
+    built = nc_b_annulus(2, 2)
+    want = built.hasse_edges(), built.maximal_chains(), built.to_dot()
+    masks = [pi.pair_mask for pi in built.elements]
+    poset = FinitePoset(built.elements, built.ranks, masks=masks)
+    assert poset.le(poset.bottom(), poset.top())  # builds the down rows
+    down, levels = poset._down, poset._levels
+    rows = [down[j] & levels[r - 1] for j, r in enumerate(poset.ranks) if r]
+    read = []
+    bits = enumeration._bits
+    monkeypatch.setattr(enumeration, "_bits", lambda row: read.append(row) or bits(row))
+    assert (poset.hasse_edges(), poset.maximal_chains(), poset.to_dot()) == want
+    assert len(want[0]) == sum(map(int.bit_count, rows))
+    assert Counter(read) == Counter(rows) + Counter(filter(None, levels))
+
+
+def test_covers_and_chains_need_no_rank_order_of_the_indices():
+    "The subsets of {0, 1, 2}, top first: 12 covers and 3! maximal chains."
+    masks = list(range(7, -1, -1))
+    poset = FinitePoset(masks, [m.bit_count() for m in masks], masks=masks)
+    assert poset.top() == 7 and poset.bottom() == 0
+    assert poset.maximal_chains() == 6
+    edges = poset.hasse_edges()
+    assert len(edges) == 12
+    assert all(b.bit_count() == a.bit_count() + 1 and a & ~b == 0 for a, b in edges)
 
 
 def test_a_single_element_has_no_covers():

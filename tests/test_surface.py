@@ -74,6 +74,8 @@ RETIRED = [
     "_check_token",
     "_circle_strings",
     "_compositions",
+    "_cover_pairs",
+    "_down_rows",
     "_filled",
     "_hold",
     "_interval_images",
@@ -82,9 +84,11 @@ RETIRED = [
     "_orbit_stats",
     "_paren_flags",
     "_paren_type",
+    "_place_maps",
     "_read_blocks",
     "_right_shifts",
     "_rotate",
+    "_running_order",
     "_set_partitions",
     "abs_map",
     "canonical_block_order",
