@@ -7,8 +7,9 @@ pass goes from the boundary permutation to the partitions: the interval
 below it is walked down one cover at a time, each a reflection read as
 the label pair it exchanges, and each element met is mapped to its
 adjusted orbits, whose blocks decide the covers below it.  A poset
-caches three tables, each built once on first use: its down-set rows, its
-levels (a rank table) and its covers, and reads every oracle off them.
+caches four tables, each built once on first use: its down-set rows, its
+levels (a rank table), its covers and its strict-chain counts, and reads
+every oracle off them.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class FinitePoset:
     ``masks[i]`` is the pair bitmask of element i, and element j lies below
     element i exactly when ``masks[j]`` has no bit that ``masks[i]`` lacks.
     ``ranks`` must grade the order: every cover raises the rank by one.
-    The down-set rows, the levels (a bitmask per rank) and the covers (the
-    indices each element covers) are each cached on first use; size
-    queries and rank vectors never build rows.
+    The down-set rows, the levels (a bitmask per rank), the covers (the
+    indices each element covers) and the strict-chain counts are each
+    cached on first use; size queries and rank vectors never build rows.
     """
 
     def __init__(
@@ -151,28 +152,27 @@ class FinitePoset:
                     mu[j] = -sum(mu[w] for w in _bits(down[j] ^ (1 << j)))
         return mu[iy]
 
+    @cached_property
+    def _chains(self) -> tuple[int, ...]:
+        """Entry k counts the strict chains of k + 1 elements, k = 0 to the
+        top rank; pass k sums pass k - 1 over each element's strict down-set."""
+        below = [_bits(row ^ 1 << j) for j, row in enumerate(self._down)]
+        counts = [1] * len(self.elements)
+        chains = [len(counts)]
+        for _ in range(max(self.ranks)):
+            counts = [sum(counts[i] for i in strict) for strict in below]
+            chains.append(sum(counts))
+        return tuple(chains)
+
     def zeta(self, m: int) -> int:
         """Number of multichains x_1 <= ... <= x_(m-1), as a polynomial in m.
 
-        A multichain with k distinct values is one of the s_k strict chains
-        of k elements with multiplicities summing to m-1, so
+        A multichain with k distinct values is one of the s_k = _chains[k-1]
+        strict chains of k elements with multiplicities summing to m-1, so
         zeta(m) = sum_k s_k C(m-2, k-1) for every integer m; zeta(2) is
         len(self), and on a bounded poset zeta(-1) is mobius(bottom, top).
-        Pass k counts the strict chains of k elements ending at each
-        element; for m >= 2 the passes stop at k = m-1, past which the
-        binomials vanish.
         """
-        longest = max(self.ranks) + 1
-        if m >= 2:
-            longest = min(longest, m - 1)
-        if longest >= 2:
-            below = [_bits(row ^ 1 << j) for j, row in enumerate(self._down)]
-        counts = [1] * len(self.elements)
-        total = sum(counts)
-        for k in range(2, longest + 1):
-            counts = [sum(counts[i] for i in strict) for strict in below]
-            total += sum(counts) * gbinom(m - 2, k - 1)
-        return total
+        return sum(s * gbinom(m - 2, k) for k, s in enumerate(self._chains))
 
     def maximal_chains(self) -> int:
         """Number of maximal chains from the unique bottom to the unique top."""
@@ -200,11 +200,10 @@ class FinitePoset:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=64)
 def _reflections(n: int) -> list[tuple[int, int, int, int]]:
     """The n^2 reflections r of B_n, each as the label pair (a, b) with
     b = r(a): (a, -a) for a in 1..n, and (a, c), (a, -c) for a < c <= n,
-    followed by the places of a and b; shared, so read-only."""
+    followed by the places of a and b."""
     pairs = [(a, -a) for a in range(1, n + 1)]
     for a, c in itertools.combinations(range(1, n + 1), 2):
         pairs += [(a, c), (a, -c)]

@@ -413,6 +413,11 @@ def test_smallest_annulus_images():
         BPartition(2, [[1, 2], [-1, -2]]),
         BPartition(2, [[1, -2], [-1, 2]]),
     }
+    # A tuple with two right-sets per circle encodes a chain, not one partition.
+    chain = AnnulusTuple.from_text("c=1 d=1 LE=1 RE1= RE2= LI= RI1=2 RI2=")
+    assert len(encode_multichain(chain, 1, 1)) == 2
+    with pytest.raises(ValueError, match="exactly one right-set per circle"):
+        encode_annulus(chain, 1, 1)
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])

@@ -69,6 +69,16 @@ def test_count_filters(capsys):
     assert code == 0 and out == "8\n"
     code, out, _ = run(capsys, "count", "--shape", "2,1", "--cell", "1,1,0")
     assert code == 0 and out == "4\n"
+    # One circle counts a rank by its closed form; a rank past n counts 0.
+    code, out, _ = run(capsys, "count", "--shape", "5", "--rank", "2")
+    assert code == 0 and out == "100\n"
+    code, out, _ = run(capsys, "count", "--shape", "5", "--rank", "6")
+    assert code == 0 and out == "0\n"
+    # Out-of-range cells and connectivities count no partition.
+    code, out, _ = run(capsys, "count", "--shape", "3,2", "--cell", "0,1,1")
+    assert code == 0 and out == "0\n"
+    code, out, _ = run(capsys, "count", "--shape", "3,2", "--connectivity", "-1")
+    assert code == 0 and out == "0\n"
 
 
 def test_count_filters_exclusive(capsys):
@@ -642,6 +652,7 @@ BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
         ),
         ("1,1", '{"n":-1,"blocks":[]}', "is not a partition or a list of them"),
         ("1,1", "[" * 100_000 + "]" * 100_000, "is not a partition or a list of them"),
+        ("1,1", "[]", "does not decode"),
     ],
     ids=[
         "missing-blocks",
@@ -652,6 +663,7 @@ BOT_1_1 = '{"n":2,"blocks":[[1],[-1],[2],[-2]]}'
         "float-n",
         "negative-n",
         "nested-past-the-recursion-limit",
+        "empty-chain",
     ],
 )
 def test_decode_rejects_malformed_json(capsys, monkeypatch, shape, line, reason):
@@ -690,6 +702,14 @@ def test_encode_error_names_the_line(capsys, monkeypatch):
     code, out, err = run(capsys, "encode", "--shape", "1,1")
     assert code == 2 and out == ""
     assert err.startswith("error: line 3 is not a tuple: c=x d=1 (ValueError: ")
+    for line, message in [
+        ("c=0 d=1 LE= RE1= LI= RI1=", "c must be at least 1"),
+        ("c=1 d=1 LE=1 LI=", "need the same positive number of right-sets per circle"),
+    ]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code, out, err = run(capsys, "encode", "--shape", "1,1")
+        assert code == 2 and out == ""
+        assert err == f"error: line 1 is not a tuple: {line} (ValueError: {message})\n"
 
 
 def test_encode_names_the_line_that_does_not_encode(capsys, monkeypatch):

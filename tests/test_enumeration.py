@@ -196,11 +196,24 @@ def test_zeta_spots(poset, m, value):
     assert poset.zeta(m) == value
 
 
-def test_zeta_at_two_builds_no_order():
-    "zeta(2) counts single elements, so no down-set is built."
+def test_zeta_at_two_is_the_element_count():
+    "zeta(2) counts single elements: entry 0 of the chain counts."
     poset = FinitePoset(["a", "b"], [0, 1], masks=[0, 1])
-    assert poset.zeta(2) == 2
-    assert "_down" not in vars(poset)
+    assert poset.zeta(2) == len(poset) == 2
+    assert poset._chains == (2, 1)
+
+
+def test_zeta_counts_the_chains_once(monkeypatch):
+    """Past the down rows, zeta at every m reads each strict down-list
+    once between all its calls: one row per element."""
+    built = nc_b_annulus(2, 1)
+    poset = FinitePoset(built.elements, built.ranks, [pi.pair_mask for pi in built.elements])
+    down = poset._down
+    read = []
+    bits = enumeration._bits
+    monkeypatch.setattr(enumeration, "_bits", lambda row: read.append(row) or bits(row))
+    assert [poset.zeta(m) for m in (2, 3, 4, -1)] == [20, 85, 224, -11]
+    assert Counter(read) == Counter(row ^ 1 << j for j, row in enumerate(down))
 
 
 def test_the_cover_oracles_share_one_cover_table(monkeypatch):
@@ -259,10 +272,14 @@ def test_an_empty_rank_counts_zero_and_gets_no_dot_row():
 
 
 def test_poset_needs_one_mask_per_element():
-    "Too few or too many masks are refused when the poset is built."
+    "Too few or too many masks, too few ranks and a repeated element are refused."
     for masks in ([0], [0, 1, 3]):
         with pytest.raises(ValueError, match="one mask per element required"):
             FinitePoset(["a", "b"], [0, 1], masks=masks)
+    with pytest.raises(ValueError, match="one rank per element required"):
+        FinitePoset(["a", "b"], [0], masks=[0, 1])
+    with pytest.raises(ValueError, match="duplicate elements"):
+        FinitePoset(["a", "a"], [0, 1], masks=[0, 1])
 
 
 def test_zeta_interpolated():
