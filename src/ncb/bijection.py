@@ -22,9 +22,13 @@ reads the shift off the block whose closer ends the inner string; the
 levels read off the layout's arrays, at the shift it found, must be the
 chain's members.  A poset has far more multichains than elements, so the
 members are memoised by their levels' pair-id tables and the block ends
-by the members' place tables.  Every memo is bounded, and its values are
-shared and so read-only.  A subset tuple is an immutable value, a named
-tuple whose constructor checks outside input."""
+by the members' place tables, for the shapes that pass the desk's size
+test: only their chains can be enumerated, so only there do chains
+repeat.  Past it a call builds each distinct level's member, and reads
+each distinct table's ends, once, and keeps none.  Every memo is
+bounded, and its values are shared and so read-only.  A subset tuple is
+an immutable value, a named tuple whose constructor checks outside
+input."""
 
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ from itertools import accumulate
 from operator import neg, sub
 from typing import NamedTuple, Sequence
 
+from .enumeration import _passes_size_test
 from .partition import BPartition, _places
 
 
@@ -247,17 +252,32 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
     levels = _assemble(p, q, outer, starts[t.d - 1], inner, anchor + q + 1, t.m)
     # A level that drops no pair is the previous table itself, so its
     # member is the previous member.
-    return tuple(map(_member, levels))
+    read = _member if _passes_size_test(p + q) else _member.__wrapped__
+    return tuple(_shared(read, levels))
 
 
-# Bound of the codec's memos.  The largest posets whose multichains the
-# repo walks, NC^(B)(3, 2) and (2, 3), have 264 elements, and CI pins the
-# codec on their chains: their block ends fit with room to spare.  The
-# 11,088 chains at (2, 3), m = 4 have 1,853 distinct level tables, met in
-# runs, and 512 of them serve 90 % of the 33,264 member lookups.  The memos'
-# gain comes from verify's roundtrip-multichain, where chains repeat.  Their
-# keys are tables, which a chain revisits far apart; a layout is met only
-# within one run of d, so `_layout` holds few.
+def _shared(read, keys: Sequence, *args) -> list:
+    """read(key, *args) for each key, but a key equal to the one before
+    shares that one's value: a chain's equal levels sit side by side."""
+    out = [read(keys[0], *args)]
+    for key, below in zip(keys[1:], keys):
+        out.append(out[-1] if key == below else read(key, *args))
+    return out
+
+
+# Bound of the codec's memos, which serve only the shapes that pass the
+# desk's size test (p + q <= 13): only their chains can be enumerated, so
+# only there do chains repeat.  Past it a chain met once is met again only
+# by chance, and each entry grows with p + q: kept for every shape, 700
+# round trips at (300, 200) left the process 45 MB larger.  The largest
+# posets whose multichains the repo walks, NC^(B)(3, 2) and (2, 3), have
+# 264 elements, and CI pins the codec on their chains: their block ends
+# fit with room to spare.  The 11,088 chains at (2, 3), m = 4 have 1,853
+# distinct level tables, met in runs, and 512 of them serve 90 % of the
+# 33,264 member lookups.  The memos' gain comes from verify's
+# roundtrip-multichain, where chains repeat.  Their keys are tables, which
+# a chain revisits far apart; a layout is met only within one run of d, so
+# `_layout` holds few.
 _MEMO = 512
 
 
@@ -399,9 +419,10 @@ def decode_multichain(
         raise ValueError("empty chain")
     if any(pi.n != p + q for pi in chain):
         raise ValueError(f"chain members must partition a {p + q}-circle set")
-    ends = [_ends(chain[0]._table, p, q)]
-    for pi, below in zip(chain[1:], chain):  # a member shared by two levels
-        ends.append(ends[-1] if pi is below else _ends(pi._table, p, q))
+    # Each distinct table is read once, JSON copies of a shared level
+    # alike; past the size test nothing is kept.
+    read = _ends if _passes_size_test(p + q) else _ends.__wrapped__
+    ends = _shared(read, [pi._table for pi in chain], p, q)
     # The left set, then the right sets of types 1..m-1, each split by
     # circle.  A block and its mirror end on x and -x: one label.
     sets = [frozenset(map(abs, ends[0]))]

@@ -252,11 +252,16 @@ def interval_perms(bound: SignedPermutation) -> list[SignedPermutation]:
     return [t for t, _ in _interval(bound.image)]
 
 
+def _passes_size_test(n: int) -> bool:
+    """The O(1) size test on a total of n labels, the bound read at call
+    time: the empty matching alone gives prod C(2s, s) >= 2^n elements, so
+    no shape of a total that fails it is enumerated, or needs a count."""
+    return n < DESK_BOUND.bit_length()
+
+
 def _desk_size(sizes: Sequence[int]) -> int | str:
-    # The empty matching alone gives prod C(2s, s) >= 2^n elements, so a
-    # total n with 2^n past the bound needs no count.
     n = sum(sizes)
-    return poset_size(sizes) if n < DESK_BOUND.bit_length() else f"at least 2^{n}"
+    return poset_size(sizes) if _passes_size_test(n) else f"at least 2^{n}"
 
 
 def on_desk(sizes: Sequence[int]) -> bool:

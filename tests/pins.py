@@ -33,11 +33,12 @@ def ncb(name: str, args: str, timeout: float, **expect) -> Pin:
     return Pin(name, ("-m", "ncb.cli", *args.split()), timeout, expect)
 
 
-def tuples(name: str, p: int, q: int, m: int, timeout: float, **expect) -> Pin:
-    "Every annulus tuple of shape (p, q) at m, one `to_text` line each."
+def tuples(name: str, p: int, q: int, m: int, timeout: float, count: int | None = None,
+           **expect) -> Pin:
+    "The annulus tuples of shape (p, q) at m, the first `count` if given, one `to_text` line each."
     code = (
-        "from ncb.bijection import annulus_tuples; "
-        f"print('\\n'.join(t.to_text() for t in annulus_tuples({p}, {q}, {m})))"
+        "from itertools import islice; from ncb.bijection import annulus_tuples; "
+        f"print('\\n'.join(t.to_text() for t in islice(annulus_tuples({p}, {q}, {m}), {count})))"
     )
     return Pin(name, ("-c", code), timeout, expect)
 
@@ -117,6 +118,12 @@ PINS = [
         sha256="e8479c5e127009536665ca2948f0293e1297385abccb196ad89590421cc5c0bf"),
     ncb("decode-2-3-4", "decode --shape 2,3 --in {tmp}/encode-2-3-4", 20,
         same="tuples-2-3-4"),
+    # Past the desk's size test (p + q = 14), where the codec keeps no memo.
+    tuples("tuples-8-6-3", 8, 6, 3, 10, count=2000, lines=2000),
+    ncb("encode-8-6-3", "encode --shape 8,6 --in {tmp}/tuples-8-6-3", 10,
+        sha256="55c79d9a7572c16b698d53f0f9562410ae1043b1ddd551c091cde3e47219e0a8"),
+    ncb("decode-8-6-3", "decode --shape 8,6 --in {tmp}/encode-8-6-3", 10,
+        same="tuples-8-6-3"),
 ]
 
 

@@ -963,6 +963,52 @@ def test_decode_reads_copies_as_the_chain(p, q, m):
         assert decode_copies(chain, p, q) == decode_multichain(chain, p, q) == t
 
 
+@pytest.mark.parametrize("p,q,kept", [(7, 6, 200), (6, 7, 200), (8, 6, 0), (6, 8, 0)])
+def test_codec_memos_keep_only_shapes_that_pass_the_size_test(p, q, kept):
+    """The first 200 tuples at m = 3 round-trip through JSON copies alike
+    on both sides of the desk's size test (p + q <= 13), and their levels
+    that drop no pair are one object.  At p + q = 13 each chain's one
+    distinct level fills both memos; at 14 they stay empty."""
+    for memo in (bijection._member, bijection._ends):
+        memo.cache_clear()
+    shared = 0
+    for t in itertools.islice(annulus_tuples(p, q, 3), 200):
+        chain = encode_multichain(t, p, q)
+        drops = t.rights_outer[0] or t.rights_inner[0]
+        assert (chain[1] is chain[0]) == (not drops)
+        shared += not drops
+        assert decode_copies(chain, p, q) == t
+    assert shared
+    for memo in (bijection._member, bijection._ends):
+        info = memo.cache_info()
+        assert (info.misses, info.currsize) == (kept, kept)
+
+
+def test_decode_past_the_size_test_reads_each_distinct_table_once(monkeypatch):
+    """Past the size test, decoding JSON copies reads the ends of each
+    distinct table once, though the copies of a shared level are distinct
+    objects, and it keeps none of them."""
+    calls = Counter()
+    real = bijection._ends.__wrapped__
+
+    def counted(table, p, q):
+        calls[table] += 1
+        return real(table, p, q)
+
+    monkeypatch.setattr(bijection._ends, "__wrapped__", counted)
+    bijection._ends.cache_clear()
+    shapes = Counter()
+    for t in itertools.islice(annulus_tuples(8, 6, 3), 1500, 1700):  # both kinds
+        chain = encode_multichain(t, 8, 6)
+        tables = {pi._table for pi in chain}
+        shapes[len(tables)] += 1
+        calls.clear()
+        assert decode_copies(chain, 8, 6) == t
+        assert calls == Counter(tables)
+    assert shapes[1] and shapes[2]
+    assert bijection._ends.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("p,q", DESK_PAIRS)
 def test_memoised_block_ends_match_the_sorting_oracle(p, q):
     """A cold read and the shared warm one, made through a copy, both equal
