@@ -25,9 +25,10 @@ members are memoised by their levels' pair-id tables and the block ends
 by the members' place tables, for the shapes that pass the desk's size
 test: only their chains can be enumerated, so only there do chains
 repeat.  Past it a call builds each distinct level's member, and reads
-each distinct table's ends, once, and keeps none.  Every memo is
-bounded, and its values are shared and so read-only.  A subset tuple is
-an immutable value, a named tuple whose constructor checks outside
+each distinct table's ends, once, and keeps none; a label's place is
+arithmetic, so nothing per shape is kept but the 16 layouts.  Every memo
+is bounded, and its values are shared and so read-only.  A subset tuple
+is an immutable value, a named tuple whose constructor checks outside
 input."""
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ import itertools
 from bisect import bisect, bisect_left
 from functools import lru_cache
 from itertools import accumulate
-from operator import neg, sub
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .enumeration import _passes_size_test
-from .partition import BPartition, _places
+from .partition import BPartition
 
 
 class _Fields(NamedTuple):  # NamedTuple forbids a __new__ of its own
@@ -319,7 +320,7 @@ def _assemble(
             for k in closers[i % period]:
                 kind[stack.pop()] = k
     form = bytes if len(kind) <= 256 else tuple
-    level = form(map(pair.__getitem__, _running(p, q)[2]))
+    level = form(_placed(pair, p, q))
     levels = [level]
     kept = list(range(len(parent)))
     for j in range(2, m):
@@ -333,26 +334,22 @@ def _assemble(
     return levels
 
 
+def _placed(running: list, p: int, q: int) -> list:
+    """Entries by running index (1..p, -1..-p, then the inner circle
+    likewise) put in place order 1, -1, 2, -2, ...: x > 0 at 2x - 2, -x at 2x - 1."""
+    placed = [0] * len(running)
+    placed[: 2 * p : 2] = running[:p]
+    placed[1 : 2 * p : 2] = running[p : 2 * p]
+    placed[2 * p :: 2] = running[2 * p : 2 * p + q]
+    placed[2 * p + 1 :: 2] = running[2 * p + q :]
+    return placed
+
+
 def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
     """Single-partition case: the tuple carries one right-set per circle."""
     if t.m != 2:
         raise ValueError("encode_annulus needs exactly one right-set per circle")
     return encode_multichain(t, p, q)[0]
-
-
-# The label-order memo holds the 184 distinct (p, q), over 22 values of
-# p + q, that one full-size pass of the benchmark's codec workload draws.
-@lru_cache(maxsize=256)
-def _running(p: int, q: int) -> tuple[list[int], list[int], list[int]]:
-    """The signed labels in running order, circle after circle (1..p then
-    -1..-p outside, then p+1..p+q and their negatives inside), the place of
-    each running index (the partition's table order 1, -1, 2, -2, ...), and
-    the running index of each place; shared, so read-only."""
-    outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
-    order = [*outer, *map(neg, outer), *inner, *map(neg, inner)]
-    places = _places(p + q)
-    at = [places[x] for x in order]
-    return order, at, sorted(range(len(at)), key=at.__getitem__)
 
 
 @lru_cache(maxsize=_MEMO)
@@ -366,7 +363,10 @@ def _ends(table: bytes | tuple, p: int, q: int) -> dict[int, int]:
     on the outer circle and closes on the inner one, so its first is the
     first of its outer piece and its last the last of its inner piece.
     """
-    order, at, _ = _running(p, q)
+    # The signed label at each running index, and its place (see _placed).
+    order = [*range(1, p + 1), *range(-1, -p - 1, -1), *range(p + 1, p + q + 1)]
+    order += range(-p - 1, -p - q - 1, -1)
+    at = [2 * x - 2 if x > 0 else -2 * x - 1 for x in order]
     spots: list[list[int]] = [[] for _ in range(max(table, default=-1) + 1)]
     for i, k in enumerate(at):  # each block's running indices, ascending
         spots[table[k]].append(i)
@@ -441,7 +441,7 @@ def decode_multichain(
     first = next((f for f, end in ends[k - 1].items() if end == last), None)
     if first is None or abs(first) > p:
         raise _not_image(chain)
-    start = _running(p, q)[0].index(first) or 2 * p
+    start = (first - 1 if first > 0 else p - first - 1) or 2 * p  # see _placed
     if start not in starts:
         raise _not_image(chain)
     # A level equals its member when the two tables name as many blocks

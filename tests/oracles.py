@@ -40,6 +40,10 @@ Decode: `block_ends_by_sorting`, each block's ends read off its positions
 and its mirror's, both sorted per block, which the walk over the running
 order in `bijection._ends` must equal.
 
+Label order: `running_order`, the running order's labels and places looked
+up in the partition's place dict and sorted, which the codec's arithmetic
+(decode's start index, `bijection._placed`, `bijection._ends`) must equal.
+
 Round trips: `roundtrip_multichain_by_pair_stats`, the `roundtrip-multichain`
 family with each chain checked by hashing, pair masks and pair statistics
 instead of the poset's tables; a bad codec must fail both.
@@ -71,7 +75,7 @@ from ncb.bijection import (
 from ncb.checks import Check, _annulus_pairs
 from ncb.enumeration import FinitePoset, nc_b_annulus
 from ncb.formulas import IntPolynomial, _exact_div, annulus_cell_count, binom
-from ncb.partition import BPartition, PairStats, connectivity
+from ncb.partition import BPartition, PairStats, _places, connectivity
 from ncb.signed_perm import AnnulusShape, SignedPermutation
 
 
@@ -411,6 +415,16 @@ def circle_positions(p: int, q: int) -> dict[int, int]:
     outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
     order = [*outer, *(-x for x in outer), *inner, *(-x for x in inner)]
     return {x: i for i, x in enumerate(order)}
+
+
+def running_order(p: int, q: int) -> tuple[list[int], list[int], list[int]]:
+    """The signed labels in running order (`circle_positions`), the place
+    of each running index in the partition's table order 1, -1, 2, -2, ...,
+    and the running index of each place."""
+    order = list(circle_positions(p, q))
+    places = _places(p + q)
+    at = [places[x] for x in order]
+    return order, at, sorted(range(len(at)), key=at.__getitem__)
 
 
 def block_ends_by_sorting(

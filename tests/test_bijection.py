@@ -34,6 +34,7 @@ from oracles import (
     legal_left_shifts,
     legal_right_shifts,
     read_partition,
+    running_order,
 )
 
 OUTER = ParenString.parse("1 ) ( 2 ) 3 ( 4 ( 5 -1 ) ( -2 ) -3 ( -4 ( -5")
@@ -1020,6 +1021,93 @@ def test_memoised_block_ends_match_the_sorting_oracle(p, q):
         cold = bijection._ends(pi._table, p, q)
         assert bijection._ends(copy._table, p, q) is cold
         assert cold == block_ends_by_sorting(copy, p, position)
+
+
+# Every shape up to p + q = 16, past the desk's size test (13) too.
+SMALL_PAIRS = [(p, n - p) for n in range(2, 17) for p in range(1, n)]
+
+
+def test_decode_start_index_matches_the_label_order_oracle():
+    """A tuple whose one outer left is x has its two legal shifts start at
+    x and -x, as the label-order oracle reads encode's start indices, and
+    decode finds each shift again from its label: every outer label of
+    every shape up to p + q = 16."""
+    for p, q in SMALL_PAIRS:
+        order = running_order(p, q)[0]
+        for x in range(1, p + 1):
+            labels = set()
+            for d in (1, 2):
+                t = AnnulusTuple(1, d, {x}, [()], (), [{p + 1}])
+                start = bijection._layout(p, q, *t[2:])[2][d - 1]
+                labels.add(order[start % (2 * p)])
+                assert decode_multichain(encode_multichain(t, p, q), p, q) == t
+            assert labels == {x, -x}
+
+
+def test_placed_matches_the_label_order_oracle():
+    """Putting running-order ids in place order by slices reads each place's
+    running index as the oracle sorts them out, on distinct random ids."""
+    rng = Random(42)
+    for p, q in SMALL_PAIRS:
+        inverse = running_order(p, q)[2]
+        ids = rng.sample(range(256), 2 * (p + q))
+        assert bijection._placed(ids, p, q) == [ids[r] for r in inverse]
+
+
+def drawn_tuple(rng, p, q, levels):
+    """A tuple at (p, q) with m = levels + 1, drawn by rng as `chain_tuples`
+    draws one: c first, then right-set sizes within the size rules."""
+    outer, inner = range(1, p + 1), range(p + 1, p + q + 1)
+    c = rng.randint(1, min(p, q * levels))
+    budget = p - c
+    rights_outer = []
+    for _ in range(levels):
+        rights_outer.append(rng.sample(outer, rng.randint(0, budget)))
+        budget -= len(rights_outer[-1])
+    total = rng.randint(c, min(q + c, q * levels))
+    rights_inner = []
+    for left in range(levels, 0, -1):
+        size = rng.randint(max(0, total - q * (left - 1)), min(q, total))
+        rights_inner.append(rng.sample(inner, size))
+        total -= size
+    left_outer = rng.sample(outer, sum(map(len, rights_outer)) + c)
+    left_inner = rng.sample(inner, sum(map(len, rights_inner)) - c)
+    d = rng.randint(1, 2 * c)
+    return AnnulusTuple(c, d, left_outer, rights_outer, left_inner, rights_inner)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p, q in SMALL_PAIRS if p + q >= 14])
+def test_unmemoised_block_ends_match_the_sorting_oracle(p, q):
+    """Past the size test, where `_ends` is read unmemoised, the ends of
+    every member of drawn chains equal sorting each block and its mirror."""
+    rng = Random(p * 100 + q)
+    position = circle_positions(p, q)
+    for _ in range(20):
+        t = drawn_tuple(rng, p, q, rng.randint(1, 3))
+        for pi in encode_multichain(t, p, q):
+            assert bijection._ends.__wrapped__(pi._table, p, q) == block_ends_by_sorting(
+                pi, p, position
+            )
+
+
+def test_codec_keeps_no_table_per_shape_past_the_size_test():
+    """One round trip through JSON copies at each of 64 distinct shapes
+    with p + q = 200 leaves no memo defined in the codec holding more than
+    the layout memo's 16 entries: its label order is arithmetic, so no
+    table per shape is kept."""
+    memos = [
+        memo
+        for memo in vars(bijection).values()
+        if hasattr(memo, "cache_info") and memo.__module__ == bijection.__name__
+    ]
+    assert bijection._layout in memos
+    for memo in memos:
+        memo.cache_clear()
+    for p in range(60, 124):
+        t = AnnulusTuple(1, 1, {1}, [()], (), [{p + 1}])
+        assert decode_copies(encode_multichain(t, p, 200 - p), p, 200 - p) == t
+    sizes = {memo.__name__: memo.cache_info().currsize for memo in memos}
+    assert max(sizes.values()) <= 16, sizes
 
 
 def test_warm_memos_still_reject():

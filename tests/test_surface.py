@@ -88,6 +88,7 @@ RETIRED = [
     "_read_blocks",
     "_right_shifts",
     "_rotate",
+    "_running",
     "_running_order",
     "_set_partitions",
     "abs_map",
