@@ -41,7 +41,7 @@ from operator import sub
 from typing import NamedTuple, Sequence
 
 from .enumeration import _passes_size_test
-from .partition import BPartition
+from .partition import BPartition, _place
 
 
 class _Fields(NamedTuple):  # NamedTuple forbids a __new__ of its own
@@ -366,7 +366,7 @@ def _ends(table: bytes | tuple, p: int, q: int) -> dict[int, int]:
     # The signed label at each running index, and its place (see _placed).
     order = [*range(1, p + 1), *range(-1, -p - 1, -1), *range(p + 1, p + q + 1)]
     order += range(-p - 1, -p - q - 1, -1)
-    at = [2 * x - 2 if x > 0 else -2 * x - 1 for x in order]
+    at = [*map(_place, order)]
     spots: list[list[int]] = [[] for _ in range(max(table, default=-1) + 1)]
     for i, k in enumerate(at):  # each block's running indices, ascending
         spots[table[k]].append(i)

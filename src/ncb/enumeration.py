@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .formulas import gbinom, poset_size
-from .partition import BPartition, _places, adjusted_orbits
+from .partition import BPartition, _place, adjusted_orbits
 from .signed_perm import (
     AnnulusShape,
     SignedPermutation,
@@ -207,8 +207,7 @@ def _reflections(n: int) -> list[tuple[int, int, int, int]]:
     pairs = [(a, -a) for a in range(1, n + 1)]
     for a, c in itertools.combinations(range(1, n + 1), 2):
         pairs += [(a, c), (a, -c)]
-    places = _places(n)
-    return [(a, b, places[a], places[b]) for a, b in pairs]
+    return [(a, b, _place(a), _place(b)) for a, b in pairs]
 
 
 @lru_cache(maxsize=None)

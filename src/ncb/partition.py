@@ -9,7 +9,7 @@ of rho.
 from __future__ import annotations
 
 import json
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, starmap
 from operator import eq, neg
 from typing import Iterable, NamedTuple, Sequence
@@ -43,11 +43,10 @@ def _bad_negation(canon: tuple[tuple[int, ...], ...]) -> ValueError:
     return ValueError("more than one inversion-invariant block")
 
 
-@lru_cache(maxsize=64)
-def _places(n: int) -> dict[int, int]:
-    """Place of each label in canonical order 1, -1, 2, -2, ..., n, -n;
-    the dict lists the labels in that order, and -x sits at place ^ 1."""
-    return {x: i for i, x in enumerate(x for k in range(1, n + 1) for x in (k, -k))}
+def _place(x: int) -> int:
+    """Place of label x in the order 1, -1, 2, -2, ...: x > 0 at 2x - 2, -x at
+    2x - 1 (place ^ 1).  Label 0 has none; its -1 would wrap, so callers reject it."""
+    return 2 * x - 2 if x > 0 else -2 * x - 1
 
 
 # json.dumps with non-default separators builds an encoder on every call.
@@ -78,19 +77,18 @@ class BPartition:
         size = sum(map(len, blocks))
         if size < 2 * n:  # before any table of 2n places is built
             raise _bad_block_list(n, blocks)
-        places = _places(n)
         owner: list = [None] * (2 * n)
         try:
             for i, block in enumerate(blocks):
                 for x in block:
-                    owner[places[x]] = i
-        except KeyError:
+                    owner[_place(x)] = i
+        except IndexError:  # a label past +-n
             raise _bad_block_list(n, blocks) from None
-        # A label in no block leaves a None owner, and with every label
-        # owned a label in two blocks is counted twice.
+        # Label 0 wrote the last place, a label in no block left a None
+        # owner, and with every label owned one in two blocks counts twice.
         if (
             None in owner
-            or not all(blocks)
+            or not all(blocks) or not all(chain.from_iterable(blocks))
             or size != 2 * n
             and sum(len(set(block)) for block in blocks) != 2 * n
         ):
@@ -128,8 +126,9 @@ class BPartition:
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         members: list[list[int]] = [[] for _ in range(max(self._table, default=-1) + 1)]
-        for x, i in zip(_places(self.n), self._table):
+        for x, i, j in zip(range(1, self.n + 1), self._table[::2], self._table[1::2]):
             members[i].append(x)
+            members[j].append(-x)
         return tuple(map(tuple, members))
 
     @classmethod
@@ -151,7 +150,9 @@ class BPartition:
         return _JSON.encode({"n": self.n, "blocks": self.blocks})
 
     def block_containing(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self._table[_places(self.n)[x]]]
+        if not 0 < abs(x) <= self.n:
+            raise KeyError(x)
+        return self.blocks[self._table[_place(x)]]
 
     def zero_block(self) -> tuple[int, ...] | None:
         """The unique block equal to its own negative, if present."""
@@ -211,12 +212,11 @@ def adjusted_orbits(perm: SignedPermutation) -> BPartition:
     """Orbit partition of perm with all inversion-invariant orbits merged:
     each orbit names its places by its first label, and the invariant ones
     all by 0."""
-    places = _places(perm.n)
     owner: list = [None] * (2 * perm.n)
     for orbit in _orbits(perm.image):
         name = 0 if -orbit[0] in orbit else orbit[0]
         for x in orbit:
-            owner[places[x]] = name
+            owner[_place(x)] = name
     return BPartition._from_owner(perm.n, owner)
 
 

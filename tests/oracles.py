@@ -40,9 +40,15 @@ Decode: `block_ends_by_sorting`, each block's ends read off its positions
 and its mirror's, both sorted per block, which the walk over the running
 order in `bijection._ends` must equal.
 
+Label places: `label_places`, the place order 1, -1, 2, -2, ... listed
+label by label, which `partition._place` must equal; `place_table_by_lookup`
+and `blocks_by_lookup`, each label's block looked up in that listed order,
+which the tables that `BPartition` and `adjusted_orbits` build and the
+blocks read off them must equal.
+
 Label order: `running_order`, the running order's labels and places looked
-up in the partition's place dict and sorted, which the codec's arithmetic
-(decode's start index, `bijection._placed`, `bijection._ends`) must equal.
+up in `label_places` and sorted, which the codec's arithmetic (decode's
+start index, `bijection._placed`, `bijection._ends`) must equal.
 
 Round trips: `roundtrip_multichain_by_pair_stats`, the `roundtrip-multichain`
 family with each chain checked by hashing, pair masks and pair statistics
@@ -75,7 +81,7 @@ from ncb.bijection import (
 from ncb.checks import Check, _annulus_pairs
 from ncb.enumeration import FinitePoset, nc_b_annulus
 from ncb.formulas import IntPolynomial, _exact_div, annulus_cell_count, binom
-from ncb.partition import BPartition, PairStats, _places, connectivity
+from ncb.partition import BPartition, PairStats, connectivity
 from ncb.signed_perm import AnnulusShape, SignedPermutation
 
 
@@ -417,12 +423,35 @@ def circle_positions(p: int, q: int) -> dict[int, int]:
     return {x: i for i, x in enumerate(order)}
 
 
+def label_places(n: int) -> dict[int, int]:
+    """Place of each label in canonical order 1, -1, 2, -2, ..., n, -n,
+    found by listing that order; the dict lists the labels in it."""
+    return {x: i for i, x in enumerate(x for k in range(1, n + 1) for x in (k, -k))}
+
+
+def place_table_by_lookup(n: int, blocks: Iterable[Iterable[int]]) -> list[int]:
+    """The place table of the partition with these blocks: each label's
+    block looked up in listed place order, the blocks renamed 0, 1, ... in
+    order of their first places."""
+    block_of = {x: i for i, block in enumerate(blocks) for x in block}
+    names: dict[int, int] = {}
+    return [names.setdefault(block_of[x], len(names)) for x in label_places(n)]
+
+
+def blocks_by_lookup(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The blocks with each one's labels in listed place order, the blocks
+    in order of their first places."""
+    order = label_places(n)
+    ordered = [sorted(block, key=order.__getitem__) for block in blocks]
+    return tuple(map(tuple, sorted(ordered, key=lambda block: order[block[0]])))
+
+
 def running_order(p: int, q: int) -> tuple[list[int], list[int], list[int]]:
     """The signed labels in running order (`circle_positions`), the place
     of each running index in the partition's table order 1, -1, 2, -2, ...,
     and the running index of each place."""
     order = list(circle_positions(p, q))
-    places = _places(p + q)
+    places = label_places(p + q)
     at = [places[x] for x in order]
     return order, at, sorted(range(len(at)), key=at.__getitem__)
 

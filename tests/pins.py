@@ -43,6 +43,16 @@ def tuples(name: str, p: int, q: int, m: int, timeout: float, count: int | None 
     return Pin(name, ("-c", code), timeout, expect)
 
 
+# Five fixed tuples at (300, 200), m = 2, a shape annulus_tuples cannot enumerate.
+FIXED_300_200 = (
+    "from ncb.bijection import AnnulusTuple; print('\\n'.join("
+    "AnnulusTuple(c, d, le, [re], li, [ri]).to_text() for c, d, le, re, li, ri in ["
+    "(1, 2, range(300, 301), (), (), range(500, 501)), "
+    "(2, 3, range(257, 299), range(1, 300, 7)[:40], range(301, 501, 9)[:20], range(479, 501)), "
+    "(7, 11, range(144, 301), range(1, 301, 2), range(301, 501, 3)[:60], range(400, 467)), "
+    "(25, 50, range(16, 301), range(41, 301), range(302, 501, 2)[:90], range(301, 416)), "
+    "(1, 1, range(1, 301), range(2, 301), range(301, 500), range(301, 501))]))"
+)
 VERIFY_MAX_N_3 = "tests/verify_max_n_3.txt"
 ENUMERATED_2221 = 3456
 CONNECTIVITY_2_AT_4_4 = 3136
@@ -124,6 +134,12 @@ PINS = [
         sha256="55c79d9a7572c16b698d53f0f9562410ae1043b1ddd551c091cde3e47219e0a8"),
     ncb("decode-8-6-3", "decode --shape 8,6 --in {tmp}/encode-8-6-3", 10,
         same="tuples-8-6-3"),
+    # Labels past 256, which CPython does not share, through JSON both ways.
+    Pin("tuples-300-200-2", ("-c", FIXED_300_200), 10, {"lines": 5}),
+    ncb("encode-300-200-2", "encode --shape 300,200 --in {tmp}/tuples-300-200-2", 10,
+        sha256="4ddd924b12c580b4a4aa1e70b8c17974add06d6f5da12da9e4e4e07f3e507ab5"),
+    ncb("decode-300-200-2", "decode --shape 300,200 --in {tmp}/encode-300-200-2", 10,
+        same="tuples-300-200-2"),
 ]
 
 

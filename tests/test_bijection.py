@@ -36,6 +36,7 @@ from oracles import (
     read_partition,
     running_order,
 )
+from test_surface import UNBOUNDED, memos
 
 OUTER = ParenString.parse("1 ) ( 2 ) 3 ( 4 ( 5 -1 ) ( -2 ) -3 ( -4 ( -5")
 INNER = ParenString.parse("6 ) ( 7 ) 8 -6 ) ( -7 ) -8")
@@ -1092,21 +1093,20 @@ def test_unmemoised_block_ends_match_the_sorting_oracle(p, q):
 
 def test_codec_keeps_no_table_per_shape_past_the_size_test():
     """One round trip through JSON copies at each of 64 distinct shapes
-    with p + q = 200 leaves no memo defined in the codec holding more than
-    the layout memo's 16 entries: its label order is arithmetic, so no
-    table per shape is kept."""
-    memos = [
-        memo
-        for memo in vars(bijection).values()
-        if hasattr(memo, "cache_info") and memo.__module__ == bijection.__name__
-    ]
-    assert bijection._layout in memos
-    for memo in memos:
+    with p + q = 200, and at each of 64 distinct totals p + q = 200..326,
+    leaves no memo in the package but the unbounded shape caches holding
+    more than the layout memo's 16 entries: the codec's label order and
+    every module's label places are arithmetic, so no table per shape or
+    size is kept."""
+    bounded = {name: memo for name, memo in memos().items() if name not in UNBOUNDED}
+    assert "bijection._layout" in bounded
+    for memo in bounded.values():
         memo.cache_clear()
-    for p in range(60, 124):
+    shapes = [(p, 200 - p) for p in range(60, 124)] + [(100, q) for q in range(100, 228, 2)]
+    for p, q in shapes:
         t = AnnulusTuple(1, 1, {1}, [()], (), [{p + 1}])
-        assert decode_copies(encode_multichain(t, p, 200 - p), p, 200 - p) == t
-    sizes = {memo.__name__: memo.cache_info().currsize for memo in memos}
+        assert decode_copies(encode_multichain(t, p, q), p, q) == t
+    sizes = {name: memo.cache_info().currsize for name, memo in bounded.items()}
     assert max(sizes.values()) <= 16, sizes
 
 

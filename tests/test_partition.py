@@ -1,5 +1,6 @@
 import json
 import re
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +19,16 @@ from ncb import (
     nc_b_disc,
     pair_stats,
 )
+from ncb import partition
 from oracles import (
     ClassicalPartition,
     abs_map,
+    blocks_by_lookup,
+    label_places,
     meet_by_blocks,
     nc_a,
     pair_stats_by_blocks,
+    place_table_by_lookup,
     refines_by_blocks,
 )
 from test_signed_perm import signed_perms
@@ -58,6 +63,7 @@ def test_element_order_within_block():
         pytest.param(2, [[1, 2], [-1, -2], []], None, id="blocks0"),
         pytest.param(3, [[1, 2], [-1, -2], [3]], None, id="blocks1"),
         pytest.param(2, [[1, 0], [-1, 2, -2]], None, id="blocks2"),
+        pytest.param(1, [[1], [0]], "bad or repeated element 0 for n=1", id="zero-for-last"),
         pytest.param(2, [[1, 2], [-1, -2], [1, -1]], None, id="blocks3"),
         pytest.param(3, [[1, -2], [2, -1, 3, -3]], None, id="blocks4"),
         pytest.param(2, [[1, -1], [2, -2]], None, id="blocks5"),
@@ -103,8 +109,34 @@ def test_block_containing():
     "Lookup returns the canonical block of any signed label."
     assert WORKED.block_containing(-6) == (3, -4, -6, 8)
     assert WORKED.block_containing(6) == (-3, 4, 6, -8)
-    with pytest.raises(KeyError):
-        WORKED.block_containing(9)
+    for x in (9, 0, -9):
+        with pytest.raises(KeyError):
+            WORKED.block_containing(x)
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 2000])
+def test_label_places_match_the_listed_order(n):
+    """`partition._place` equals listing the order 1, -1, 2, -2, ...; the
+    tables that `BPartition(n, blocks)` and `adjusted_orbits` build, and
+    the blocks read off them, equal looking each label up in that list,
+    for tables of bytes and of ints (more than 256 blocks) alike."""
+    places = label_places(n)
+    assert {x: partition._place(x) for x in places} == places
+    rng = Random(n)
+    image = [x * rng.choice((1, -1)) for x in rng.sample(range(1, n + 1), n)]
+    for perm in SignedPermutation(image), SignedPermutation.identity(n):
+        orbits = perm.orbits()
+        invariant = [x for orbit in orbits if -orbit[0] in orbit for x in orbit]
+        blocks = [orbit for orbit in orbits if -orbit[0] not in orbit]
+        if invariant:
+            blocks.append(invariant)
+        rng.shuffle(blocks)
+        table = place_table_by_lookup(n, blocks)
+        assert [*adjusted_orbits(perm)._table] == table
+        built = BPartition(n, blocks)
+        assert [*built._table] == table
+        assert built.blocks == blocks_by_lookup(n, blocks)
+        assert all(x in built.block_containing(x) for x in places)
 
 
 def test_json_round_trip():

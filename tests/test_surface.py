@@ -85,6 +85,7 @@ RETIRED = [
     "_paren_flags",
     "_paren_type",
     "_place_maps",
+    "_places",
     "_read_blocks",
     "_right_shifts",
     "_rotate",
@@ -194,8 +195,8 @@ def makes_memo(node):
 
 def memos():
     """Every memo a package module makes at module or class level, found by
-    an AST scan (decorated functions and assigned calls), with the bound the
-    live object reports."""
+    an AST scan (decorated functions and assigned calls), as the live
+    object, by qualified name."""
     found = {}
     for module in MODULES:
         mod = importlib.import_module(f"ncb.{module}")
@@ -210,8 +211,7 @@ def memos():
                     name = ast.unparse(n.targets[0])
                 else:
                     continue
-                memo = inspect.getattr_static(owner, name)
-                found[f"{module}.{name}"] = memo.cache_parameters()["maxsize"]
+                found[f"{module}.{name}"] = inspect.getattr_static(owner, name)
     return found
 
 
@@ -219,7 +219,7 @@ def test_every_unbounded_memo_is_a_shape_cache_or_the_parser():
     """A memo with no bound grows with its traffic and shows in peak RSS; only
     the shape-keyed caches and the parser may have none, and the codec's
     layout memo stays small."""
-    inventory = memos()
+    inventory = {name: memo.cache_parameters()["maxsize"] for name, memo in memos().items()}
     unbounded = {name for name, bound in inventory.items() if bound is None}
     assert unbounded == UNBOUNDED, inventory
     assert max(b for b in inventory.values() if b is not None) <= 512, inventory
