@@ -253,13 +253,14 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
     levels = _assemble(p, q, outer, starts[t.d - 1], inner, anchor + q + 1, t.m)
     # A level that drops no pair is the previous table itself, so its
     # member is the previous member.
-    read = _member if _passes_size_test(p + q) else _member.__wrapped__
-    return tuple(_shared(read, levels))
+    return tuple(_shared(_member, p + q, levels))
 
 
-def _shared(read, keys: Sequence, *args) -> list:
-    """read(key, *args) for each key, but a key equal to the one before
-    shares that one's value: a chain's equal levels sit side by side."""
+def _shared(memo, total: int, keys: Sequence, *args) -> list:
+    """memo(key, *args) for each key, unmemoised past the size test on
+    total labels, but a key equal to the one before shares that one's
+    value: a chain's equal levels sit side by side."""
+    read = memo if _passes_size_test(total) else memo.__wrapped__
     out = [read(keys[0], *args)]
     for key, below in zip(keys[1:], keys):
         out.append(out[-1] if key == below else read(key, *args))
@@ -421,8 +422,7 @@ def decode_multichain(
         raise ValueError(f"chain members must partition a {p + q}-circle set")
     # Each distinct table is read once, JSON copies of a shared level
     # alike; past the size test nothing is kept.
-    read = _ends if _passes_size_test(p + q) else _ends.__wrapped__
-    ends = _shared(read, [pi._table for pi in chain], p, q)
+    ends = _shared(_ends, p + q, [pi._table for pi in chain], p, q)
     # The left set, then the right sets of types 1..m-1, each split by
     # circle.  A block and its mirror end on x and -x: one label.
     sets = [frozenset(map(abs, ends[0]))]

@@ -340,28 +340,30 @@ def _roundtrip_multichain(max_n: int) -> Iterable[Check]:
             )
 
 
-def _split_orbits(*sizes: int) -> int:
-    """Permutations tau below the boundary permutation gamma with a joint
-    orbit of (tau, gamma) that meets more than two circles."""
+@lru_cache(maxsize=None)
+def _walk_counts(*sizes: int) -> tuple[int, int]:
+    """Permutations tau below the boundary permutation gamma, and those with a
+    joint orbit of (tau, gamma) meeting over two circles: one walk per shape."""
     shape = AnnulusShape(sizes)
     gamma = boundary_permutation(shape)
     step = _steps(gamma.image)
     circle = {x: j for j in range(shape.k) for x in shape.labels(j)}
-    return sum(
+    below = interval_perms(gamma)
+    return len(below), sum(
         any(
             len({circle[abs(x)] for x in orbit}) > 2
             for orbit in _joint_walk((_steps(tau.image), step), shape.n)
         )
-        for tau in interval_perms(gamma)
+        for tau in below
     )
 
 
-_sweep("multi-split", _many_circle_shapes, lambda *sizes: 0, _split_orbits)
+_sweep("multi-split", _many_circle_shapes, lambda *s: 0, lambda *s: _walk_counts(*s)[1])
 _sweep(
     "multi-total",
     _many_circle_shapes,
     lambda *s: formulas.poset_size(s),
-    lambda *s: len(interval_perms(boundary_permutation(AnnulusShape(s)))),
+    lambda *s: _walk_counts(*s)[0],
 )
 
 

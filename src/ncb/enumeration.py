@@ -210,7 +210,9 @@ def _reflections(n: int) -> list[tuple[int, int, int, int]]:
     return [(a, b, _place(a), _place(b)) for a, b in pairs]
 
 
-@lru_cache(maxsize=None)
+# One walk: a caller's interval_perms and the poset or preimage map built
+# right after it read the same walk, and nothing reads an older one again.
+@lru_cache(maxsize=1)
 def _interval(gamma: tuple[int, ...]) -> tuple[tuple[SignedPermutation, BPartition], ...]:
     """Each t <= gamma in absolute order with its adjusted orbits, by image.
 
@@ -258,15 +260,10 @@ def _passes_size_test(n: int) -> bool:
     return n < DESK_BOUND.bit_length()
 
 
-def _desk_size(sizes: Sequence[int]) -> int | str:
-    n = sum(sizes)
-    return poset_size(sizes) if _passes_size_test(n) else f"at least 2^{n}"
-
-
 def on_desk(sizes: Sequence[int]) -> bool:
     """Whether the shape's poset has at most DESK_BOUND elements, the bound
     read at call time: the one test before every enumeration and sweep."""
-    return isinstance(size := _desk_size(sizes), int) and size <= DESK_BOUND
+    return _passes_size_test(sum(sizes)) and poset_size(sizes) <= DESK_BOUND
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +272,8 @@ def _preimages(sizes: tuple[int, ...]) -> dict[BPartition, SignedPermutation]:
     boundary permutation; the one map both the poset and its inverse read."""
     shape = AnnulusShape(sizes)
     if not on_desk(sizes):
-        size = _desk_size(sizes)
+        n = shape.n
+        size = poset_size(sizes) if _passes_size_test(n) else f"at least 2^{n}"
         raise ValueError(f"desk bound exceeded: {shape} has {size} elements > {DESK_BOUND}")
     return {pi: t for t, pi in _interval(boundary_permutation(shape).image)}
 

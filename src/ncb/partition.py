@@ -49,6 +49,18 @@ def _place(x: int) -> int:
     return 2 * x - 2 if x > 0 else -2 * x - 1
 
 
+def _owners(n: int, named: Iterable[tuple[object, Iterable[int]]]) -> list:
+    """Each place's owner from (name, labels) pairs: filled by signed label, as
+    `_steps` lays out a step table, then put at 1..n ([::2]) and -1..-n ([1::2])."""
+    by_label: list = [None] * (2 * n + 1)
+    for name, labels in named:
+        for x in labels:
+            by_label[x] = name
+    owner: list = [None] * (2 * n)
+    owner[::2], owner[1::2] = by_label[1 : n + 1], by_label[:n:-1]
+    return owner
+
+
 # json.dumps with non-default separators builds an encoder on every call.
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -71,27 +83,18 @@ class BPartition:
         if n < 0:
             raise ValueError(f"n must be at least 0, not {n}")
         blocks = [*map(tuple, blocks)]
-        if not {int}.issuperset(map(type, chain.from_iterable(blocks))):
-            bad = next(x for x in chain.from_iterable(blocks) if type(x) is not int)
+        labels = [*chain.from_iterable(blocks)]
+        if not {int}.issuperset(map(type, labels)):
+            bad = next(x for x in labels if type(x) is not int)
             raise ValueError(f"block element {bad!r} is not an int")
-        size = sum(map(len, blocks))
-        if size < 2 * n:  # before any table of 2n places is built
-            raise _bad_block_list(n, blocks)
-        owner: list = [None] * (2 * n)
-        try:
-            for i, block in enumerate(blocks):
-                for x in block:
-                    owner[_place(x)] = i
-        except IndexError:  # a label past +-n
-            raise _bad_block_list(n, blocks) from None
-        # Label 0 wrote the last place, a label in no block left a None
+        # 0 < |x| <= n before the fill, where a label in n+1..2n would land
+        # on another's slot.  After it a label in no block left a None
         # owner, and with every label owned one in two blocks counts twice.
-        if (
-            None in owner
-            or not all(blocks) or not all(chain.from_iterable(blocks))
-            or size != 2 * n
-            and sum(len(set(block)) for block in blocks) != 2 * n
-        ):
+        size, low, high = len(labels), min(labels or [0]), max(labels or [0])
+        if size < 2 * n or not all(blocks) or not all(labels) or low < -n or high > n:
+            raise _bad_block_list(n, blocks)
+        owner = _owners(n, enumerate(blocks))
+        if None in owner or size != 2 * n and sum(map(len, map(set, blocks))) != 2 * n:
             raise _bad_block_list(n, blocks)
         self._canonize(n, owner)
 
@@ -212,12 +215,9 @@ def adjusted_orbits(perm: SignedPermutation) -> BPartition:
     """Orbit partition of perm with all inversion-invariant orbits merged:
     each orbit names its places by its first label, and the invariant ones
     all by 0."""
-    owner: list = [None] * (2 * perm.n)
-    for orbit in _orbits(perm.image):
-        name = 0 if -orbit[0] in orbit else orbit[0]
-        for x in orbit:
-            owner[_place(x)] = name
-    return BPartition._from_owner(perm.n, owner)
+    orbits = _orbits(perm.image)
+    named = ((0 if -orbit[0] in orbit else orbit[0], orbit) for orbit in orbits)
+    return BPartition._from_owner(perm.n, _owners(perm.n, named))
 
 
 def pair_stats(partition: BPartition, shape: AnnulusShape) -> PairStats:

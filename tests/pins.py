@@ -3,10 +3,10 @@
 Run ``python3 tests/pins.py`` from any directory. Each entry of ``PINS`` runs
 in turn from the repository root, with ``PYTHONPATH=src``, under its
 timeout. Its stdout must meet what the entry expects (see ``mismatches``).
-The loop prints each entry's time, then names every mismatch and exits 1;
-it exits 0 when all hold. A hash that does not match is printed with the
-actual SHA-256, so a change that alters an output on purpose re-pins it
-from that line.
+The loop prints each entry's time and peak resident set, then names every
+mismatch and exits 1; it exits 0 when all hold. A hash that does not match
+is printed with the actual SHA-256, so a change that alters an output on
+purpose re-pins it from that line.
 """
 
 import difflib
@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -143,15 +144,27 @@ PINS = [
 ]
 
 
-def mismatches(expect: dict, done: subprocess.CompletedProcess, earlier: dict) -> list[str]:
+class Output(NamedTuple):
+    """What one finished run left: its exit code and stderr, and its stdout
+    as a SHA-256 and a newline count, read in 64 KiB chunks, with the bytes
+    themselves only for an entry that reads them whole (see ``mismatches``)."""
+
+    returncode: int
+    stderr: bytes
+    sha256: str
+    newlines: int
+    stdout: bytes
+
+
+def mismatches(expect: dict, done: Output, earlier: dict) -> list[str]:
     """How one run differs from what its entry expects: its exit code (0
     unless ``exit`` says otherwise) and each of ``stderr`` (a substring),
     ``sha256``, ``lines`` (a newline count), ``tail`` (the last line),
-    ``stdout`` (the whole text), ``same`` (an earlier entry's stdout) and
-    ``file`` ((path, needle, last): the path's lines holding needle, then
-    the line last)."""
-    out, lines = done.stdout, done.stdout.decode(errors="replace").splitlines()
-    digest, newlines = hashlib.sha256(out).hexdigest(), out.count(b"\n")
+    ``stdout`` (the whole text), ``same`` (an earlier entry's stdout, held
+    in ``earlier`` by its SHA-256) and ``file`` ((path, needle, last): the
+    path's lines holding needle, then the line last)."""
+    out, digest = done.stdout, done.sha256
+    lines = out.decode(errors="replace").splitlines()
     wrong = []
     if done.returncode != expect.get("exit", 0):
         wrong.append(f"exit {done.returncode}, expected {expect.get('exit', 0)}")
@@ -159,13 +172,13 @@ def mismatches(expect: dict, done: subprocess.CompletedProcess, earlier: dict) -
         wrong.append(f"stderr lacks {expect['stderr']!r}: {done.stderr[-300:]!r}")
     if "sha256" in expect and digest != expect["sha256"]:
         wrong.append(f"sha256 {digest}, expected {expect['sha256']}")
-    if "lines" in expect and newlines != expect["lines"]:
-        wrong.append(f"{newlines} lines, expected {expect['lines']}")
+    if "lines" in expect and done.newlines != expect["lines"]:
+        wrong.append(f"{done.newlines} lines, expected {expect['lines']}")
     if "tail" in expect and lines[-1:] != [expect["tail"]]:
         wrong.append(f"last line {lines[-1:]}, expected {expect['tail']!r}")
     if "stdout" in expect and out != expect["stdout"].encode():
         wrong.append(f"stdout {out[:300]!r}, expected {expect['stdout']!r}")
-    if "same" in expect and out != earlier.get(expect["same"]):
+    if "same" in expect and digest != earlier.get(expect["same"]):
         wrong.append(f"stdout differs from {expect['same']}'s")
     if "file" in expect:
         path, needle, last = expect["file"]
@@ -177,26 +190,53 @@ def mismatches(expect: dict, done: subprocess.CompletedProcess, earlier: dict) -
     return wrong
 
 
-def run(pins: list[Pin]) -> list[str]:
-    "Run the pins in order, print each one's time, and return every mismatch."
+def launch(pin: Pin, argv: list[str], stdout: Path) -> tuple[Output, float, bool]:
+    """Run argv from the repository root, its stdout into the file stdout,
+    killed after the pin's timeout: what it left, its peak resident set in
+    MB, read from ``os.wait4`` as ``bench/run.py`` does, and whether it was
+    killed.  A child starts as a copy of this process, so its peak is at
+    least this process's resident set: no large stdout is ever held here."""
     env = {**os.environ, "PYTHONPATH": "src"}
+    killed = threading.Event()
+    with stdout.open("w+b") as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=out, stderr=err)
+        timer = threading.Timer(pin.timeout, lambda: killed.set() or proc.kill())
+        timer.start()
+        try:
+            # wait4, not RUSAGE_CHILDREN: that keeps a maximum over all children
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        digest, newlines = hashlib.sha256(), 0
+        out.seek(0)
+        for chunk in iter(lambda: out.read(1 << 16), b""):
+            digest.update(chunk)
+            newlines += chunk.count(b"\n")
+        whole = {"tail", "stdout", "file"} & pin.expect.keys()
+        err.seek(0)
+        done = Output(proc.returncode, err.read(), digest.hexdigest(), newlines,
+                      stdout.read_bytes() if whole else b"")
+    return done, usage.ru_maxrss / 1024, killed.is_set()
+
+
+def run(pins: list[Pin]) -> list[str]:
+    "Run the pins in order, print each one's time and peak RSS, and return every mismatch."
     problems: list[str] = []
-    earlier: dict[str, bytes] = {}
+    earlier: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for pin in pins:
             argv = [sys.executable, *(arg.replace("{tmp}", tmp) for arg in pin.argv)]
             start = time.perf_counter()
-            try:
-                done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True,
-                                      timeout=pin.timeout)
-            except subprocess.TimeoutExpired:
+            done, rss, killed = launch(pin, argv, Path(tmp, pin.name))
+            seconds = time.perf_counter() - start
+            if killed:
                 wrong = [f"timed out after {pin.timeout} s"]
             else:
-                earlier[pin.name] = done.stdout
-                Path(tmp, pin.name).write_bytes(done.stdout)
+                earlier[pin.name] = done.sha256
                 wrong = mismatches(pin.expect, done, earlier)
-            seconds = time.perf_counter() - start
-            print(f"{seconds:7.2f} s  {'FAIL' if wrong else 'ok  '}  {pin.name}", flush=True)
+            state = "FAIL" if wrong else "ok  "
+            print(f"{seconds:7.2f} s  {rss:7.1f} MB  {state}  {pin.name}", flush=True)
             problems += [f"{pin.name}: {what}" for what in wrong]
     return problems
 

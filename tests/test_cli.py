@@ -602,6 +602,13 @@ def test_codec_verbs_need_two_circles(capsys, monkeypatch, verb, shape):
     assert (code, out, err) == (2, "", f"error: {verb} needs a two-circle shape\n")
 
 
+@pytest.mark.parametrize("shape", ["3", "2,1,1"])
+def test_enumerate_by_connectivity_needs_two_circles(capsys, shape):
+    "enumerate --connectivity on one or three circles exits 2 with its message."
+    code, out, err = run(capsys, "enumerate", "--shape", shape, "--connectivity", "1")
+    assert (code, out, err) == (2, "", "error: --connectivity needs a two-circle shape\n")
+
+
 def test_out_file(tmp_path, capsys):
     "Any verb can write to a file instead of standard output."
     target = tmp_path / "count.txt"

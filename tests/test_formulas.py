@@ -274,6 +274,35 @@ def test_polynomial_rejects_coefficients_that_are_not_ints(coefficients, bad):
         IntPolynomial(coefficients)
 
 
+POSITIVE = "circle sizes must be positive"
+
+
+@pytest.mark.parametrize(
+    "formula, args, message",
+    [
+        (binom, (-1, 0), "upper argument must be nonnegative; use gbinom"),
+        (mobius_disc, (0,), "n must be positive"),
+        (annulus_cell_count, (0, 1, 1, 0, 0), POSITIVE),
+        (annulus_connectivity_count, (1, 0, 0), POSITIVE),
+        (annulus_total, (0, 1), POSITIVE),
+        (rank_gen_cells, (1, 0), POSITIVE),
+        (rank_gen_compact, (0, 1), POSITIVE),
+        (rank_gen_disc, (0,), "n must be positive"),
+        (rank_coefficient, (0, 1, 0), POSITIVE),
+        (zeta_poly, (1, 0, 2), POSITIVE),
+        (zeta_poly_q1, (1, 2), "n must be at least 2"),
+        (max_chains, (0, 1), POSITIVE),
+        (mobius_annulus, (1, 0), POSITIVE),
+        (mobius_q1, (1,), "n must be at least 2"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_closed_forms_refuse_sizes_below_their_range(formula, args, message):
+    "A size below a closed form's range is refused with its message."
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        formula(*args)
+
+
 @st.composite
 def signed_lists(draw):
     "Coefficient lists of one bit size, up to 4,000 bits, with either sign."

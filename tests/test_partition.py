@@ -64,6 +64,12 @@ def test_element_order_within_block():
         pytest.param(3, [[1, 2], [-1, -2], [3]], None, id="blocks1"),
         pytest.param(2, [[1, 0], [-1, 2, -2]], None, id="blocks2"),
         pytest.param(1, [[1], [0]], "bad or repeated element 0 for n=1", id="zero-for-last"),
+        pytest.param(
+            3, [[1, -1], [2, -2], [3, 4]], "bad or repeated element 4 for n=3", id="4-on-the-place-of--3"
+        ),
+        pytest.param(
+            3, [[1, -1], [2, -2], [-3, -4]], "bad or repeated element -4 for n=3", id="-4-on-the-place-of-3"
+        ),
         pytest.param(2, [[1, 2], [-1, -2], [1, -1]], None, id="blocks3"),
         pytest.param(3, [[1, -2], [2, -1, 3, -3]], None, id="blocks4"),
         pytest.param(2, [[1, -1], [2, -2]], None, id="blocks5"),
@@ -281,6 +287,32 @@ def test_pair_stats_match_the_block_oracle(p, q):
     shape = AnnulusShape(p, q)
     for pi in nc_b_annulus(p, q).elements:
         assert pair_stats(pi, shape) == pair_stats_by_blocks(pi, shape)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: pair_stats(TOP3, AnnulusShape(3)),
+            "pair statistics need a two-circle shape",
+            id="pair-stats-one-circle",
+        ),
+        pytest.param(
+            lambda: pair_stats(TOP3, AnnulusShape(2, 2)),
+            "shape size does not match the partition",
+            id="pair-stats-size",
+        ),
+        pytest.param(
+            lambda: meet_q1(TOP3, BPartition.singletons(3), AnnulusShape(3, 1)),
+            "shape size does not match the partitions",
+            id="meet-q1-size",
+        ),
+    ],
+)
+def test_two_circle_statistics_refuse_a_shape_that_does_not_fit(call, message):
+    "A shape of the wrong circle count or size is refused with its message."
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -199,6 +199,36 @@ def test_shape_rejects_sizes_that_are_not_ints(sizes, bad):
         AnnulusShape(*sizes)
 
 
+E2, E3 = SignedPermutation.identity(2), SignedPermutation.identity(3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: AnnulusShape(), "a shape needs at least one circle", id="no-circles"),
+        pytest.param(
+            lambda: AnnulusShape(1, 1, 1).p, "p/q only make sense for two-circle shapes", id="p"
+        ),
+        pytest.param(
+            lambda: AnnulusShape(1, 1, 1).q, "p/q only make sense for two-circle shapes", id="q"
+        ),
+        pytest.param(lambda: E2 * E3, "size mismatch", id="mul"),
+        pytest.param(lambda: E2.le(E3), "size mismatch", id="le"),
+        pytest.param(lambda: joint_orbits(E2, E3), "size mismatch", id="joint-orbits"),
+        pytest.param(lambda: genus_defect(E3, E2), "size mismatch", id="genus-defect"),
+        pytest.param(
+            lambda: SignedPermutation.from_cycles(2, (1, -3)),
+            "label out of range 1..2",
+            id="from-cycles-label",
+        ),
+    ],
+)
+def test_shapes_and_pairs_refuse_what_does_not_fit(call, message):
+    "No circles, p or q off two circles, and mixed sizes are refused with their message."
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_joint_orbit_count():
     "Joint orbits merge the orbits of both permutations."
     e = SignedPermutation.identity(3)

@@ -75,6 +75,7 @@ RETIRED = [
     "_circle_strings",
     "_compositions",
     "_cover_pairs",
+    "_desk_size",
     "_down_rows",
     "_filled",
     "_hold",
@@ -92,6 +93,7 @@ RETIRED = [
     "_running",
     "_running_order",
     "_set_partitions",
+    "_split_orbits",
     "abs_map",
     "canonical_block_order",
     "catalan",
@@ -173,11 +175,12 @@ def test_the_benchmark_finds_the_names_it_calls():
 
 
 # The memos allowed no bound: the shape-keyed caches that DESK_BOUND
-# limits, and the argument parser, built once.
+# limits, and the argument parser, built once.  The walk memo
+# `enumeration._interval` takes any bound, so it keeps only the walk in hand.
 UNBOUNDED = {
     "checks._pair_tallies",
+    "checks._walk_counts",
     "cli._build_parser",
-    "enumeration._interval",
     "enumeration._poset_for_sizes",
     "enumeration._preimages",
 }
@@ -217,10 +220,11 @@ def memos():
 
 def test_every_unbounded_memo_is_a_shape_cache_or_the_parser():
     """A memo with no bound grows with its traffic and shows in peak RSS; only
-    the shape-keyed caches and the parser may have none, and the codec's
-    layout memo stays small."""
+    the shape-keyed caches and the parser may have none, the codec's
+    layout memo stays small, and the walk memo holds one walk."""
     inventory = {name: memo.cache_parameters()["maxsize"] for name, memo in memos().items()}
     unbounded = {name for name, bound in inventory.items() if bound is None}
     assert unbounded == UNBOUNDED, inventory
     assert max(b for b in inventory.values() if b is not None) <= 512, inventory
     assert inventory["bijection._layout"] == 16
+    assert inventory["enumeration._interval"] == 1
