@@ -41,7 +41,7 @@ from operator import sub
 from typing import NamedTuple, Sequence
 
 from .enumeration import _passes_size_test
-from .partition import BPartition, _place
+from .partition import BPartition, _relabelled
 
 
 class _Fields(NamedTuple):  # NamedTuple forbids a __new__ of its own
@@ -364,19 +364,23 @@ def _ends(table: bytes | tuple, p: int, q: int) -> dict[int, int]:
     on the outer circle and closes on the inner one, so its first is the
     first of its outer piece and its last the last of its inner piece.
     """
-    # The signed label at each running index, and its place (see _placed).
+    # The signed label and the block at each running index (see _placed).
     order = [*range(1, p + 1), *range(-1, -p - 1, -1), *range(p + 1, p + q + 1)]
     order += range(-p - 1, -p - q - 1, -1)
-    at = [*map(_place, order)]
+    cut = 2 * p  # the inner circle's first place, and its first running index
+    running = table[:cut:2] + table[1:cut:2] + table[cut::2] + table[cut + 1 :: 2]
     spots: list[list[int]] = [[] for _ in range(max(table, default=-1) + 1)]
-    for i, k in enumerate(at):  # each block's running indices, ascending
-        spots[table[k]].append(i)
+    for i, block in enumerate(running):  # each block's running indices, ascending
+        spots[block].append(i)
     ends = {}
     for own in spots:
-        mirror = spots[table[at[own[0]] ^ 1]]  # the block of -x, x in own
+        # The block of -x, x at own[0]: -x runs p on (or back) on the outer
+        # circle, q on the inner one.
+        i = own[0]
+        mirror = spots[running[(i + p) % cut if i < cut else cut + (i - cut + q) % (2 * q)]]
         if mirror is own:  # the zero block
             continue
-        k = bisect_left(own, 2 * p)  # own[:k] lie on the outer circle
+        k = bisect_left(own, cut)  # own[:k] lie on the outer circle
         head, tail = own[:k] or own, own[k:] or own
         # Each piece's mirror starts at mirror[0] (outer) or mirror[k] (inner).
         first = head[bisect(head, mirror[0]) % len(head)]
@@ -411,8 +415,9 @@ def decode_multichain(
     Each set is split by circle at p.  The sets' layout, the one encoding
     reads (`_layout`), gives the anchor and the legal shifts, and its
     arrays read from the shift found give the levels of the result's
-    encoding, which must be the chain's members; a chain outside the
-    image raises ValueError.  That confirm is the image check, so it is
+    encoding, whose tables, relabelled as `BPartition` names its blocks
+    (`_relabelled`), must be the chain's members' tables; a chain outside
+    the image raises ValueError.  That confirm is the image check, so it is
     never memoised.  No partition is built.
     """
     chain = tuple(chain)
@@ -444,12 +449,10 @@ def decode_multichain(
     start = (first - 1 if first > 0 else p - first - 1) or 2 * p  # see _placed
     if start not in starts:
         raise _not_image(chain)
-    # A level equals its member when the two tables name as many blocks
-    # as the pairs of their entries do.
+    # A level equals its member when relabelled it is the member's table.
     levels = _assemble(p, q, outer, start, inner, anchor + q + 1, len(chain) + 1)
     for level, pi in zip(levels, chain):
-        table = pi._table
-        if not len(set(level)) == len(set(table)) == len(set(zip(level, table))):
+        if _relabelled(level) != pi._table:
             raise _not_image(chain)
     return AnnulusTuple._make((c, starts.index(start) + 1, *fields))
 

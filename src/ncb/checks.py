@@ -247,7 +247,7 @@ def _hasse_edges(max_n: int) -> Iterable[Check]:
 
 
 _sweep("mobius-annulus", _desk_pairs, formulas.mobius_annulus, _oracle(_mobius))
-_sweep("mobius-disc", _discs(2, 6), formulas.mobius_disc, _oracle(_mobius))
+_sweep("mobius-disc", _discs(1, 6), formulas.mobius_disc, _oracle(_mobius))
 _sweep(
     "mobius-q1",
     _discs(2),

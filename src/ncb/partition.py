@@ -61,6 +61,26 @@ def _owners(n: int, named: Iterable[tuple[object, Iterable[int]]]) -> list:
     return owner
 
 
+# The 256 block ids a byte holds and each id's next one: the byte map of
+# links in `BPartition._canonize` starts from these.
+_IDS = bytes(range(256))
+_NEXT_IDS = _IDS[1:] + _IDS[:1]
+
+
+def _relabelled(owner: Sequence) -> bytes | tuple:
+    """The place table of the blocks named by `owner` (None marking a place
+    in no block), the blocks named 0, 1, ... in order of their first
+    places: bytes while there are at most 256 blocks, a tuple past that.
+    A bytes owner is renamed by one C-level translate."""
+    firsts = dict.fromkeys(owner)
+    if type(owner) is bytes:
+        return owner.translate(bytes.maketrans(bytes(firsts), bytes(range(len(firsts)))))
+    if None in firsts:
+        raise _bad_block_list(len(owner) // 2, ())
+    table = map(dict(zip(firsts, range(len(firsts)))).__getitem__, owner)
+    return bytes(table) if len(firsts) <= 256 else tuple(table)
+
+
 # json.dumps with non-default separators builds an encoder on every call.
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -108,21 +128,31 @@ class BPartition:
 
     def _canonize(self, n: int, owner: Sequence) -> "BPartition":
         """The one canonical core: names the blocks 0, 1, ... in order of
-        their first places, which reading the labels in place order makes
-        the sorted blocks, and checks coverage and negation closure."""
-        firsts = dict.fromkeys(owner)
-        if None in firsts:
-            raise _bad_block_list(n, ())
-        ids = dict(zip(firsts, range(len(firsts))))
-        table = [*map(ids.__getitem__, owner)]
+        their first places (`_relabelled`), which reading the labels in
+        place order makes the sorted blocks, and checks coverage and
+        negation closure."""
         self.n = n
-        self._table = bytes(table) if len(ids) <= 256 else tuple(table)
+        self._table = table = _relabelled(owner)
         # Negation is closed when each block's negatives share one block:
         # the (block of x, block of -x) links then pair off the blocks.
-        mirror = table[:]
-        mirror[::2], mirror[1::2] = table[1::2], table[::2]
-        links = set(zip(table, mirror))
-        if len(links) != len(ids) or sum(starmap(eq, links)) > 1:
+        # Read in label order, then the negatives': each place's link is
+        # (ids[k], mirror[k]).
+        ids, mirror = table[::2] + table[1::2], table[1::2] + table[::2]
+        if type(table) is bytes:
+            # One byte map of the links: each block to its last place's
+            # partner, each id in no block to the next id.  The links pair
+            # off the blocks when it maps every place's block to its
+            # partner, and then its fixed points are the invariant blocks.
+            link = bytes.maketrans(_IDS + ids, _NEXT_IDS + mirror)
+            closed = ids.translate(link) == mirror
+            low = _IDS[: len(table)]  # every block's id: no more blocks than places
+            moved = int.from_bytes(link[: len(low)], "little") ^ int.from_bytes(low, "little")
+            invariant = moved.to_bytes(len(low), "little").count(0)  # a zero byte per fixed id
+        else:  # past 256 blocks no byte map holds them
+            links = set(zip(ids, mirror))
+            closed = len(links) == len(set(table))
+            invariant = sum(starmap(eq, links))
+        if not closed or invariant > 1:
             raise _bad_negation(self.blocks)
         return self
 

@@ -40,6 +40,13 @@ Decode: `block_ends_by_sorting`, each block's ends read off its positions
 and its mirror's, both sorted per block, which the walk over the running
 order in `bijection._ends` must equal.
 
+Canonical core: `table_by_links`, the place table that
+`BPartition._from_owner` must build from an owner, renamed by a dict and
+checked through the set of (block of x, block of -x) links, which its byte
+maps must equal, message for message; and `same_partition_by_pairs`, two
+tables naming as many blocks as the pairs of their entries do, which
+decode's confirm (`partition._relabelled`) must equal.
+
 Label places: `label_places`, the place order 1, -1, 2, -2, ... listed
 label by label, which `partition._place` must equal; `place_table_by_lookup`
 and `blocks_by_lookup`, each label's block looked up in that listed order,
@@ -72,7 +79,7 @@ from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
-from ncb import bijection
+from ncb import bijection, partition
 from ncb.bijection import (
     AnnulusTuple,
     _not_image,
@@ -444,6 +451,34 @@ def blocks_by_lookup(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[int
     order = label_places(n)
     ordered = [sorted(block, key=order.__getitem__) for block in blocks]
     return tuple(map(tuple, sorted(ordered, key=lambda block: order[block[0]])))
+
+
+def table_by_links(n: int, owner: Sequence) -> bytes | tuple:
+    """The canonical place table of the partition whose label at place k
+    lies in the block named owner[k]: the blocks renamed 0, 1, ... by a
+    dict in order of first place, bytes while at most 256.  Negation is
+    closed when the (block of x, block of -x) links number the blocks, and
+    at most one link is a block's own.  Raises what `BPartition` raises."""
+    firsts = dict.fromkeys(owner)
+    if None in firsts:
+        raise ValueError(f"blocks do not cover -{n}..-1, 1..{n}")
+    ids = dict(zip(firsts, range(len(firsts))))
+    table = [*map(ids.__getitem__, owner)]
+    mirror = table[:]
+    mirror[::2], mirror[1::2] = table[1::2], table[::2]
+    links = set(zip(table, mirror))
+    if len(links) != len(ids) or sum(itertools.starmap(operator.eq, links)) > 1:
+        blocks: list[list[int]] = [[] for _ in ids]
+        for k, i in enumerate(table):
+            blocks[i].append(k // 2 + 1 if k % 2 == 0 else -(k // 2 + 1))
+        raise partition._bad_negation(tuple(map(tuple, blocks)))
+    return bytes(table) if len(ids) <= 256 else tuple(table)
+
+
+def same_partition_by_pairs(level: Sequence, table: Sequence) -> bool:
+    """Whether two place tables, under any block names, hold one partition:
+    they name as many blocks as the pairs of their entries do."""
+    return len(set(level)) == len(set(table)) == len(set(zip(level, table)))
 
 
 def running_order(p: int, q: int) -> tuple[list[int], list[int], list[int]]:

@@ -60,7 +60,7 @@ CONNECTIVITY_2_AT_4_4 = 3136
 
 PINS = [
     ncb("verify-all", "verify --all", 10,
-        sha256="d8cf6d7a9eaf2c5ae6b1b69b48e8f08f1b0fad517e2d9908c300d15fde183981"),
+        sha256="74d9aced878028b0e853a05318f3bc6f8a5cbd327b90939db1bea1e273a59b05"),
     *(ncb(f"verify-{family}", f"verify --only {family}", 5,
           file=(VERIFY_MAX_N_3, f" {family} [", "1 checks, 0 failed"))
       for family in ("hypersum", "chu-vandermonde", "rank-gen-compact")),

@@ -810,16 +810,13 @@ def test_decode_round_trip_bench_scale(case):
     assert decode_multichain(encode_multichain(t, p, q), p, q) == t
 
 
-@settings(deadline=None, max_examples=60)
-@given(BENCH_SCALE, st.data())
-def test_decode_rejects_bent_chains_bench_scale(case, data):
+def _refuse_bent_chains(p, q, t, data):
     """Swapping two distinct levels breaks monotonicity, and the bottom as
     top member leaves no connected member: neither chain is in the image.
-    Swapping two labels that lie in no subset of t throughout the chain
-    gives chains near the image: the decode must raise unless the tuple it
-    reads off them encodes the relabelled chain, which only its confirm
-    checks."""
-    p, q, t = case
+    Swapping two labels that lie in no subset of t throughout the chain,
+    or in one member past the first, gives chains near the image: the decode
+    must raise unless the tuple it reads off them encodes the relabelled
+    chain, which only its confirm checks, level by level."""
     chain = encode_multichain(t, p, q)
     bent = [chain[:-1] + (BPartition.singletons(p + q),)]
     pairs = [
@@ -843,8 +840,36 @@ def test_decode_rejects_bent_chains_bench_scale(case, data):
         relabelled = tuple(
             BPartition(pi.n, ([swap.get(z, z) for z in b] for b in pi.blocks)) for pi in chain
         )
-        found = decoded(decode_multichain, relabelled, p, q)
-        assert found is None or encode_multichain(found, p, q) == relabelled
+        for near in (relabelled, *(chain[:j] + relabelled[j : j + 1] + chain[j + 1 :]
+                                   for j in range(1, len(chain)))):
+            found = decoded(decode_multichain, near, p, q)
+            assert found is None or encode_multichain(found, p, q) == near
+
+
+@settings(deadline=None, max_examples=60)
+@given(BENCH_SCALE, st.data())
+def test_decode_rejects_bent_chains_bench_scale(case, data):
+    "Random tuples up to p + q = 40 and m = 4: no bent chain decodes."
+    _refuse_bent_chains(*case, data)
+
+
+# An m = 3 tuple at (300, 200) with |LE| = 279: its levels name 818 and 339
+# pairs and its members as many blocks, past the 256 a byte holds.
+PAST_256 = AnnulusTuple(
+    9, 5, range(21, 300), [range(21, 301, 2), range(22, 300, 2)[:130]],
+    range(311, 441), [range(301, 401), range(431, 470)],
+)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.data())
+def test_decode_rejects_bent_chains_past_256_blocks(data):
+    """Past 256 blocks the tables are tuples, and decode's confirm relabels
+    them by a dict: the tuple round-trips and no bent chain decodes."""
+    chain = encode_multichain(PAST_256, 300, 200)
+    assert all(type(pi._table) is tuple for pi in chain)
+    assert decode_multichain(chain, 300, 200) == PAST_256
+    _refuse_bent_chains(300, 200, PAST_256, data)
 
 
 @pytest.mark.parametrize("p,q", DESK_PAIRS)

@@ -3,7 +3,7 @@ import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from ncb import (
@@ -30,6 +30,8 @@ from oracles import (
     pair_stats_by_blocks,
     place_table_by_lookup,
     refines_by_blocks,
+    same_partition_by_pairs,
+    table_by_links,
 )
 from test_signed_perm import signed_perms
 
@@ -568,6 +570,96 @@ def test_from_owner_matches_the_constructor(case):
             "uncover": f"ValueError: blocks do not cover -{n}..-1, 1..{n}",
         }[fault]
         assert found.startswith(expected)
+
+
+@st.composite
+def named_owners(draw):
+    """(n, blocks, owner): a negation-closed partition, small or past 128
+    labels, past 256 blocks when most labels sit in pairs of their own,
+    with at most one fault: a label split off its block (negation not
+    closed), pairs merged with their mirrors until two blocks are
+    invariant, or, in a list owner, a place left in no block.  The owner
+    names the blocks at random, as bytes or a list while they fit in 256
+    names and as a list of ints past that.  The draws come from a seeded
+    `Random`, whose uniform draws reach the large shapes."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    n = draw(st.one_of(st.integers(1, 10), st.integers(129, 170)))
+    alone = 0.95 if n > 128 else rng.random()  # the share of labels in pairs of their own
+    groups = rng.choice((1, 3, n))
+    pair_of = {x: x if rng.random() < alone else rng.randrange(groups) for x in range(1, n + 1)}
+    zero = {x for x in pair_of if rng.random() < 0.03}
+    blocks: dict = {}  # the zero block keyed 0, a pair's blocks (pair, ±1)
+    for x in range(1, n + 1):
+        if x in zero:
+            blocks.setdefault(0, []).extend((x, -x))
+        else:
+            sign = rng.choice((1, -1))
+            blocks.setdefault((pair_of[x], 1), []).append(sign * x)
+            blocks.setdefault((pair_of[x], -1), []).append(-sign * x)
+    blocks = [*blocks.values()]
+    fault = rng.choice([None, "split", "invariant", "uncover"])
+    if fault == "split" and max(map(len, blocks)) > 1:
+        block = rng.choice([b for b in blocks if len(b) > 1])
+        blocks.append([block.pop(rng.randrange(len(block)))])
+    elif fault == "invariant":  # one pair merged past a zero block, else two
+        for _ in range(1 if zero else 2):
+            block = rng.choice(blocks)
+            mirror = next(b for b in blocks if -block[0] in b)
+            if mirror is not block:
+                blocks.remove(mirror)
+                block += mirror
+    names = rng.sample(range(256) if len(blocks) <= 256 else range(-10**6, 10**6), len(blocks))
+    owner = [None] * (2 * n)
+    for name, block in zip(names, blocks):
+        for x in block:
+            owner[2 * abs(x) - 2 + (x < 0)] = name
+    if fault == "uncover":
+        owner[rng.randrange(2 * n)] = None
+    elif len(blocks) <= 256 and rng.random() < 0.5:
+        owner = bytes(owner)
+    return n, blocks, owner
+
+
+def _singletons(n):
+    "All singleton blocks, in place order."
+    return [[x] for k in range(1, n + 1) for x in (k, -k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_owners())
+@example((128, _singletons(128), bytes(range(255, -1, -1))))  # 256 blocks, as bytes
+@example((128, _singletons(128), [*range(255, -1, -1)]))  # and as a list
+@example((129, _singletons(129), [*range(257, -1, -1)]))  # 258 blocks
+def test_from_owner_matches_the_link_oracle(case):
+    """The byte maps that rename a bytes owner and check a bytes table's
+    negation build the table, or raise the message, that a dict rename and
+    the set of (block of x, block of -x) links give, for bytes and list
+    owners, within and past 256 blocks."""
+    n, blocks, owner = case
+    found = outcome(lambda: BPartition._from_owner(n, owner)._table)
+    assert found == outcome(lambda: table_by_links(n, owner))
+    if None not in [*owner]:  # every place in a block, as the blocks have it
+        assert found == outcome(lambda: BPartition(n, blocks)._table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_owners(), st.data())
+def test_relabelled_matches_the_pair_count_confirm(case, data):
+    """Decode's confirm, a level relabelled against a member's table, holds
+    exactly when the two tables name as many blocks as the pairs of their
+    entries do: on the owner against its own partition and against a
+    partition with two labels swapped."""
+    n, blocks, owner = case
+    try:
+        table = BPartition._from_owner(n, owner)._table
+    except ValueError:
+        return
+    x, y = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2))
+    y *= data.draw(st.sampled_from((1, -1)))
+    swap = {x: y, y: x, -x: -y, -y: -x}
+    swapped = BPartition(n, ([swap.get(z, z) for z in b] for b in blocks))._table
+    for member in (table, swapped):
+        assert (partition._relabelled(owner) == member) == same_partition_by_pairs(owner, member)
 
 
 def test_blocks_and_pair_mask_are_filled_once_into_the_instance():
