@@ -12,7 +12,8 @@ outer string from its d-th legal left start with the inner string after
 its anchor (the last legal right group end among those ending with the
 highest closer type) gives a matchable string whose nesting structure is
 read off as a partition, one partition per closer type for multichains,
-in one walk over the labels of both rotations.  A tuple's sets fix both
+in one walk over the labels of both rotations; a one-partition chain's
+walk keeps only the stack of open pairs.  A tuple's sets fix both
 strings, and d only picks one of the 2c legal shifts, so the per-label
 arrays, the legal left starts and the inner anchor form one layout,
 memoised by the four sets and shared by every d and by decoding.
@@ -155,10 +156,10 @@ class AnnulusTuple(_Fields):
 
 
 def _validate_tuple_range(t: AnnulusTuple, p: int, q: int) -> None:
-    outer, inner = (t.left_outer, *t.rights_outer), (t.left_inner, *t.rights_inner)
-    if any(min(s) < 1 or max(s) > p for s in outer if s):
+    outer, inner = t.left_outer.union(*t.rights_outer), t.left_inner.union(*t.rights_inner)
+    if outer and (min(outer) < 1 or max(outer) > p):
         raise ValueError(f"outer subsets must lie in 1..{p}")
-    if any(min(s) <= p or max(s) > p + q for s in inner if s):
+    if inner and (min(inner) <= p or max(inner) > p + q):
         raise ValueError(f"inner subsets must lie in {p + 1}..{p + q}")
 
 
@@ -301,16 +302,34 @@ def _assemble(
 
     The two rotations have surpluses c and -c, so the string matches.  One
     walk over the labels pushes a pair at each "(" and pops one per closer,
-    recording each pair's enclosing pair and closer type and each label's
-    pair; pair 0 stands for the outside and is kept at every level.  Every
-    pair is kept at level 1, and each later level moves the labels of the
-    pairs it drops into their nearest kept ancestor.  A level that drops no
-    pair is the previous level's table itself.  Tables are bytes while the
-    pair ids fit in one, as `BPartition` holds its own, and tuples past
-    that, so they key the memo `_member`."""
-    parent, kind, stack = [0], [m], [0]
+    recording each label's pair; pair 0 stands for the outside and is kept
+    at every level.  Every pair is kept at level 1, which is all a
+    one-level chain (m = 2) has, so its walk keeps the stack alone.  For
+    longer chains the walk also records each pair's enclosing pair and
+    closer type, and each later level moves the labels of the pairs it
+    drops into their nearest kept ancestor.  A level that drops no pair is
+    the previous level's table itself.  Tables are bytes while the pair
+    ids fit in one, as `BPartition` holds its own, and tuples past that,
+    so they key the memo `_member`."""
     pair = [0] * (2 * (p + q))  # each label's pair, by running index
-    for (opens, closers), base, first in ((outer, 0, start), (inner, 2 * p, after)):
+    circles = (outer, 0, start), (inner, 2 * p, after)
+    if m == 2:
+        # One level reads only each label's pair, not the parents and
+        # closer types that later levels need: a counter names each new
+        # pair, and a label's one closer (of type 1) pops once.
+        stack, count = [0], 0
+        for (opens, closers), base, first in circles:
+            period = len(opens)
+            for i in itertools.chain(range(first, 2 * period), range(first)):
+                if opens[i % period]:
+                    count += 1
+                    stack.append(count)
+                pair[base + i] = stack[-1]
+                if closers[i % period]:
+                    stack.pop()
+        return [(bytes if count < 256 else tuple)(_placed(pair, p, q))]
+    parent, kind, stack = [0], [m], [0]
+    for (opens, closers), base, first in circles:
         period = len(opens)
         for i in itertools.chain(range(first, 2 * period), range(first)):
             if opens[i % period]:
@@ -435,8 +454,9 @@ def decode_multichain(
         frozenset(map(abs, map(level.get, level.keys() - above.keys())))
         for level, above in zip(ends, ends[1:] + [{}])
     )
-    left_outer, *rights_outer = [s.intersection(range(1, p + 1)) for s in sets]
-    left_inner, *rights_inner = [s.intersection(range(p + 1, p + q + 1)) for s in sets]
+    outers = [s.intersection(range(1, p + 1)) for s in sets]
+    left_outer, *rights_outer = outers
+    left_inner, *rights_inner = map(frozenset.difference, sets, outers)
     c = len(left_outer) - sum(map(len, rights_outer))
     if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
         raise _not_image(chain)

@@ -82,7 +82,9 @@ def _relabelled(owner: Sequence) -> bytes | tuple:
 
 
 # json.dumps with non-default separators builds an encoder on every call.
-_JSON = json.JSONEncoder(separators=(",", ":"))
+# `to_json` encodes an int and a tuple of int tuples, which hold no cycle,
+# so the circular check (a dict entry per container) could never fire.
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 class BPartition:
@@ -116,7 +118,8 @@ class BPartition:
         owner = _owners(n, enumerate(blocks))
         if None in owner or size != 2 * n and sum(map(len, map(set, blocks))) != 2 * n:
             raise _bad_block_list(n, blocks)
-        self._canonize(n, owner)
+        # Block indices name the owners: up to 256 blocks they fit bytes.
+        self._canonize(n, bytes(owner) if len(blocks) <= 256 else owner)
 
     @classmethod
     def _from_owner(cls, n: int, owner: Sequence) -> "BPartition":

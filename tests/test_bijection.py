@@ -872,6 +872,48 @@ def test_decode_rejects_bent_chains_past_256_blocks(data):
     _refuse_bent_chains(300, 200, PAST_256, data)
 
 
+def walk_args(p, q, t):
+    "The arguments `encode_multichain` hands `_assemble` for t, but m."
+    outer, inner, starts, (_, anchor) = bijection._layout(p, q, *t[2:])
+    return p, q, outer, starts[t.d - 1], inner, anchor + q + 1
+
+
+@settings(deadline=None)
+@given(st.one_of(chain_tuples(max_levels=1), chain_tuples(max_size=40, max_levels=1)))
+def test_single_level_walk_matches_the_general_walk(case):
+    """On one-level tuples, up to the bench codec's sizes, the m = 2 walk
+    keeps only the stack; the general walk's first level, which reads no
+    m, is its reference."""
+    args = walk_args(*case)
+    assert bijection._assemble(*args, 2) == bijection._assemble(*args, 3)[:1]
+
+
+def one_level_tuple(lefts):
+    """An m = 2 tuple at (200, 100) with |LE| + |LI| = lefts: the walk
+    opens 2 * lefts pairs, two turns of each "("."""
+    inner = lefts - 100
+    return AnnulusTuple(
+        1, 2, range(1, 200, 2), [range(2, 200, 2)[:99]],
+        range(201, 201 + inner), [range(241, 242 + inner)],
+    )
+
+
+@pytest.mark.parametrize("lefts,form", [(127, bytes), (128, tuple)])
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_single_level_walk_at_the_last_byte_pair_id(lefts, form, data):
+    """254 pairs name ids up to 254, which fit a byte; 256 pairs reach 256,
+    and the level is a tuple.  Either way the codec agrees with the token
+    oracle, round-trips and refuses bent chains."""
+    p, q, t = 200, 100, one_level_tuple(lefts)
+    (level,) = bijection._assemble(*walk_args(p, q, t), 2)
+    assert type(level) is form
+    chain = encode_multichain(t, p, q)
+    assert chain == encode_by_tokens(t, p, q)
+    assert decode_multichain(chain, p, q) == t
+    _refuse_bent_chains(p, q, t, data)
+
+
 @pytest.mark.parametrize("p,q", DESK_PAIRS)
 def test_block_ends_match_the_sorting_oracle(p, q):
     """The walk over the running order reads the same ends as sorting each

@@ -629,6 +629,7 @@ def _singletons(n):
 @given(named_owners())
 @example((128, _singletons(128), bytes(range(255, -1, -1))))  # 256 blocks, as bytes
 @example((128, _singletons(128), [*range(255, -1, -1)]))  # and as a list
+@example((129, [*_singletons(128), [129, -129]], [*range(256, 0, -1), 0, 0]))  # 257 blocks
 @example((129, _singletons(129), [*range(257, -1, -1)]))  # 258 blocks
 def test_from_owner_matches_the_link_oracle(case):
     """The byte maps that rename a bytes owner and check a bytes table's
