@@ -22,11 +22,14 @@ of the blocks, level by level, takes their layout as encoding does, and
 reads the shift off the block whose closer ends the inner string; the
 levels read off the layout's arrays, at the shift it found, must be the
 chain's members.  A poset has far more multichains than elements, so the
-members are memoised by their levels' pair-id tables and the block ends
-by the members' place tables, for the shapes that pass the desk's size
-test: only their chains can be enumerated, so only there do chains
-repeat.  Past it a call builds each distinct level's member, and reads
-each distinct table's ends, once, and keeps none; a label's place is
+members are memoised by their levels' pair-id tables, and all that
+decoding reads off a member (its block ends, their firsts and lasts
+split by circle, the first keyed by the last) by the member's place
+table, for the shapes that pass the desk's size test: only their chains
+can be enumerated, so only there do chains repeat.  There decoding's
+confirm reads each level's relabelled table through the member memo.
+Past it a call builds each distinct level's member, and reads each
+distinct table's record, once, and keeps none; a label's place is
 arithmetic, so nothing per shape is kept but the 16 layouts.  Every memo
 is bounded, and its values are shared and so read-only.  A subset tuple
 is an immutable value, a named tuple whose constructor checks outside
@@ -274,10 +277,10 @@ def _shared(memo, total: int, keys: Sequence, *args) -> list:
 # by chance, and each entry grows with p + q: kept for every shape, 700
 # round trips at (300, 200) left the process 45 MB larger.  The largest
 # posets whose multichains the repo walks, NC^(B)(3, 2) and (2, 3), have
-# 264 elements, and CI pins the codec on their chains: their block ends
-# fit with room to spare.  The 11,088 chains at (2, 3), m = 4 have 1,853
-# distinct level tables, met in runs, and 512 of them serve 90 % of the
-# 33,264 member lookups.  The memos' gain comes from verify's
+# 264 elements, and CI pins the codec on their chains: their member
+# records fit with room to spare.  The 11,088 chains at (2, 3), m = 4 have
+# 1,853 distinct level tables, met in runs, and 512 of them serve 90 % of
+# the 33,264 member lookups.  The memos' gain comes from verify's
 # roundtrip-multichain, where chains repeat.  Their keys are tables, which
 # a chain revisits far apart; a layout is met only within one run of d, so
 # `_layout` holds few.
@@ -373,15 +376,25 @@ def encode_annulus(t: AnnulusTuple, p: int, q: int) -> BPartition:
 
 
 @lru_cache(maxsize=_MEMO)
-def _ends(table: bytes | tuple, p: int, q: int) -> dict[int, int]:
-    """Signed last element keyed by signed first element, for every block
-    but the zero block of the partition with this place table; shared by
-    every partition with that table, so read-only.
+def _ends(table: bytes | tuple, p: int, q: int) -> tuple:
+    """What decode reads off a chain member, by the member's place table,
+    for every block but the zero block: its signed ends, the last keyed by
+    the first; the absolute firsts and the absolute lasts, each split into
+    those of the outer circle and those of the inner one; and the first
+    keyed by the last.  Shared by every partition with that table, so
+    read-only.
 
     A block read off a pair holds the label after its "(" first and the
     label before its closer last.  For a connecting block the pair opens
     on the outer circle and closes on the inner one, so its first is the
     first of its outer piece and its last the last of its inner piece.
+    The mirror of a block read off a pair is read off the mirrored pair,
+    so where the block starts on x and ends on y its mirror starts on -x
+    and ends on -y: one block of each pair {A, -A} is read, and the pair's
+    positive first and last stand for both.  Outside the image a block's
+    ends need not mirror so, and the record may then differ from reading
+    each block alone; decode's confirm rejects such a member's chain
+    either way.
     """
     # The signed label and the block at each running index (see _placed).
     order = [*range(1, p + 1), *range(-1, -p - 1, -1), *range(p + 1, p + q + 1)]
@@ -392,20 +405,30 @@ def _ends(table: bytes | tuple, p: int, q: int) -> dict[int, int]:
     for i, block in enumerate(running):  # each block's running indices, ascending
         spots[block].append(i)
     ends = {}
-    for own in spots:
+    for block, own in enumerate(spots):
         # The block of -x, x at own[0]: -x runs p on (or back) on the outer
         # circle, q on the inner one.
         i = own[0]
-        mirror = spots[running[(i + p) % cut if i < cut else cut + (i - cut + q) % (2 * q)]]
-        if mirror is own:  # the zero block
+        twin = running[(i + p) % cut if i < cut else cut + (i - cut + q) % (2 * q)]
+        if twin <= block:  # the zero block, or a mirror already read
             continue
+        mirror = spots[twin]
         k = bisect_left(own, cut)  # own[:k] lie on the outer circle
         head, tail = own[:k] or own, own[k:] or own
         # Each piece's mirror starts at mirror[0] (outer) or mirror[k] (inner).
-        first = head[bisect(head, mirror[0]) % len(head)]
-        last = tail[bisect(tail, mirror[k % len(mirror)]) - 1]
-        ends[order[first]] = order[last]
-    return ends
+        first = order[head[bisect(head, mirror[0]) % len(head)]]
+        last = order[tail[bisect(tail, mirror[k % len(mirror)]) - 1]]
+        ends[first], ends[-first] = last, -last
+    return ends, _by_circle(ends, p), _by_circle(ends.values(), p), dict(zip(ends.values(), ends))
+
+
+def _by_circle(labels, p: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The positive labels among signed ones, split at p into the outer
+    circle's and the inner circle's."""
+    ordered = sorted(labels)
+    low = bisect(ordered, 0)
+    k = bisect(ordered, p, low)
+    return frozenset(ordered[low:k]), frozenset(ordered[k:])
 
 
 def decode_annulus(partition: BPartition, p: int, q: int) -> AnnulusTuple:
@@ -431,13 +454,21 @@ def decode_multichain(
       the rank of the shift starting at that "(": the first of the block
       of pi_k whose last is the anchor's label.
 
-    Each set is split by circle at p.  The sets' layout, the one encoding
-    reads (`_layout`), gives the anchor and the legal shifts, and its
-    arrays read from the shift found give the levels of the result's
-    encoding, whose tables, relabelled as `BPartition` names its blocks
-    (`_relabelled`), must be the chain's members' tables; a chain outside
-    the image raises ValueError.  That confirm is the image check, so it is
-    never memoised.  No partition is built.
+    Each set is split by circle at p.  The left sets are the first
+    member's absolute block firsts and the top level's right sets the last
+    member's absolute block lasts, both kept in the member's record
+    (`_ends`), so each chain builds only the middle levels' right sets,
+    which depend on two members.  The sets' layout, the one encoding reads
+    (`_layout`), gives the anchor and the legal shifts, and its arrays read
+    from the shift found give the levels of the result's encoding, whose
+    tables, relabelled as `BPartition` names its blocks, must be the
+    chain's members' tables; a chain outside the image raises ValueError.
+    That confirm is the image check, so the levels are read afresh on
+    every decode.  At desk sizes each level's relabelled table is read
+    through the member memo (`_member`), which the encode of the same
+    chain fills; past the size test it is relabelled (`_relabelled`).  No
+    partition is built, but for a level at desk size whose member the memo
+    does not hold.
     """
     chain = tuple(chain)
     if not chain:
@@ -446,33 +477,34 @@ def decode_multichain(
         raise ValueError(f"chain members must partition a {p + q}-circle set")
     # Each distinct table is read once, JSON copies of a shared level
     # alike; past the size test nothing is kept.
-    ends = _shared(_ends, p + q, [pi._table for pi in chain], p, q)
-    # The left set, then the right sets of types 1..m-1, each split by
-    # circle.  A block and its mirror end on x and -x: one label.
-    sets = [frozenset(map(abs, ends[0]))]
-    sets += (
-        frozenset(map(abs, map(level.get, level.keys() - above.keys())))
-        for level, above in zip(ends, ends[1:] + [{}])
-    )
-    outers = [s.intersection(range(1, p + 1)) for s in sets]
-    left_outer, *rights_outer = outers
-    left_inner, *rights_inner = map(frozenset.difference, sets, outers)
+    records = _shared(_ends, p + q, [pi._table for pi in chain], p, q)
+    left_outer, left_inner = records[0][1]
+    # The right sets of types 1..m-2, each split by circle, then the top
+    # level's.  A block and its mirror end on y and -y: one label.
+    rights = []
+    for (ends, _, (outer_lasts, _), _), above in zip(records, records[1:]):
+        dropped = frozenset(map(abs, map(ends.get, ends.keys() - above[0].keys())))
+        rights.append((dropped & outer_lasts, dropped - outer_lasts))
+    rights_outer, rights_inner = zip(*rights, records[-1][2])
     c = len(left_outer) - sum(map(len, rights_outer))
     if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
         raise _not_image(chain)
-    fields = left_outer, tuple(rights_outer), left_inner, tuple(rights_inner)
+    fields = left_outer, rights_outer, left_inner, rights_inner
     outer, inner, starts, (k, anchor) = _layout(p, q, *fields)
-    last = -(p + 1 + anchor)  # the anchor's label, in the second turn
-    first = next((f for f, end in ends[k - 1].items() if end == last), None)
+    # The first of the block whose last is the anchor's label, in the
+    # second turn.
+    first = records[k - 1][3].get(-(p + 1 + anchor))
     if first is None or abs(first) > p:
         raise _not_image(chain)
     start = (first - 1 if first > 0 else p - first - 1) or 2 * p  # see _placed
     if start not in starts:
         raise _not_image(chain)
-    # A level equals its member when relabelled it is the member's table.
+    # A level equals its member when relabelled it is the member's table:
+    # at desk sizes the member memo, which encode fills, holds it relabelled.
     levels = _assemble(p, q, outer, start, inner, anchor + q + 1, len(chain) + 1)
+    desk = _passes_size_test(p + q)
     for level, pi in zip(levels, chain):
-        if _relabelled(level) != pi._table:
+        if (_member(level)._table if desk else _relabelled(level)) != pi._table:
             raise _not_image(chain)
     return AnnulusTuple._make((c, starts.index(start) + 1, *fields))
 

@@ -37,8 +37,10 @@ circles its labels meet, which `partition.pair_stats` must equal; and
 constructor, which `partition.meet_q1` must equal.
 
 Decode: `block_ends_by_sorting`, each block's ends read off its positions
-and its mirror's, both sorted per block, which the walk over the running
-order in `bijection._ends` must equal.
+and its mirror's, both sorted per block, and `member_record_by_sorting`,
+those ends with their absolute values split by circle and the first keyed
+by the last, which the record that the walk over the running order in
+`bijection._ends` keeps must equal.
 
 Canonical core: `table_by_links`, the place table that
 `BPartition._from_owner` must build from an owner, renamed by a dict and
@@ -516,6 +518,23 @@ def block_ends_by_sorting(
         last = tail[bisect(tail, mirror[k % len(mirror)]) - 1]
         ends[order[first]] = order[last]
     return ends
+
+
+def member_record_by_sorting(
+    partition: BPartition, p: int, position: dict[int, int]
+) -> tuple:
+    """What decode reads off a chain member, built from its block ends
+    (`block_ends_by_sorting`): the ends; the absolute firsts and the
+    absolute lasts, each as (outer circle's, inner circle's) by comparing
+    each label with p; and the first keyed by the last."""
+    ends = block_ends_by_sorting(partition, p, position)
+
+    def by_circle(labels):
+        labels = {abs(x) for x in labels}
+        return frozenset(x for x in labels if x <= p), frozenset(x for x in labels if x > p)
+
+    first_of = {last: first for first, last in ends.items()}
+    return ends, by_circle(ends), by_circle(ends.values()), first_of
 
 
 def roundtrip_multichain_by_pair_stats(max_n: int) -> Iterable[Check]:

@@ -5,10 +5,12 @@ with -v (or -s) yields a one-line verdict per criterion.
 """
 
 import itertools
+import re
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from ncb import (
     AnnulusShape,
@@ -43,6 +45,8 @@ from ncb import (
 from ncb.cli import verify_suite
 from ncb.formulas import annulus_positive_total, binom
 from oracles import ParenString, legal_left_shifts, multi3_total
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 @contextmanager
@@ -347,6 +351,9 @@ def test_criterion_11_identity_suite():
         for p in range(1, 7):
             for q in range(1, 7):
                 assert rank_gen_cells(p, q) == rank_gen_compact(p, q), (p, q)
-        failures = [c for c in verify_suite() if not c.ok]
-        assert failures == []
+        suite = verify_suite()
+        assert [c for c in suite if not c.ok] == []
         assert time.monotonic() - start < 300
+        # The README states the default suite's size; it must not drift.
+        stated = re.search(r"`ncb verify --all` runs (\d+) formula", README.read_text())
+        assert int(stated[1]) == len(suite)

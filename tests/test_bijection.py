@@ -21,18 +21,18 @@ from ncb import (
     encode_multichain,
     nc_b_annulus,
 )
-from ncb import bijection
+from ncb import bijection, enumeration
 from ncb.formulas import annulus_positive_total, binom
 from oracles import (
     ParenString,
     _paren_type,
-    block_ends_by_sorting,
     circle_positions,
     canonical_block_order,
     decode_by_tokens,
     encode_by_tokens,
     legal_left_shifts,
     legal_right_shifts,
+    member_record_by_sorting,
     read_partition,
     running_order,
 )
@@ -916,12 +916,12 @@ def test_single_level_walk_at_the_last_byte_pair_id(lefts, form, data):
 
 @pytest.mark.parametrize("p,q", DESK_PAIRS)
 def test_block_ends_match_the_sorting_oracle(p, q):
-    """The walk over the running order reads the same ends as sorting each
-    block and its mirror, on every element of the shape.  It reads one
+    """The walk over the running order reads the same record as sorting
+    each block and its mirror, on every element of the shape.  It reads one
     member at a time, so these are the members of every two-member chain."""
     position = circle_positions(p, q)
     for pi in nc_b_annulus(p, q).elements:
-        assert bijection._ends(pi._table, p, q) == block_ends_by_sorting(pi, p, position)
+        assert bijection._ends(pi._table, p, q) == member_record_by_sorting(pi, p, position)
 
 
 @settings(deadline=None)
@@ -931,7 +931,7 @@ def test_block_ends_match_the_sorting_oracle_on_chains(case):
     p, q, t = case
     position = circle_positions(p, q)
     for pi in encode_multichain(t, p, q):
-        assert bijection._ends(pi._table, p, q) == block_ends_by_sorting(pi, p, position)
+        assert bijection._ends(pi._table, p, q) == member_record_by_sorting(pi, p, position)
 
 
 def test_decode_builds_its_strings_once(monkeypatch):
@@ -940,9 +940,11 @@ def test_decode_builds_its_strings_once(monkeypatch):
     lemma and the confirm read those same arrays instead of re-encoding,
     and the confirm compares levels with the chain without building a
     partition.  A decode right after its encode builds nothing: it reads
-    the layout encode made, and only confirms."""
+    the layout encode made, and only confirms, reading each level's member
+    from the memo encode filled (no `_member` miss)."""
     chain = encode_multichain(CHAIN_TUPLE, 6, 3)
     calls, args, results = Counter(), {}, []
+    members = bijection._member.cache_info
 
     def count(name):
         real = getattr(bijection, name)
@@ -960,10 +962,11 @@ def test_decode_builds_its_strings_once(monkeypatch):
     for name in ("_circle", "_left_starts", "_inner_anchor", "_assemble"):
         count(name)
     count("BPartition")
-    count("_member")
     bijection._layout.cache_clear()
+    misses = members().misses
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
     assert calls == {"_circle": 2, "_left_starts": 1, "_inner_anchor": 1, "_assemble": 1}
+    assert members().misses == misses
     outer, inner = results
     assert args["_assemble"][2] is outer and args["_assemble"][4] is inner
     assert all(map(operator.is_, args["_left_starts"], outer))
@@ -973,8 +976,10 @@ def test_decode_builds_its_strings_once(monkeypatch):
     assert encode_multichain(CHAIN_TUPLE, 6, 3) == chain
     encoded = args["_assemble"]
     calls.clear()
+    misses = members().misses
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
     assert calls == {"_assemble": 1}
+    assert members().misses == misses
     assert args["_assemble"][2] is encoded[2] and args["_assemble"][4] is encoded[4]
 
 
@@ -1080,15 +1085,17 @@ def test_decode_past_the_size_test_reads_each_distinct_table_once(monkeypatch):
 
 @pytest.mark.parametrize("p,q", DESK_PAIRS)
 def test_memoised_block_ends_match_the_sorting_oracle(p, q):
-    """A cold read and the shared warm one, made through a copy, both equal
-    sorting each block and its mirror."""
+    """A cold read of a member's record and the shared warm one, made
+    through a copy, both equal the record built by sorting each block and
+    its mirror: ends, firsts and lasts split by circle, and the
+    last-to-first map."""
     position = circle_positions(p, q)
     bijection._ends.cache_clear()
     for pi in nc_b_annulus(p, q).elements:
         copy = BPartition.from_json(pi.to_json())
         cold = bijection._ends(pi._table, p, q)
         assert bijection._ends(copy._table, p, q) is cold
-        assert cold == block_ends_by_sorting(copy, p, position)
+        assert cold == member_record_by_sorting(copy, p, position)
 
 
 # Every shape up to p + q = 16, past the desk's size test (13) too.
@@ -1146,14 +1153,15 @@ def drawn_tuple(rng, p, q, levels):
 
 @pytest.mark.parametrize("p,q", [(p, q) for p, q in SMALL_PAIRS if p + q >= 14])
 def test_unmemoised_block_ends_match_the_sorting_oracle(p, q):
-    """Past the size test, where `_ends` is read unmemoised, the ends of
-    every member of drawn chains equal sorting each block and its mirror."""
+    """Past the size test, where `_ends` is read unmemoised, the record of
+    every member of drawn chains equals the one built by sorting each block
+    and its mirror."""
     rng = Random(p * 100 + q)
     position = circle_positions(p, q)
     for _ in range(20):
         t = drawn_tuple(rng, p, q, rng.randint(1, 3))
         for pi in encode_multichain(t, p, q):
-            assert bijection._ends.__wrapped__(pi._table, p, q) == block_ends_by_sorting(
+            assert bijection._ends.__wrapped__(pi._table, p, q) == member_record_by_sorting(
                 pi, p, position
             )
 
@@ -1177,16 +1185,11 @@ def test_codec_keeps_no_table_per_shape_past_the_size_test():
     assert max(sizes.values()) <= 16, sizes
 
 
-def test_warm_memos_still_reject():
-    """With the memos warm from every valid (2, 1) chain at m = 4, its
-    chains with two distinct levels swapped or the top made the bottom
-    still raise, and so do the inputs of the test_decode_rejects tests,
-    each decoded twice, after its own image where it has one."""
-    for memo in (bijection._layout, bijection._member, bijection._ends):
-        memo.cache_clear()
+def bent_inputs():
+    """(members, p, q) that no tuple encodes: the valid (2, 1) chains at
+    m = 4 with two distinct levels swapped or the top made the bottom, then
+    the three inputs of the test_decode_rejects tests."""
     chains = [encode_multichain(t, 2, 1) for t in annulus_tuples(2, 1, 4)]
-    for chain in chains:
-        decode_copies(chain, 2, 1)
     bottom = BPartition.singletons(3)
     bent = [chain[:-1] + (bottom,) for chain in chains]
     for chain in chains:
@@ -1195,17 +1198,57 @@ def test_warm_memos_still_reject():
                 swapped = list(chain)
                 swapped[i], swapped[j] = chain[j], chain[i]
                 bent.append(swapped)
-    t = AnnulusTuple.from_text("c=1 d=2 LE=2,3,4 RE1=1,4 LI=6 RI1=5,6")
-    assert decode_annulus(encode_annulus(t, 4, 2), 4, 2) == t
     coarser = BPartition(6, [[1, -3, 4], [-1, 3, -4], [2, 5], [-2, -5], [6], [-6]])
     others = [
         ([BPartition.singletons(2)], 1, 1),
         ([BPartition.singletons(2)] * 2, 1, 1),
         ([coarser], 4, 2),
     ]
-    for members, p, q in [(chain, 2, 1) for chain in bent] + others * 2:
+    return [(chain, 2, 1) for chain in bent] + others
+
+
+def test_warm_memos_still_reject():
+    """With the memos warm from every valid (2, 1) chain at m = 4, its
+    chains with two distinct levels swapped or the top made the bottom
+    still raise, and so do the inputs of the test_decode_rejects tests,
+    each decoded twice, after its own image where it has one."""
+    for memo in (bijection._layout, bijection._member, bijection._ends):
+        memo.cache_clear()
+    for t in annulus_tuples(2, 1, 4):
+        decode_copies(encode_multichain(t, 2, 1), 2, 1)
+    t = AnnulusTuple.from_text("c=1 d=2 LE=2,3,4 RE1=1,4 LI=6 RI1=5,6")
+    assert decode_annulus(encode_annulus(t, 4, 2), 4, 2) == t
+    bent = bent_inputs()
+    for members, p, q in bent + bent[-3:]:
         with pytest.raises(ValueError):
             decode_multichain(members, p, q)
+
+
+def decode_outcome(members, p, q):
+    "What decode gives on JSON copies of members: its tuple, or its error's message."
+    copies = [BPartition.from_json(pi.to_json()) for pi in members]
+    try:
+        return decode_multichain(copies, p, q)
+    except ValueError as error:
+        return str(error)
+
+
+def test_one_decode_on_both_sides_of_the_size_test(monkeypatch):
+    """Decoding at desk sizes, through the memoised member records and the
+    member memo's confirm, and with the size test failed (a bound of 1),
+    through fresh records and the relabelling confirm, gives equal tuples
+    or a ValueError with the same message: every chain of (1,1), (2,1) and
+    (1,2) at m = 2, 3 and 4 and of (2,2) at m = 3, each its own tuple, and
+    every bent input of `test_warm_memos_still_reject`, each refused."""
+    shapes = [(p, q, m) for p, q in [(1, 1), (2, 1), (1, 2)] for m in (2, 3, 4)]
+    domain = [(t, p, q) for p, q, m in shapes + [(2, 2, 3)] for t in annulus_tuples(p, q, m)]
+    cases = [(encode_multichain(t, p, q), p, q) for t, p, q in domain] + bent_inputs()
+    desk = [decode_outcome(*case) for case in cases]
+    assert desk[: len(domain)] == [t for t, _, _ in domain]
+    assert all(type(outcome) is str for outcome in desk[len(domain) :])
+    monkeypatch.setattr(enumeration, "DESK_BOUND", 1)
+    assert not bijection._passes_size_test(2)
+    assert [decode_outcome(*case) for case in cases] == desk
 
 
 @pytest.mark.parametrize("p,q,m", [(2, 1, 4), (1, 2, 4), (3, 2, 3), (2, 2, 3)])
