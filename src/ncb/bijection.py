@@ -21,19 +21,22 @@ Decoding reads the tuple's sets straight off the first and last elements
 of the blocks, level by level, takes their layout as encoding does, and
 reads the shift off the block whose closer ends the inner string; the
 levels read off the layout's arrays, at the shift it found, must be the
-chain's members.  A poset has far more multichains than elements, so the
-members are memoised by their levels' pair-id tables, and all that
+chain's members.  The layout keeps those levels' tables by shift, at most
+2c chains, so a decode right after its encode reads none of them again.
+A poset has far more multichains than elements, so the members are
+memoised by their levels' pair-id tables, and all that
 decoding reads off a member (its block ends, their firsts and lasts
 split by circle, the first keyed by the last) by the member's place
 table, for the shapes that pass the desk's size test: only their chains
-can be enumerated, so only there do chains repeat.  There decoding's
-confirm reads each level's relabelled table through the member memo.
-Past it a call builds each distinct level's member, and reads each
-distinct table's record, once, and keeps none; a label's place is
+can be enumerated, so only there do chains repeat.  There a decode that
+misses the layout's kept tables reads each level's through the member
+memo.  Past it a call builds each distinct level's member, and reads
+each distinct table's record, once, and keeps none; a label's place is
 arithmetic, so nothing per shape is kept but the 16 layouts.  Every memo
-is bounded, and its values are shared and so read-only.  A subset tuple
-is an immutable value, a named tuple whose constructor checks outside
-input."""
+is bounded, and its values are shared and so read-only, but for a
+layout's store of shifts, which gains only the entries its key and start
+fix.  A subset tuple is an immutable value, a named tuple whose
+constructor checks outside input."""
 
 from __future__ import annotations
 
@@ -237,11 +240,17 @@ def _inner_anchor(opens: list, closers: list) -> tuple[int, int]:
 @lru_cache(maxsize=16)
 def _layout(p: int, q: int, left_outer, rights_outer, left_inner, rights_inner):
     """The circle arrays of a subset tuple's two circles, the outer legal
-    left starts and the inner anchor: everything but d, so shared by every
-    shift d, by encode and by decode, and read-only."""
+    left starts, the inner anchor and a store of shifts: everything but d,
+    so shared by every shift d, by encode and by decode.
+
+    The store maps a legal start to the place tables of the members of the
+    chain read from it, and encode and decode fill it.  `_assemble` reads
+    nothing but the layout's key and the start, so an entry is always that
+    chain's, a store holds at most 2c of them, and it goes with its layout.
+    All else in the layout is read-only."""
     outer = _circle(range(1, p + 1), left_outer, rights_outer)
     inner = _circle(range(p + 1, p + q + 1), left_inner, rights_inner)
-    return outer, inner, _left_starts(*outer), _inner_anchor(*inner)
+    return outer, inner, _left_starts(*outer), _inner_anchor(*inner), {}
 
 
 def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]:
@@ -252,12 +261,15 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
     concatenation after erasing the pairs closed by types below j.
     """
     _validate_tuple_range(t, p, q)
-    outer, inner, starts, (_, anchor) = _layout(p, q, *t[2:])  # t's four sets
+    outer, inner, starts, (_, anchor), shifts = _layout(p, q, *t[2:])  # t's four sets
     assert len(starts) == 2 * t.c
-    levels = _assemble(p, q, outer, starts[t.d - 1], inner, anchor + q + 1, t.m)
+    start = starts[t.d - 1]
+    levels = _assemble(p, q, outer, start, inner, anchor + q + 1, t.m)
     # A level that drops no pair is the previous table itself, so its
     # member is the previous member.
-    return tuple(_shared(_member, p + q, levels))
+    members = tuple(_shared(_member, p + q, levels))
+    shifts[start] = tuple([pi._table for pi in members])
+    return members
 
 
 def _shared(memo, total: int, keys: Sequence, *args) -> list:
@@ -459,16 +471,17 @@ def decode_multichain(
     member's absolute block lasts, both kept in the member's record
     (`_ends`), so each chain builds only the middle levels' right sets,
     which depend on two members.  The sets' layout, the one encoding reads
-    (`_layout`), gives the anchor and the legal shifts, and its arrays read
-    from the shift found give the levels of the result's encoding, whose
-    tables, relabelled as `BPartition` names its blocks, must be the
-    chain's members' tables; a chain outside the image raises ValueError.
-    That confirm is the image check, so the levels are read afresh on
-    every decode.  At desk sizes each level's relabelled table is read
-    through the member memo (`_member`), which the encode of the same
-    chain fills; past the size test it is relabelled (`_relabelled`).  No
-    partition is built, but for a level at desk size whose member the memo
-    does not hold.
+    (`_layout`), gives the anchor and the legal shifts.  The chain's
+    members' tables must then equal the tables of the chain that the tuple
+    found encodes to, or ValueError is raised: that one comparison is the
+    image check.  The layout keeps those tables by shift once an encode or
+    decode has read them, as a decode right after its encode finds them;
+    otherwise the levels are read off the layout's arrays at the shift
+    found (`_assemble`, as encoding reads them), and their tables, as
+    `BPartition` names its blocks, are kept: at desk sizes read through the
+    member memo (`_member`), past the size test relabelled (`_relabelled`).
+    No partition is built, but for a level at desk size whose member the
+    memo does not hold.
     """
     chain = tuple(chain)
     if not chain:
@@ -477,7 +490,8 @@ def decode_multichain(
         raise ValueError(f"chain members must partition a {p + q}-circle set")
     # Each distinct table is read once, JSON copies of a shared level
     # alike; past the size test nothing is kept.
-    records = _shared(_ends, p + q, [pi._table for pi in chain], p, q)
+    tables = tuple([pi._table for pi in chain])
+    records = _shared(_ends, p + q, tables, p, q)
     left_outer, left_inner = records[0][1]
     # The right sets of types 1..m-2, each split by circle, then the top
     # level's.  A block and its mirror end on y and -y: one label.
@@ -490,7 +504,7 @@ def decode_multichain(
     if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
         raise _not_image(chain)
     fields = left_outer, rights_outer, left_inner, rights_inner
-    outer, inner, starts, (k, anchor) = _layout(p, q, *fields)
+    outer, inner, starts, (k, anchor), shifts = _layout(p, q, *fields)
     # The first of the block whose last is the anchor's label, in the
     # second turn.
     first = records[k - 1][3].get(-(p + 1 + anchor))
@@ -499,13 +513,18 @@ def decode_multichain(
     start = (first - 1 if first > 0 else p - first - 1) or 2 * p  # see _placed
     if start not in starts:
         raise _not_image(chain)
-    # A level equals its member when relabelled it is the member's table:
-    # at desk sizes the member memo, which encode fills, holds it relabelled.
-    levels = _assemble(p, q, outer, start, inner, anchor + q + 1, len(chain) + 1)
-    desk = _passes_size_test(p + q)
-    for level, pi in zip(levels, chain):
-        if (_member(level)._table if desk else _relabelled(level)) != pi._table:
-            raise _not_image(chain)
+    kept = shifts.get(start)
+    if kept is None:
+        # At desk sizes the member memo, which encode fills, holds each
+        # level's table; past the size test a level is relabelled, not
+        # built as a member, whose negation check every level passes.
+        levels = _assemble(p, q, outer, start, inner, anchor + q + 1, len(chain) + 1)
+        desk = _passes_size_test(p + q)
+        kept = shifts[start] = tuple(
+            [_member(level)._table if desk else _relabelled(level) for level in levels]
+        )
+    if kept != tables:
+        raise _not_image(chain)
     return AnnulusTuple._make((c, starts.index(start) + 1, *fields))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import re
+import sys
 import time
 from collections import Counter
 from random import Random
@@ -810,6 +811,36 @@ def test_decode_round_trip_bench_scale(case):
     assert decode_multichain(encode_multichain(t, p, q), p, q) == t
 
 
+def bent_from(chain):
+    """Chains near an encoded chain that no tuple encodes: its top made the
+    bottom, and each two distinct levels swapped."""
+    bent = [chain[:-1] + (BPartition.singletons(chain[0].n),)]
+    for i, j in itertools.combinations(range(len(chain)), 2):
+        if chain[i] != chain[j]:
+            swapped = list(chain)
+            swapped[i], swapped[j] = chain[j], chain[i]
+            bent.append(swapped)
+    return bent
+
+
+def free_labels(t, p, q):
+    "The labels 1..p+q that lie in no subset of t."
+    used = t.left_outer | t.left_inner | set().union(*t.rights_outer, *t.rights_inner)
+    return [z for z in range(1, p + q + 1) if z not in used]
+
+
+def label_swaps(chain, x, y):
+    """The chain with labels x and y (and -x and -y) swapped throughout,
+    then with each member past the first swapped alone."""
+    swap = {x: y, y: x, -x: -y, -y: -x}
+    relabelled = tuple(
+        BPartition(pi.n, ([swap.get(z, z) for z in b] for b in pi.blocks)) for pi in chain
+    )
+    return [relabelled] + [
+        chain[:j] + relabelled[j : j + 1] + chain[j + 1 :] for j in range(1, len(chain))
+    ]
+
+
 def _refuse_bent_chains(p, q, t, data):
     """Swapping two distinct levels breaks monotonicity, and the bottom as
     top member leaves no connected member: neither chain is in the image.
@@ -818,30 +849,14 @@ def _refuse_bent_chains(p, q, t, data):
     must raise unless the tuple it reads off them encodes the relabelled
     chain, which only its confirm checks, level by level."""
     chain = encode_multichain(t, p, q)
-    bent = [chain[:-1] + (BPartition.singletons(p + q),)]
-    pairs = [
-        (i, j) for i, j in itertools.combinations(range(len(chain)), 2)
-        if chain[i] != chain[j]
-    ]
-    if pairs:
-        i, j = data.draw(st.sampled_from(pairs))
-        swapped = list(chain)
-        swapped[i], swapped[j] = chain[j], chain[i]
-        bent.append(swapped)
-    for members in bent:
+    for members in bent_from(chain):
         with pytest.raises(ValueError, match="not in the image"):
             decode_multichain(members, p, q)
-    used = t.left_outer | t.left_inner | set().union(*t.rights_outer, *t.rights_inner)
-    free = [z for z in range(1, p + q + 1) if z not in used]
+    free = free_labels(t, p, q)
     if len(free) > 1:
         x, y = data.draw(st.lists(st.sampled_from(free), min_size=2, max_size=2, unique=True))
         y *= data.draw(st.sampled_from((1, -1)))
-        swap = {x: y, y: x, -x: -y, -y: -x}
-        relabelled = tuple(
-            BPartition(pi.n, ([swap.get(z, z) for z in b] for b in pi.blocks)) for pi in chain
-        )
-        for near in (relabelled, *(chain[:j] + relabelled[j : j + 1] + chain[j + 1 :]
-                                   for j in range(1, len(chain)))):
+        for near in label_swaps(chain, x, y):
             found = decoded(decode_multichain, near, p, q)
             assert found is None or encode_multichain(found, p, q) == near
 
@@ -864,17 +879,20 @@ PAST_256 = AnnulusTuple(
 @settings(deadline=None, max_examples=10)
 @given(st.data())
 def test_decode_rejects_bent_chains_past_256_blocks(data):
-    """Past 256 blocks the tables are tuples, and decode's confirm relabels
-    them by a dict: the tuple round-trips and no bent chain decodes."""
+    """Past 256 blocks the tables are tuples: the tuple round-trips, also
+    cold, where decode's confirm relabels the levels by a dict, and no bent
+    chain decodes."""
     chain = encode_multichain(PAST_256, 300, 200)
     assert all(type(pi._table) is tuple for pi in chain)
+    assert decode_multichain(chain, 300, 200) == PAST_256
+    bijection._layout.cache_clear()
     assert decode_multichain(chain, 300, 200) == PAST_256
     _refuse_bent_chains(300, 200, PAST_256, data)
 
 
 def walk_args(p, q, t):
     "The arguments `encode_multichain` hands `_assemble` for t, but m."
-    outer, inner, starts, (_, anchor) = bijection._layout(p, q, *t[2:])
+    outer, inner, starts, (_, anchor), _ = bijection._layout(p, q, *t[2:])
     return p, q, outer, starts[t.d - 1], inner, anchor + q + 1
 
 
@@ -936,12 +954,12 @@ def test_block_ends_match_the_sorting_oracle_on_chains(case):
 
 def test_decode_builds_its_strings_once(monkeypatch):
     """A cold decode builds each circle's arrays once, with encode's
-    `_circle`, and runs the left cycle lemma once: the anchor, the cycle
-    lemma and the confirm read those same arrays instead of re-encoding,
-    and the confirm compares levels with the chain without building a
-    partition.  A decode right after its encode builds nothing: it reads
-    the layout encode made, and only confirms, reading each level's member
-    from the memo encode filled (no `_member` miss)."""
+    `_circle`, runs the left cycle lemma once and assembles the levels
+    once: the anchor, the cycle lemma and the confirm read those same
+    arrays instead of re-encoding, and the confirm compares levels with the
+    chain without building a partition.  A decode right after its encode
+    builds and assembles nothing: it reads the layout encode made, and
+    confirms against the tables encode kept in it for that shift."""
     chain = encode_multichain(CHAIN_TUPLE, 6, 3)
     calls, args, results = Counter(), {}, []
     members = bijection._member.cache_info
@@ -973,14 +991,14 @@ def test_decode_builds_its_strings_once(monkeypatch):
     assert all(map(operator.is_, args["_inner_anchor"], inner))
 
     bijection._layout.cache_clear()
+    calls.clear()
     assert encode_multichain(CHAIN_TUPLE, 6, 3) == chain
-    encoded = args["_assemble"]
+    assert calls["_assemble"] == 1
     calls.clear()
     misses = members().misses
     assert decode_multichain(chain, 6, 3) == CHAIN_TUPLE
-    assert calls == {"_assemble": 1}
+    assert calls == {}
     assert members().misses == misses
-    assert args["_assemble"][2] is encoded[2] and args["_assemble"][4] is encoded[4]
 
 
 def test_the_tuples_of_one_run_of_d_share_one_layout():
@@ -1189,29 +1207,40 @@ def bent_inputs():
     """(members, p, q) that no tuple encodes: the valid (2, 1) chains at
     m = 4 with two distinct levels swapped or the top made the bottom, then
     the three inputs of the test_decode_rejects tests."""
-    chains = [encode_multichain(t, 2, 1) for t in annulus_tuples(2, 1, 4)]
-    bottom = BPartition.singletons(3)
-    bent = [chain[:-1] + (bottom,) for chain in chains]
-    for chain in chains:
-        for i, j in itertools.combinations(range(len(chain)), 2):
-            if chain[i] != chain[j]:
-                swapped = list(chain)
-                swapped[i], swapped[j] = chain[j], chain[i]
-                bent.append(swapped)
+    bent = [
+        (members, 2, 1)
+        for t in annulus_tuples(2, 1, 4)
+        for members in bent_from(encode_multichain(t, 2, 1))
+    ]
     coarser = BPartition(6, [[1, -3, 4], [-1, 3, -4], [2, 5], [-2, -5], [6], [-6]])
     others = [
         ([BPartition.singletons(2)], 1, 1),
         ([BPartition.singletons(2)] * 2, 1, 1),
         ([coarser], 4, 2),
     ]
-    return [(chain, 2, 1) for chain in bent] + others
+    return bent + others
+
+
+def bench_tuples(count, seed):
+    "(tuple, p, q) drawn at the bench codec's sizes, p + q in 20..40, with m = 2..4."
+    rng = Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.randint(7, 26)
+        q = rng.randint(max(1, 20 - p), 40 - p)
+        out.append((drawn_tuple(rng, p, q, rng.randint(1, 3)), p, q))
+    return out
 
 
 def test_warm_memos_still_reject():
     """With the memos warm from every valid (2, 1) chain at m = 4, its
     chains with two distinct levels swapped or the top made the bottom
     still raise, and so do the inputs of the test_decode_rejects tests,
-    each decoded twice, after its own image where it has one."""
+    each decoded twice, after its own image where it has one.  At the bench
+    codec's sizes, past the size test, a layout's store of encoded shifts
+    is the only warm thing: chains bent from an encoded chain, decoded
+    right after it was encoded, raise, and one with two free labels swapped
+    raises unless it is the encoding of the tuple decode reads off it."""
     for memo in (bijection._layout, bijection._member, bijection._ends):
         memo.cache_clear()
     for t in annulus_tuples(2, 1, 4):
@@ -1222,6 +1251,23 @@ def test_warm_memos_still_reject():
     for members, p, q in bent + bent[-3:]:
         with pytest.raises(ValueError):
             decode_multichain(members, p, q)
+    rng = Random(7)
+    swaps = 0
+    for t, p, q in bench_tuples(40, 5):
+        assert not bijection._passes_size_test(p + q)
+        for members in bent_from(encode_multichain(t, p, q)):
+            encode_multichain(t, p, q)
+            with pytest.raises(ValueError, match="not in the image"):
+                decode_multichain(members, p, q)
+        free = free_labels(t, p, q)
+        if len(free) > 1:
+            x, y = rng.sample(free, 2)
+            for members in label_swaps(encode_multichain(t, p, q), x, y * rng.choice((1, -1))):
+                encode_multichain(t, p, q)
+                found = decoded(decode_multichain, members, p, q)
+                assert found is None or encode_multichain(found, p, q) == members
+                swaps += 1
+    assert swaps
 
 
 def decode_outcome(members, p, q):
@@ -1249,6 +1295,75 @@ def test_one_decode_on_both_sides_of_the_size_test(monkeypatch):
     monkeypatch.setattr(enumeration, "DESK_BOUND", 1)
     assert not bijection._passes_size_test(2)
     assert [decode_outcome(*case) for case in cases] == desk
+
+
+def run_of_d(t):
+    "The tuples that differ from t only in d, t first: one layout's 2c shifts."
+    return [t] + [t._replace(d=d) for d in range(1, 2 * t.c + 1) if d != t.d]
+
+
+def cold_and_warm(members, p, q, original):
+    """What decode gives on JSON copies of members cold, with the layout
+    memo cleared first, and warm, right after encoding every tuple of the
+    original's run of d, the original first, into a cleared layout memo
+    (without an original, right after the cold decode)."""
+    bijection._layout.cache_clear()
+    cold = decode_outcome(members, p, q)
+    if original is not None:
+        bijection._layout.cache_clear()
+        for t in run_of_d(original):
+            encode_multichain(t, p, q)
+    return cold, decode_outcome(members, p, q)
+
+
+def test_decode_alike_cold_and_warm():
+    """A decode that confirms against the tables its layout kept from
+    encoding gives what a cold decode, which assembles them, gives: equal
+    tuples or a ValueError with the same message.  The images are every
+    chain of (1,1), (2,1) and (1,2) at m = 2, 3 and 4 and of (2,2) at m = 3,
+    drawn chains at the bench codec's sizes and the chain of `PAST_256`;
+    the other inputs are the chains bent from each image (`bent_from`), a
+    warm decode of each following its image's encoding, and the three
+    other inputs of `test_warm_memos_still_reject`.  A warm decode follows
+    the encoding of its whole run of d, so its layout holds every shift."""
+    shapes = [(p, q, m) for p, q in [(1, 1), (2, 1), (1, 2)] for m in (2, 3, 4)]
+    domain = [(t, p, q) for p, q, m in shapes + [(2, 2, 3)] for t in annulus_tuples(p, q, m)]
+    domain += bench_tuples(30, 11) + [(PAST_256, 300, 200)]
+    images = [(encode_multichain(t, p, q), p, q, t) for t, p, q in domain]
+    bent = [(members, p, q, t) for chain, p, q, t in images for members in bent_from(chain)]
+    bent += [(members, p, q, None) for members, p, q in bent_inputs()[-3:]]
+    outcomes = [cold_and_warm(*case) for case in images + bent]
+    colds = [cold for cold, _ in outcomes]
+    assert colds[: len(images)] == [t for t, _, _ in domain]
+    assert all(type(cold) is str for cold in colds[len(images) :])
+    assert [warm for _, warm in outcomes] == colds
+
+
+def test_a_layouts_store_keeps_at_most_its_2c_shifts():
+    """Encoding a run of d twice and decoding each of its chains fills the
+    store of their one layout with the tables of its 2c shifts, each
+    shift's own, and no more; after 16 more distinct layouts (17 in all)
+    the memo, still bounded at 16, has let that layout and its store go."""
+    p, q = 19, 11
+    t = AnnulusTuple(3, 1, range(1, 10), [range(2, 8)], range(21, 26), [range(20, 28)])
+    bijection._layout.cache_clear()
+    run = run_of_d(t)
+    chains = [encode_multichain(u, p, q) for u in run]
+    _, _, starts, _, store = bijection._layout(p, q, *t[2:])
+    for u, chain in zip(run + run, chains + chains):
+        assert encode_multichain(u, p, q) == chain
+        assert decode_multichain(chain, p, q) == u
+    assert len(store) == 2 * t.c
+    kept = {starts[u.d - 1]: tuple(pi._table for pi in chain) for u, chain in zip(run, chains)}
+    assert store == kept
+    before = sys.getrefcount(store)
+    for x in range(1, 17):
+        u = AnnulusTuple(1, 1, {x}, [()], (), [{p + 1}])
+        assert decode_multichain(encode_multichain(u, p, q), p, q) == u
+    info = bijection._layout.cache_info()
+    assert info.currsize == info.maxsize == 16
+    assert sys.getrefcount(store) == before - 1  # only this frame holds it
+    assert bijection._layout(p, q, *t[2:])[4] == {}
 
 
 @pytest.mark.parametrize("p,q,m", [(2, 1, 4), (1, 2, 4), (3, 2, 3), (2, 2, 3)])
