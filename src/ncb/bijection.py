@@ -16,27 +16,26 @@ in one walk over the labels of both rotations; a one-partition chain's
 walk keeps only the stack of open pairs.  A tuple's sets fix both
 strings, and d only picks one of the 2c legal shifts, so the per-label
 arrays, the legal left starts and the inner anchor form one layout,
-memoised by the four sets and shared by every d and by decoding.
+memoised by the four sets and shared by every d and by decoding.  One
+builder, `_chain`, reads every chain off a layout, and the layout keeps
+the tables of the last chain read off it.
 Decoding reads the tuple's sets straight off the first and last elements
 of the blocks, level by level, takes their layout as encoding does, and
-reads the shift off the block whose closer ends the inner string; the
-levels read off the layout's arrays, at the shift it found, must be the
-chain's members.  The layout keeps those levels' tables by shift, at most
-2c chains, so a decode right after its encode reads none of them again.
+reads the shift off the block whose closer ends the inner string.  Its
+image check is to encode the tuple it read and compare: a decode right
+after its encode finds that chain kept.
 A poset has far more multichains than elements, so the members are
-memoised by their levels' pair-id tables, and all that
-decoding reads off a member (its block ends, their firsts and lasts
-split by circle, the first keyed by the last) by the member's place
-table, for the shapes that pass the desk's size test: only their chains
-can be enumerated, so only there do chains repeat.  There a decode that
-misses the layout's kept tables reads each level's through the member
-memo.  Past it a call builds each distinct level's member, and reads
-each distinct table's record, once, and keeps none; a label's place is
-arithmetic, so nothing per shape is kept but the 16 layouts.  Every memo
-is bounded, and its values are shared and so read-only, but for a
-layout's store of shifts, which gains only the entries its key and start
-fix.  A subset tuple is an immutable value, a named tuple whose
-constructor checks outside input."""
+memoised by their levels' pair-id tables, and all that decoding reads off
+a member (its block ends, their firsts and lasts split by circle, the
+first keyed by the last) by the member's place table, for the shapes
+that pass the desk's size test: only their chains can be enumerated, so
+only there do chains repeat.  Past it a call builds each distinct level's
+member, and reads each distinct table's record, once, and keeps none; a
+label's place is arithmetic, so nothing per shape is kept but the 16
+layouts, each with one chain.  Every memo is bounded, and its values are
+shared and so read-only, but for a layout's kept chain, which only
+`_chain` replaces.  A subset tuple is an immutable value, a named tuple
+whose constructor checks outside input."""
 
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ from operator import sub
 from typing import NamedTuple, Sequence
 
 from .enumeration import _passes_size_test
-from .partition import BPartition, _relabelled
+from .partition import BPartition
 
 
 class _Fields(NamedTuple):  # NamedTuple forbids a __new__ of its own
@@ -240,17 +239,17 @@ def _inner_anchor(opens: list, closers: list) -> tuple[int, int]:
 @lru_cache(maxsize=16)
 def _layout(p: int, q: int, left_outer, rights_outer, left_inner, rights_inner):
     """The circle arrays of a subset tuple's two circles, the outer legal
-    left starts, the inner anchor and a store of shifts: everything but d,
-    so shared by every shift d, by encode and by decode.
+    left starts, the inner anchor and a kept chain: everything but d, so
+    shared by every shift d, by encode and by decode.
 
-    The store maps a legal start to the place tables of the members of the
-    chain read from it, and encode and decode fill it.  `_assemble` reads
-    nothing but the layout's key and the start, so an entry is always that
-    chain's, a store holds at most 2c of them, and it goes with its layout.
-    All else in the layout is read-only."""
+    The kept chain is a list [start, tables]: the place tables of the
+    members of the last chain `_chain` read off the layout, and the legal
+    start it read them from.  `_chain` reads nothing but the layout's key,
+    which fixes m, and the start, so the kept tables are always that
+    start's chain.  All else in the layout is read-only."""
     outer = _circle(range(1, p + 1), left_outer, rights_outer)
     inner = _circle(range(p + 1, p + q + 1), left_inner, rights_inner)
-    return outer, inner, _left_starts(*outer), _inner_anchor(*inner), {}
+    return outer, inner, _left_starts(*outer), _inner_anchor(*inner), [None, None]
 
 
 def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]:
@@ -258,17 +257,26 @@ def encode_multichain(t: AnnulusTuple, p: int, q: int) -> tuple[BPartition, ...]
 
     The outer string is rotated to its d-th legal-left shift, the inner
     string to its anchor (`_inner_anchor`); pi_j is read from the
-    concatenation after erasing the pairs closed by types below j.
+    concatenation after erasing the pairs closed by types below j
+    (`_chain`).
     """
     _validate_tuple_range(t, p, q)
-    outer, inner, starts, (_, anchor), shifts = _layout(p, q, *t[2:])  # t's four sets
+    layout = _layout(p, q, *t[2:])  # t's four sets
+    starts = layout[2]
     assert len(starts) == 2 * t.c
-    start = starts[t.d - 1]
-    levels = _assemble(p, q, outer, start, inner, anchor + q + 1, t.m)
+    return _chain(p, q, layout, starts[t.d - 1], t.m)
+
+
+def _chain(p: int, q: int, layout: tuple, start: int, m: int) -> tuple[BPartition, ...]:
+    """The members of the m - 1 level chain read off a layout's strings,
+    the outer one from the legal start `start`; their tables become the
+    layout's kept chain, in place of the one kept before."""
+    outer, inner, _, (_, anchor), kept = layout
+    levels = _assemble(p, q, outer, start, inner, anchor + q + 1, m)
     # A level that drops no pair is the previous table itself, so its
     # member is the previous member.
     members = tuple(_shared(_member, p + q, levels))
-    shifts[start] = tuple([pi._table for pi in members])
+    kept[:] = start, tuple([pi._table for pi in members])
     return members
 
 
@@ -286,16 +294,15 @@ def _shared(memo, total: int, keys: Sequence, *args) -> list:
 # Bound of the codec's memos, which serve only the shapes that pass the
 # desk's size test (p + q <= 13): only their chains can be enumerated, so
 # only there do chains repeat.  Past it a chain met once is met again only
-# by chance, and each entry grows with p + q: kept for every shape, 700
-# round trips at (300, 200) left the process 45 MB larger.  The largest
-# posets whose multichains the repo walks, NC^(B)(3, 2) and (2, 3), have
-# 264 elements, and CI pins the codec on their chains: their member
-# records fit with room to spare.  The 11,088 chains at (2, 3), m = 4 have
-# 1,853 distinct level tables, met in runs, and 512 of them serve 90 % of
-# the 33,264 member lookups.  The memos' gain comes from verify's
-# roundtrip-multichain, where chains repeat.  Their keys are tables, which
-# a chain revisits far apart; a layout is met only within one run of d, so
-# `_layout` holds few.
+# by chance, and each entry grows with p + q: the tables of 700 round trips
+# at (300, 200) take 45 MB.  The largest posets whose multichains the repo
+# walks, NC^(B)(3, 2) and (2, 3), have 264 elements, and CI pins the codec
+# on their chains: their member records fit with room to spare.  The
+# 11,088 chains at (2, 3), m = 4 have 1,853 distinct level tables, met in
+# runs, and 512 of them serve 90 % of the 33,264 member lookups.  The
+# memos' gain comes from verify's roundtrip-multichain, where chains
+# repeat.  Their keys are tables, which a chain revisits far apart; a
+# layout is met only within one run of d, so `_layout` holds few.
 _MEMO = 512
 
 
@@ -471,17 +478,11 @@ def decode_multichain(
     member's absolute block lasts, both kept in the member's record
     (`_ends`), so each chain builds only the middle levels' right sets,
     which depend on two members.  The sets' layout, the one encoding reads
-    (`_layout`), gives the anchor and the legal shifts.  The chain's
-    members' tables must then equal the tables of the chain that the tuple
-    found encodes to, or ValueError is raised: that one comparison is the
-    image check.  The layout keeps those tables by shift once an encode or
-    decode has read them, as a decode right after its encode finds them;
-    otherwise the levels are read off the layout's arrays at the shift
-    found (`_assemble`, as encoding reads them), and their tables, as
-    `BPartition` names its blocks, are kept: at desk sizes read through the
-    member memo (`_member`), past the size test relabelled (`_relabelled`).
-    No partition is built, but for a level at desk size whose member the
-    memo does not hold.
+    (`_layout`), gives the anchor and the legal shifts.  The image check
+    is to encode the tuple found and compare: the chain's members' tables
+    must equal those of the chain `_chain` reads from the shift found, or
+    ValueError is raised.  A decode right after its encode finds that
+    chain kept in the layout, and reads no level.
     """
     chain = tuple(chain)
     if not chain:
@@ -504,7 +505,8 @@ def decode_multichain(
     if c < 1 or len(left_inner) != sum(map(len, rights_inner)) - c:
         raise _not_image(chain)
     fields = left_outer, rights_outer, left_inner, rights_inner
-    outer, inner, starts, (k, anchor), shifts = _layout(p, q, *fields)
+    layout = _layout(p, q, *fields)
+    _, _, starts, (k, anchor), kept = layout
     # The first of the block whose last is the anchor's label, in the
     # second turn.
     first = records[k - 1][3].get(-(p + 1 + anchor))
@@ -513,17 +515,9 @@ def decode_multichain(
     start = (first - 1 if first > 0 else p - first - 1) or 2 * p  # see _placed
     if start not in starts:
         raise _not_image(chain)
-    kept = shifts.get(start)
-    if kept is None:
-        # At desk sizes the member memo, which encode fills, holds each
-        # level's table; past the size test a level is relabelled, not
-        # built as a member, whose negation check every level passes.
-        levels = _assemble(p, q, outer, start, inner, anchor + q + 1, len(chain) + 1)
-        desk = _passes_size_test(p + q)
-        kept = shifts[start] = tuple(
-            [_member(level)._table if desk else _relabelled(level) for level in levels]
-        )
-    if kept != tables:
+    if kept[0] != start:
+        _chain(p, q, layout, start, len(chain) + 1)
+    if kept[1] != tables:
         raise _not_image(chain)
     return AnnulusTuple._make((c, starts.index(start) + 1, *fields))
 

@@ -185,9 +185,9 @@ def annulus_cell_count(p: int, q: int, c: int, e: int, i: int) -> int:
     i interior block pairs; out-of-range statistics give 0."""
     if min(p, q) < 1:
         raise ValueError("circle sizes must be positive")
-    if c < 1 or e < 0 or i < 0:
+    if c < 0 or e < 0 or i < 0:
         return 0
-    return 2 * c * binom(p, e) * binom(p, e + c) * binom(q, i) * binom(q, i + c)
+    return (2 * c or 1) * binom(p, e) * binom(p, e + c) * binom(q, i) * binom(q, i + c)
 
 
 def annulus_connectivity_count(p: int, q: int, c: int) -> int:

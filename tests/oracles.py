@@ -47,7 +47,8 @@ Canonical core: `table_by_links`, the place table that
 checked through the set of (block of x, block of -x) links, which its byte
 maps must equal, message for message; and `same_partition_by_pairs`, two
 tables naming as many blocks as the pairs of their entries do, which
-decode's confirm (`partition._relabelled`) must equal.
+comparing a relabelled owner (`partition._relabelled`) with a table must
+equal.
 
 Label places: `label_places`, the place order 1, -1, 2, -2, ... listed
 label by label, which `partition._place` must equal; `place_table_by_lookup`

@@ -102,12 +102,12 @@ def test_criterion_03_connectivity_histogram():
                 cell = pair_stats(pi, shape)
                 histogram[cell] = histogram.get(cell, 0) + 1
                 by_connectivity[cell[0]] = by_connectivity.get(cell[0], 0) + 1
-            for c in range(1, min(p, q) + 1):
+            for c in range(0, min(p, q) + 1):
                 for e in range(0, p - c + 1):
                     for i in range(0, q - c + 1):
                         want = annulus_cell_count(p, q, c, e, i)
                         assert histogram.get((c, e, i), 0) == want, (p, q, c, e, i)
-                want = 2 * c * binom(2 * p, p - c) * binom(2 * q, q - c)
+                want = (2 * c or 1) * binom(2 * p, p - c) * binom(2 * q, q - c)
                 assert by_connectivity.get(c, 0) == want
                 assert annulus_connectivity_count(p, q, c) == want
             assert by_connectivity.get(0, 0) == binom(2 * p, p) * binom(2 * q, q)

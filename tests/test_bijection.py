@@ -880,8 +880,8 @@ PAST_256 = AnnulusTuple(
 @given(st.data())
 def test_decode_rejects_bent_chains_past_256_blocks(data):
     """Past 256 blocks the tables are tuples: the tuple round-trips, also
-    cold, where decode's confirm relabels the levels by a dict, and no bent
-    chain decodes."""
+    cold, where decode builds its chain's members from tuple levels, and no
+    bent chain decodes."""
     chain = encode_multichain(PAST_256, 300, 200)
     assert all(type(pi._table) is tuple for pi in chain)
     assert decode_multichain(chain, 300, 200) == PAST_256
@@ -1237,10 +1237,10 @@ def test_warm_memos_still_reject():
     chains with two distinct levels swapped or the top made the bottom
     still raise, and so do the inputs of the test_decode_rejects tests,
     each decoded twice, after its own image where it has one.  At the bench
-    codec's sizes, past the size test, a layout's store of encoded shifts
-    is the only warm thing: chains bent from an encoded chain, decoded
-    right after it was encoded, raise, and one with two free labels swapped
-    raises unless it is the encoding of the tuple decode reads off it."""
+    codec's sizes, past the size test, a layout's kept chain is the only
+    warm thing: chains bent from an encoded chain, decoded right after it
+    was encoded, raise, and one with two free labels swapped raises unless
+    it is the encoding of the tuple decode reads off it."""
     for memo in (bijection._layout, bijection._member, bijection._ends):
         memo.cache_clear()
     for t in annulus_tuples(2, 1, 4):
@@ -1280,9 +1280,9 @@ def decode_outcome(members, p, q):
 
 
 def test_one_decode_on_both_sides_of_the_size_test(monkeypatch):
-    """Decoding at desk sizes, through the memoised member records and the
-    member memo's confirm, and with the size test failed (a bound of 1),
-    through fresh records and the relabelling confirm, gives equal tuples
+    """Decoding at desk sizes, through the memoised member records and
+    members, and with the size test failed (a bound of 1), through fresh
+    records and freshly built members, gives equal tuples
     or a ValueError with the same message: every chain of (1,1), (2,1) and
     (1,2) at m = 2, 3 and 4 and of (2,2) at m = 3, each its own tuple, and
     every bent input of `test_warm_memos_still_reject`, each refused."""
@@ -1305,13 +1305,13 @@ def run_of_d(t):
 def cold_and_warm(members, p, q, original):
     """What decode gives on JSON copies of members cold, with the layout
     memo cleared first, and warm, right after encoding every tuple of the
-    original's run of d, the original first, into a cleared layout memo
+    original's run of d, the original last, into a cleared layout memo
     (without an original, right after the cold decode)."""
     bijection._layout.cache_clear()
     cold = decode_outcome(members, p, q)
     if original is not None:
         bijection._layout.cache_clear()
-        for t in run_of_d(original):
+        for t in run_of_d(original)[::-1]:
             encode_multichain(t, p, q)
     return cold, decode_outcome(members, p, q)
 
@@ -1325,7 +1325,9 @@ def test_decode_alike_cold_and_warm():
     the other inputs are the chains bent from each image (`bent_from`), a
     warm decode of each following its image's encoding, and the three
     other inputs of `test_warm_memos_still_reject`.  A warm decode follows
-    the encoding of its whole run of d, so its layout holds every shift."""
+    the encoding of its whole run of d, the original last, so its layout
+    keeps the original's chain, and a bent chain read at another shift
+    builds its own."""
     shapes = [(p, q, m) for p, q in [(1, 1), (2, 1), (1, 2)] for m in (2, 3, 4)]
     domain = [(t, p, q) for p, q, m in shapes + [(2, 2, 3)] for t in annulus_tuples(p, q, m)]
     domain += bench_tuples(30, 11) + [(PAST_256, 300, 200)]
@@ -1339,31 +1341,73 @@ def test_decode_alike_cold_and_warm():
     assert [warm for _, warm in outcomes] == colds
 
 
-def test_a_layouts_store_keeps_at_most_its_2c_shifts():
-    """Encoding a run of d twice and decoding each of its chains fills the
-    store of their one layout with the tables of its 2c shifts, each
-    shift's own, and no more; after 16 more distinct layouts (17 in all)
-    the memo, still bounded at 16, has let that layout and its store go."""
-    p, q = 19, 11
-    t = AnnulusTuple(3, 1, range(1, 10), [range(2, 8)], range(21, 26), [range(20, 28)])
+# A run of d at (300, 200) with c = 20 and m = 4: 40 chains of tuple tables.
+WIDE_RUN = AnnulusTuple(
+    20, 1, range(1, 101), [range(1, 31), range(31, 61), range(61, 81)],
+    range(401, 501), [range(301, 341), range(341, 381), range(381, 421)],
+)
+
+
+@pytest.mark.parametrize(
+    "p,q,t",
+    [
+        (19, 11, AnnulusTuple(3, 1, range(1, 10), [range(2, 8)], range(21, 26), [range(20, 28)])),
+        (300, 200, WIDE_RUN),
+    ],
+    ids=["19-11", "300-200"],
+)
+def test_a_layout_keeps_only_its_last_chain(p, q, t):
+    """Encoding each tuple of a run of d, and decoding each chain right
+    after its encode and again after another shift's encode, leaves their
+    one layout keeping one chain: the tables of the shift read last, and
+    its start.  After 16 more distinct layouts (17 in all) the memo, still
+    bounded at 16, has let that layout and its chain go."""
     bijection._layout.cache_clear()
     run = run_of_d(t)
     chains = [encode_multichain(u, p, q) for u in run]
-    _, _, starts, _, store = bijection._layout(p, q, *t[2:])
-    for u, chain in zip(run + run, chains + chains):
+    _, _, starts, _, kept = bijection._layout(p, q, *t[2:])
+    for u, chain, other in zip(run, chains, run[1:] + run[:1]):
+        own = [starts[u.d - 1], tuple(pi._table for pi in chain)]
         assert encode_multichain(u, p, q) == chain
+        assert kept == own
         assert decode_multichain(chain, p, q) == u
-    assert len(store) == 2 * t.c
-    kept = {starts[u.d - 1]: tuple(pi._table for pi in chain) for u, chain in zip(run, chains)}
-    assert store == kept
-    before = sys.getrefcount(store)
+        assert kept == own
+        encode_multichain(other, p, q)
+        assert kept[0] == starts[other.d - 1]
+        assert decode_multichain(chain, p, q) == u
+        assert kept == own
+    before = sys.getrefcount(kept)
     for x in range(1, 17):
         u = AnnulusTuple(1, 1, {x}, [()], (), [{p + 1}])
         assert decode_multichain(encode_multichain(u, p, q), p, q) == u
     info = bijection._layout.cache_info()
     assert info.currsize == info.maxsize == 16
-    assert sys.getrefcount(store) == before - 1  # only this frame holds it
-    assert bijection._layout(p, q, *t[2:])[4] == {}
+    assert sys.getrefcount(kept) == before - 1  # only this frame holds it
+    assert bijection._layout(p, q, *t[2:])[4] == [None, None]
+
+
+@pytest.mark.parametrize(
+    "p,q,t", [(6, 3, CHAIN_TUPLE), (300, 200, PAST_256)], ids=["6-3", "300-200"]
+)
+def test_decode_reads_its_chain_as_encode_does(monkeypatch, p, q, t):
+    """A cold decode builds its chain once, through `_chain` with the start
+    and m that encode gave it, at desk size and past the size test; a
+    decode right after its encode builds none."""
+    calls = []
+    real = bijection._chain
+
+    def counted(p, q, layout, start, m):
+        calls.append((start, m))
+        return real(p, q, layout, start, m)
+
+    monkeypatch.setattr(bijection, "_chain", counted)
+    bijection._layout.cache_clear()
+    chain = encode_multichain(t, p, q)
+    assert decode_multichain(chain, p, q) == t
+    (encoded,) = calls
+    bijection._layout.cache_clear()
+    assert decode_multichain(chain, p, q) == t
+    assert calls == [encoded, encoded]
 
 
 @pytest.mark.parametrize("p,q,m", [(2, 1, 4), (1, 2, 4), (3, 2, 3), (2, 2, 3)])

@@ -74,9 +74,10 @@ def test_count_filters(capsys):
     assert code == 0 and out == "100\n"
     code, out, _ = run(capsys, "count", "--shape", "5", "--rank", "6")
     assert code == 0 and out == "0\n"
-    # Out-of-range cells and connectivities count no partition.
+    # A cell with no connecting pair counts C(p, e)^2 C(q, i)^2 partitions;
+    # out-of-range connectivities count none.
     code, out, _ = run(capsys, "count", "--shape", "3,2", "--cell", "0,1,1")
-    assert code == 0 and out == "0\n"
+    assert code == 0 and out == "36\n"
     code, out, _ = run(capsys, "count", "--shape", "3,2", "--connectivity", "-1")
     assert code == 0 and out == "0\n"
 

@@ -230,7 +230,7 @@ def test_connectivity_count_spots():
 @pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (3, 2)])
 def test_cell_counts_refine_connectivity(p, q):
     "Summing cells over block counts recovers each connectivity class."
-    for c in range(1, min(p, q) + 1):
+    for c in range(0, min(p, q) + 1):
         total = sum(
             annulus_cell_count(p, q, c, e, i)
             for e in range(0, p - c + 1)

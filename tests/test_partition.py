@@ -646,7 +646,7 @@ def test_from_owner_matches_the_link_oracle(case):
 @settings(max_examples=200, deadline=None)
 @given(named_owners(), st.data())
 def test_relabelled_matches_the_pair_count_confirm(case, data):
-    """Decode's confirm, a level relabelled against a member's table, holds
+    """A level relabelled (`partition._relabelled`) equals a member's table
     exactly when the two tables name as many blocks as the pairs of their
     entries do: on the owner against its own partition and against a
     partition with two labels swapped."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ncb
-from ncb import checks, formulas
+from ncb import checks, cli, formulas
 
 PACKAGE = Path(ncb.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -172,6 +172,29 @@ def test_the_benchmark_finds_the_names_it_calls():
     assert closed_forms and [n for n in closed_forms if not hasattr(formulas, n)] == []
     assert "masks" in inspect.signature(ncb.FinitePoset).parameters
     assert hasattr(ncb.BPartition, "pair_mask")
+
+
+def test_the_closed_forms_the_benchmark_traces_are_called(monkeypatch, capsys):
+    """Every closed form `bench/worker.py` traces by name is called through
+    `formulas` by the verbs of the closed-forms workload.  If `cli` stopped
+    calling one, its span would be missing and the benchmark would count
+    those operations as failed."""
+    fired = set()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            fired.add(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    closed_forms = assigned(BENCH / "worker.py", "_CLOSED_FORMS")
+    for name in closed_forms:
+        monkeypatch.setattr(formulas, name, counted(name, getattr(formulas, name)))
+    for verb in (["rank-poly"], ["zeta", "-m", "3"], ["mobius"], ["max-chains"], ["count"]):
+        assert cli.main([*verb, "--shape", "3,2"]) == 0
+    capsys.readouterr()
+    assert fired == set(closed_forms)
 
 
 # The memos allowed no bound: the shape-keyed caches that DESK_BOUND
